@@ -69,14 +69,11 @@ class RunConfig:
     expressions: tuple = ()
 
     def __post_init__(self):
-        if self.max_index < 1:
-            raise DomainError("max index must be at least 1")
+        # max index and depth are range-checked by the checkers themselves
         if self.truncation < 1:
             raise DomainError("truncation must be at least 1")
         if self.word_length < 1:
             raise DomainError("word length must be at least 1")
-        if self.depth < 1:
-            raise DomainError("depth must be at least 1")
         if self.index_bound < 1:
             raise DomainError("index bound must be at least 1")
         if self.weight is not None and self.weight <= 0:
@@ -104,14 +101,15 @@ def _require_numeric_weight(config: RunConfig) -> Fraction:
 # -- handlers: each returns (params, reports, extra_items) -------------------
 
 
-def _cmd_witt_verify(config: RunConfig):
+def _cmd_witt_pairs(config: RunConfig):
+    # the checker is looked up by name on each call, so instrumentation
+    # that patches module attributes (perfbench/tracing.py) sees it
+    if config.command == "witt-verify":
+        checker = check_witt_composite
+    else:
+        checker = check_extended_composite
     params = {"max_index": config.max_index, "weight": _weight_str(config.weight)}
-    return params, [check_witt_composite(config.max_index, config.weight)], []
-
-
-def _cmd_witt_extended(config: RunConfig):
-    params = {"max_index": config.max_index, "weight": _weight_str(config.weight)}
-    return params, [check_extended_composite(config.max_index, config.weight)], []
+    return params, [checker(config.max_index, config.weight)], []
 
 
 def _cmd_witt_symmetry(config: RunConfig):
@@ -227,8 +225,8 @@ def _cmd_tail_equivalence(config: RunConfig):
 
 
 _HANDLERS = {
-    "witt-verify": _cmd_witt_verify,
-    "witt-extended": _cmd_witt_extended,
+    "witt-verify": _cmd_witt_pairs,
+    "witt-extended": _cmd_witt_pairs,
     "witt-symmetry": _cmd_witt_symmetry,
     "witt-hs": _cmd_witt_hs,
     "witt-closed": _cmd_witt_closed,
@@ -327,37 +325,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse dests that are renamed or converted on the way into RunConfig:
+# dest -> (field, converter).  Every other dest is the field of that name.
+_ARG_FIELDS = {
+    "format": ("fmt", None),
+    "weight": ("weight", _parse_weight),
+    "composite": ("composite_path", None),
+    "rep": ("rep_path", None),
+    "expressions": ("expressions", tuple),
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        "command": args.command,
-        "fmt": args.format,
-        "output": args.output,
-    }
-    if hasattr(args, "max_index"):
-        fields["max_index"] = args.max_index
-    if hasattr(args, "weight"):
-        fields["weight"] = _parse_weight(args.weight)
-    if hasattr(args, "truncation"):
-        fields["truncation"] = args.truncation
-    if hasattr(args, "word_length"):
-        fields["word_length"] = args.word_length
-    if hasattr(args, "index_bound"):
-        fields["index_bound"] = args.index_bound
-    if hasattr(args, "depth"):
-        fields["depth"] = args.depth
-    if hasattr(args, "mode"):
-        fields["mode"] = args.mode
-    if hasattr(args, "tolerance"):
-        fields["tolerance"] = args.tolerance
-    if hasattr(args, "composite"):
-        fields["composite_path"] = args.composite
-    if hasattr(args, "rep"):
-        fields["rep_path"] = args.rep
-    if hasattr(args, "two_j1"):
-        fields["two_j1"] = args.two_j1
-        fields["two_j2"] = args.two_j2
-    if hasattr(args, "expressions"):
-        fields["expressions"] = tuple(args.expressions)
+    fields = {}
+    for dest, value in vars(args).items():
+        field, convert = _ARG_FIELDS.get(dest, (dest, None))
+        fields[field] = value if convert is None else convert(value)
     return RunConfig(**fields)
 
 

@@ -543,12 +543,6 @@ class RationalFunc:
         return RationalFunc(_pshift_arg(self.num, k), _pshift_arg(self.den, k),
                             self.symbol, _trust=True)
 
-    def map_coeffs(self, fn) -> "RationalFunc":
-        """Apply a coefficient-field morphism and re-canonicalize."""
-        num = tuple(fn(c) for c in self.num)
-        den = tuple(fn(c) for c in self.den)
-        return RationalFunc.make(num, den, self.symbol)
-
     def evaluate(self, point):
         """Value at symbol = point; raises PoleError on a vanishing denominator."""
         den = _peval(self.den, point)

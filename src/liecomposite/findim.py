@@ -30,8 +30,8 @@ from .linalg import (
     column_space_intersection,
     column_span_contains,
     kron,
+    mat_commutator,
     mat_identity,
-    mat_mul,
     mat_sub,
     nullspace,
     rank,
@@ -281,7 +281,7 @@ def check_compatibility(composite: FinDimComposite) -> CheckReport:
             a, b = subs[i], subs[j]
             label = f"({a.name}, {b.name})"
             inter = intersect_subspaces(composite, i, j)
-            if rank([list(r) for r in a.basis]) == rank([list(r) for r in b.basis]) == len(inter):
+            if a.dim == b.dim == len(inter):
                 items.append(
                     CheckItem(
                         subject=f"{label} duplicate spans",
@@ -374,7 +374,7 @@ def check_representation(
         mats = [rep.ambient_matrix(list(row), names) for row in sub.basis]
         for p in range(sub.dim):
             for q in range(p + 1, sub.dim):
-                comm = mat_sub(mat_mul(mats[p], mats[q]), mat_mul(mats[q], mats[p]))
+                comm = mat_commutator(mats[p], mats[q])
                 unit = [Fraction(0)] * sub.dim
                 unit[p] = Fraction(1)
                 other = [Fraction(0)] * sub.dim

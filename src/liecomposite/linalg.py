@@ -26,14 +26,6 @@ class GaussianRational:
         raise AttributeError("GaussianRational is immutable")
 
     @classmethod
-    def coerce(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, str):
-            return cls.parse(value)
-        return cls(Fraction(value))
-
-    @classmethod
     def parse(cls, text: str) -> "GaussianRational":
         s = text.replace(" ", "")
         if not s:
@@ -58,9 +50,6 @@ class GaussianRational:
             return cls(Fraction(real), Fraction(imag))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad scalar {text!r}: {exc}") from None
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -152,9 +141,6 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-I_UNIT = GaussianRational(0, 1)
-
-
 # -- generic matrix helpers ----------------------------------------------
 
 
@@ -171,10 +157,6 @@ def mat_identity(n, one=Fraction(1)):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_zero(rows, cols, zero=Fraction(0)):
-    return [[zero for _ in range(cols)] for _ in range(rows)]
-
-
 def mat_add(a, b):
     ra, ca = mat_shape(a)
     rb, cb = mat_shape(b)
@@ -185,10 +167,6 @@ def mat_add(a, b):
 
 def mat_sub(a, b):
     return mat_add(a, [[-x for x in row] for row in b])
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
 
 
 def mat_mul(a, b):
@@ -212,11 +190,6 @@ def mat_commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def mat_transpose(a):
-    rows, cols = mat_shape(a)
-    return [[a[i][j] for i in range(rows)] for j in range(cols)]
-
-
 def mat_trace(a):
     rows, cols = mat_shape(a)
     if rows != cols:
@@ -227,10 +200,6 @@ def mat_trace(a):
     for i in range(1, rows):
         acc = acc + a[i][i]
     return acc
-
-
-def is_zero_matrix(a) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def kron(a, b):

@@ -28,6 +28,8 @@ from .findim import (
     FinDimComposite,
     FinDimRep,
     SubspaceAlgebra,
+    _entry_abs,
+    _max_abs,
     check_representation,
     commutant_dimension,
     format_scalar,
@@ -168,21 +170,20 @@ def _cross(u, v):
     )
 
 
-def _assignment_vectors(assignment):
-    out = {}
-    for vertex, (s1, i1, s2, i2) in assignment.items():
-        a = [0, 0, 0]
-        b = [0, 0, 0]
-        a[i1] = s1
-        b[i2] = s2
-        out[vertex] = (tuple(a), tuple(b))
-    return out
+def _vertex_vectors(option):
+    """The two tensor legs of a table entry as signed unit 3-vectors."""
+    s1, i1, s2, i2 = option
+    a = [0, 0, 0]
+    b = [0, 0, 0]
+    a[i1] = s1
+    b[i2] = s2
+    return tuple(a), tuple(b)
 
 
 def _verify_assignment(assignment) -> bool:
     """Abstract check of the table against all faces and opposite pairs:
     both tensor legs must satisfy the cross-product brackets."""
-    vec = _assignment_vectors(assignment)
+    vec = {vertex: _vertex_vectors(option) for vertex, option in assignment.items()}
     for p, q, r in FACES:
         for left, mid, right in ((p, q, r), (q, r, p), (r, p, q)):
             if _cross(vec[left][0], vec[mid][0]) != vec[right][0]:
@@ -219,22 +220,15 @@ def _search_vertex_assignment():
             return None
         return (a[nz_a[0]], nz_a[0], b[nz_b[0]], nz_b[0])
 
-    def vectors(opt):
-        a = [0, 0, 0]
-        b = [0, 0, 0]
-        a[opt[1]] = opt[0]
-        b[opt[3]] = opt[2]
-        return (tuple(a), tuple(b))
-
     for opt_a, opt_b, opt_d in product(options, repeat=3):
-        va, vb, vd = vectors(opt_a), vectors(opt_b), vectors(opt_d)
+        va, vb, vd = _vertex_vectors(opt_a), _vertex_vectors(opt_b), _vertex_vectors(opt_d)
         opt_c = forced(va, vb)  # face (A, B, C)
         if opt_c is None:
             continue
         opt_e = forced(va, vd)  # face (A, D, E)
         if opt_e is None:
             continue
-        opt_f = forced(vectors(opt_c), vd)  # face (C, D, F)
+        opt_f = forced(_vertex_vectors(opt_c), vd)  # face (C, D, F)
         if opt_f is None:
             continue
         candidate = {
@@ -247,9 +241,9 @@ def _search_vertex_assignment():
         }
         if not _verify_assignment(candidate):
             continue
-        vec = _assignment_vectors(candidate)
         rows = [
-            [Fraction(x) for x in vec[v][0] + vec[v][1]] for v in VERTICES
+            [Fraction(x) for leg in _vertex_vectors(candidate[v]) for x in leg]
+            for v in VERTICES
         ]
         if rank(rows) == 6:
             return candidate
@@ -283,14 +277,13 @@ def so4_composite_rep(two_j1: int, two_j2: int) -> FinDimRep:
 # -- the extraction ---------------------------------------------------------
 
 
-def _entry_abs(x) -> float:
-    if isinstance(x, GaussianRational):
-        return float(x.abs2()) ** 0.5
-    return abs(float(x))
-
-
-def _max_abs(matrix) -> float:
-    return max((_entry_abs(x) for row in matrix for x in row), default=0.0)
+def _minus_scalar(matrix, scalar):
+    """matrix - scalar * identity, entry by entry."""
+    eye = mat_identity(len(matrix))
+    return [
+        [x - scalar * e for x, e in zip(row, eye_row)]
+        for row, eye_row in zip(matrix, eye)
+    ]
 
 
 def _scalar_str(x) -> str:
@@ -397,11 +390,7 @@ def extract_so4(
         scalar = mat_trace(k) / dim_scalar
         central_values[pair] = scalar
         if irreducible:
-            eye = mat_identity(dim)
-            residual_matrix = [
-                [k[i][j] - scalar * eye[i][j] for j in range(dim)] for i in range(dim)
-            ]
-            scalar_ok = zeroish(residual_matrix)
+            scalar_ok = zeroish(_minus_scalar(k, scalar))
             zero_ok = not scalar if exact else _entry_abs(scalar) <= tol
             items.append(
                 CheckItem(
@@ -435,14 +424,7 @@ def extract_so4(
         )
     )
 
-    eye = mat_identity(dim)
-    shifted_mats = {
-        v: [
-            [mats[v][i][j] - lambdas[v] * eye[i][j] for j in range(dim)]
-            for i in range(dim)
-        ]
-        for v in VERTICES
-    }
+    shifted_mats = {v: _minus_scalar(mats[v], lambdas[v]) for v in VERTICES}
     shifted = FinDimRep(dim, shifted_mats)
 
     for p, q, r in FACES:
@@ -532,17 +514,6 @@ def _abstract_constants():
     return c
 
 
-def _bracket_vec(c, u, v):
-    n = len(u)
-    return [
-        sum(
-            (c[k][i][j] * u[i] * v[j] for i in range(n) for j in range(n)),
-            Fraction(0),
-        )
-        for k in range(n)
-    ]
-
-
 def killing_certificate() -> CheckReport:
     """Static certificate that the abstract vertex algebra is so(3)+so(3).
 
@@ -552,9 +523,8 @@ def killing_certificate() -> CheckReport:
     two commuting 3-dimensional ideals.
     """
     c = _abstract_constants()
-    eye = [[Fraction(1 if i == j else 0) for j in range(6)] for i in range(6)]
     # constructing the subspace validates antisymmetry and Jacobi exactly
-    SubspaceAlgebra("so4", eye, c)
+    so4 = SubspaceAlgebra("so4", mat_identity(6), c)
     items = [CheckItem(subject="bracket table satisfies Jacobi", verdict=PASS)]
 
     ad = [
@@ -592,7 +562,7 @@ def killing_certificate() -> CheckReport:
     ideal1 = [combo(("A", 1), ("F", -1)), combo(("B", 1), ("D", 1)), combo(("C", 1), ("E", 1))]
     ideal2 = [combo(("A", 1), ("F", 1)), combo(("B", 1), ("D", -1)), combo(("C", 1), ("E", -1))]
     ok_cross = all(
-        all(x == 0 for x in _bracket_vec(c, u, v)) for u in ideal1 for v in ideal2
+        all(x == 0 for x in so4.bracket_coords(u, v)) for u in ideal1 for v in ideal2
     )
     items.append(
         CheckItem(
@@ -602,12 +572,12 @@ def killing_certificate() -> CheckReport:
     )
     for name, ideal in (("first", ideal1), ("second", ideal2)):
         closed = all(
-            column_span_contains(ideal, _bracket_vec(c, u, v))
+            column_span_contains(ideal, so4.bracket_coords(u, v))
             for u in ideal
             for v in ideal
         )
         nonabelian = any(
-            any(_bracket_vec(c, u, v)) for u in ideal for v in ideal
+            any(so4.bracket_coords(u, v)) for u in ideal for v in ideal
         )
         items.append(
             CheckItem(

@@ -25,6 +25,7 @@ from typing import NamedTuple
 from .errors import DomainError, PoleError
 from .exact import (
     RationalFunc,
+    _peval,
     asymptotic_degree,
     evaluate,
     fraction_coeff_tuples,
@@ -55,53 +56,20 @@ def f(index: int) -> GeneratorId:
     return GeneratorId("f", index)
 
 
-class HighestWeight:
-    """The module weight: either the formal symbol (value None) or a rational.
-
-    Numeric probe legs additionally require the value to be positive
-    (is_unitarizable); symbolic checks never look at it.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value=None):
-        if value is not None:
-            value = Fraction(value)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("HighestWeight is immutable")
-
-    @classmethod
-    def coerce(cls, h) -> "HighestWeight":
-        if isinstance(h, HighestWeight):
-            return h
-        return cls(h)
-
-    @property
-    def is_symbolic(self) -> bool:
-        return self.value is None
-
-    @property
-    def is_unitarizable(self) -> bool:
-        return self.value is not None and self.value > 0
-
-    def __eq__(self, other):
-        if not isinstance(other, HighestWeight):
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((HighestWeight, self.value))
-
-    def __str__(self) -> str:
-        return "h" if self.value is None else str(self.value)
+def _weight(h) -> Fraction | None:
+    """The module weight: None keeps the formal symbol, anything else
+    (a Fraction, int or string like "5/7") becomes a rational."""
+    return None if h is None else Fraction(h)
 
 
-def _at_weight(op: ShiftOperator, hw: HighestWeight) -> ShiftOperator:
-    if hw.is_symbolic:
+def _weight_str(h0: Fraction | None) -> str:
+    return "h" if h0 is None else str(h0)
+
+
+def _at_weight(op: ShiftOperator, h0: Fraction | None) -> ShiftOperator:
+    if h0 is None:
         return op
-    return ShiftOperator((d, substitute_h(c, hw.value)) for d, c in op.components)
+    return ShiftOperator((d, substitute_h(c, h0)) for d, c in op.components)
 
 
 # -- the two operator families ------------------------------------------------
@@ -137,12 +105,12 @@ def _op_f(k: int) -> ShiftOperator:
 
 def op_L(k: int, h=None) -> ShiftOperator:
     """Index-k member of the bracket-carrying family (shift -k for k >= 0)."""
-    return _at_weight(_op_e(k), HighestWeight.coerce(h))
+    return _at_weight(_op_e(k), _weight(h))
 
 
 def op_F(k: int, h=None) -> ShiftOperator:
     """Index-k member of the abelian family (k-fold derivative for k >= 0)."""
-    return _at_weight(_op_f(k), HighestWeight.coerce(h))
+    return _at_weight(_op_f(k), _weight(h))
 
 
 def represent(x: GeneratorId, h=None) -> ShiftOperator:
@@ -205,8 +173,8 @@ def _combo_str(combo: Combo) -> str:
 def shapovalov_weight(n: int, h=None):
     """Squared norm of z^n: an element of Q(h), or a Fraction at numeric h."""
     w = WEIGHT.value(n)
-    hw = HighestWeight.coerce(h)
-    return w if hw.is_symbolic else evaluate(w, hw.value)
+    h0 = _weight(h)
+    return w if h0 is None else evaluate(w, h0)
 
 
 @lru_cache(maxsize=None)
@@ -217,10 +185,35 @@ def _deviation_sym(x: GeneratorId, y: GeneratorId) -> ShiftOperator:
 
 def deviation(x: GeneratorId, y: GeneratorId, h=None) -> ShiftOperator:
     """Commutator of the represented pair minus the represented bracket."""
-    return _at_weight(_deviation_sym(x, y), HighestWeight.coerce(h))
+    return _at_weight(_deviation_sym(x, y), _weight(h))
 
 
 # -- checkers ---------------------------------------------------------
+
+
+def _require_max_index(K: int):
+    if K < 1:
+        raise DomainError("max index must be at least 1")
+
+
+def _letters(index_bound: int) -> list:
+    """Both families' generators with indices in [-index_bound, index_bound]."""
+    return [
+        GeneratorId(fam, i)
+        for i in range(-index_bound, index_bound + 1)
+        for fam in ("e", "f")
+    ]
+
+
+def _deviation_item(half: str, x: GeneratorId, y: GeneratorId, h0) -> CheckItem:
+    """One in-half relation: the deviation of (x, y) must vanish exactly."""
+    dev = deviation(x, y, h0)
+    ok = dev.is_zero()
+    return CheckItem(
+        subject=f"{half}: deviation({x}, {y})",
+        verdict=PASS if ok else FAIL,
+        residual=None if ok else str(dev),
+    )
 
 
 def check_witt_composite(K: int, h=None) -> CheckReport:
@@ -232,25 +225,15 @@ def check_witt_composite(K: int, h=None) -> CheckReport:
     indices vanish trivially and are omitted.  One fixed cross-half pair
     is reported informationally with its operator class.
     """
-    if K < 1:
-        raise DomainError("max index must be at least 1")
-    hw = HighestWeight.coerce(h)
+    _require_max_index(K)
+    h0 = _weight(h)
     items = []
     for half, lo, hi in (("upper", -1, K), ("lower", -K, 1)):
         for i in range(lo, hi + 1):
             for j in range(lo, hi + 1):
-                if i == j:
-                    continue
-                dev = deviation(e(i), e(j), hw)
-                ok = dev.is_zero()
-                items.append(
-                    CheckItem(
-                        subject=f"{half}: deviation(e_{i}, e_{j})",
-                        verdict=PASS if ok else FAIL,
-                        residual=None if ok else str(dev),
-                    )
-                )
-    probe = deviation(e(2), e(-2), hw)
+                if i != j:
+                    items.append(_deviation_item(half, e(i), e(j), h0))
+    probe = deviation(e(2), e(-2), h0)
     items.append(
         CheckItem(
             subject="mixed: deviation(e_2, e_-2)",
@@ -261,7 +244,7 @@ def check_witt_composite(K: int, h=None) -> CheckReport:
     )
     return CheckReport.build(
         "witt-composite",
-        {"max_index": K, "h": str(hw)},
+        {"max_index": K, "h": _weight_str(h0)},
         items,
         notes=("pairs with equal indices vanish identically and are omitted",),
     )
@@ -281,9 +264,8 @@ def check_extended_composite(K: int, h=None) -> CheckReport:
     half mirrored.  Checks [T(e_i), T(f_j)] = -j*T(f_{i+j}) and
     [T(f_i), T(f_j)] = 0, all exactly.
     """
-    if K < 1:
-        raise DomainError("max index must be at least 1")
-    hw = HighestWeight.coerce(h)
+    _require_max_index(K)
+    h0 = _weight(h)
     items = []
     halves = (
         ("upper", range(-1, K + 1), range(0, K + 1)),
@@ -292,32 +274,14 @@ def check_extended_composite(K: int, h=None) -> CheckReport:
     for half, e_range, f_range in halves:
         for i in e_range:
             for j in f_range:
-                dev = deviation(e(i), f(j), hw)
-                ok = dev.is_zero()
-                items.append(
-                    CheckItem(
-                        subject=f"{half}: deviation(e_{i}, f_{j})",
-                        verdict=PASS if ok else FAIL,
-                        residual=None if ok else str(dev),
-                    )
-                )
-        f_list = list(f_range)
-        for a in f_list:
-            for b in f_list:
-                if a >= b:
-                    continue
-                dev = deviation(f(a), f(b), hw)
-                ok = dev.is_zero()
-                items.append(
-                    CheckItem(
-                        subject=f"{half}: deviation(f_{a}, f_{b})",
-                        verdict=PASS if ok else FAIL,
-                        residual=None if ok else str(dev),
-                    )
-                )
+                items.append(_deviation_item(half, e(i), f(j), h0))
+        for a in f_range:
+            for b in f_range:
+                if a < b:
+                    items.append(_deviation_item(half, f(a), f(b), h0))
     return CheckReport.build(
         "extended-composite",
-        {"max_index": K, "h": str(hw)},
+        {"max_index": K, "h": _weight_str(h0)},
         items,
         notes=(_EF_TABLE_NOTE,),
     )
@@ -354,9 +318,8 @@ def check_symmetric(K: int, h=None) -> CheckReport:
     numeric unitarizable weight is supplied, an independent finite
     inner-product cross-check at that weight is appended.
     """
-    if K < 1:
-        raise DomainError("max index must be at least 1")
-    hw = HighestWeight.coerce(h)
+    _require_max_index(K)
+    h0 = _weight(h)
     items = []
     for fam, mk in (("e", op_L), ("f", op_F)):
         for k in range(-K, K + 1):
@@ -367,18 +330,18 @@ def check_symmetric(K: int, h=None) -> CheckReport:
                     verdict=PASS if ok else FAIL,
                 )
             )
-    if not hw.is_symbolic:
-        if not hw.is_unitarizable:
+    if h0 is not None:
+        if h0 <= 0:
             raise DomainError("the numeric leg needs a rational weight h > 0")
-        ok = _inner_product_probe(hw.value, K)
+        ok = _inner_product_probe(h0, K)
         items.append(
             CheckItem(
-                subject=f"inner-product cross-check at h={hw.value} on monomials up to 12",
+                subject=f"inner-product cross-check at h={h0} on monomials up to 12",
                 verdict=PASS if ok else FAIL,
                 note="exact rational pairing, no tolerance",
             )
         )
-    return CheckReport.build("symmetric", {"max_index": K, "h": str(hw)}, items)
+    return CheckReport.build("symmetric", {"max_index": K, "h": _weight_str(h0)}, items)
 
 
 def check_absolutely_symmetric(max_len: int, index_bound: int, h=None) -> CheckReport:
@@ -395,14 +358,9 @@ def check_absolutely_symmetric(max_len: int, index_bound: int, h=None) -> CheckR
         raise DomainError("word length bound must be at least 2")
     if index_bound < 0:
         raise DomainError("index bound must be nonnegative")
-    hw = HighestWeight.coerce(h)
-    if not hw.is_symbolic:
+    if _weight(h) is not None:
         raise DomainError("the word-symmetry check runs at the formal weight")
-    letters = [
-        GeneratorId(fam, i)
-        for i in range(-index_bound, index_bound + 1)
-        for fam in ("e", "f")
-    ]
+    letters = _letters(index_bound)
     items: list[CheckItem] = []
 
     def walk(word: tuple, product: ShiftOperator, total: int):
@@ -428,7 +386,7 @@ def check_absolutely_symmetric(max_len: int, index_bound: int, h=None) -> CheckR
     walk((), ShiftOperator.identity(), 0)
     return CheckReport.build(
         "absolutely-symmetric",
-        {"max_word_length": max_len, "index_bound": index_bound, "h": str(hw)},
+        {"max_word_length": max_len, "index_bound": index_bound, "h": "h"},
         items,
         notes=(
             "reading: each word's product operator is compared with its"
@@ -457,12 +415,8 @@ def check_absolutely_closed(
         raise DomainError("index bound must be nonnegative")
     if mode not in ("bracket", "literal"):
         raise DomainError("mode must be 'bracket' or 'literal'")
-    hw = HighestWeight.coerce(h)
-    letters = [
-        GeneratorId(fam, i)
-        for i in range(-index_bound, index_bound + 1)
-        for fam in ("e", "f")
-    ]
+    h0 = _weight(h)
+    letters = _letters(index_bound)
     items: list[CheckItem] = []
     nonzero_phi = 0
 
@@ -471,11 +425,11 @@ def check_absolutely_closed(
         # tuples of length 3 .. depth + 2 (nesting level 1 .. depth); the
         # length-2 case is the plain pair deviation covered elsewhere
         if length >= 3:
-            remainder = acc_op - represent_combo(acc_combo, hw)
-            bracket_cls = remainder.classify()
-            literal_cls = acc_op.classify() if hw.is_symbolic else _at_weight(
-                acc_op, hw
-            ).classify()
+            # substitute first, so the numeric table bracket is subtracted
+            # from a numeric operator
+            op_at = _at_weight(acc_op, h0)
+            bracket_cls = (op_at - represent_combo(acc_combo, h0)).classify()
+            literal_cls = op_at.classify()
             gate = bracket_cls if mode == "bracket" else literal_cls
             ok = gate <= _HS
             if acc_combo:
@@ -503,13 +457,13 @@ def check_absolutely_closed(
             )
 
     visit((), ShiftOperator.zero(), {}, 0)
-    if hw.is_symbolic:
+    if h0 is None:
         sub_note = ()
     else:
-        sub_note = (f"operators evaluated at the numeric weight h = {hw.value}",)
+        sub_note = (f"operators evaluated at the numeric weight h = {h0}",)
     return CheckReport.build(
         "absolutely-closed",
-        {"depth": depth, "index_bound": index_bound, "h": str(hw), "mode": mode},
+        {"depth": depth, "index_bound": index_bound, "h": _weight_str(h0), "mode": mode},
         items,
         notes=(
             f"table bracket was nonzero for {nonzero_phi} of {len(items)}"
@@ -606,10 +560,7 @@ def _refuse_lattice_poles(den, h0: Fraction):
     bound = 1 + max(abs(c / lead) for c in den[:-1])
     x = h0
     while x <= bound:
-        acc = Fraction(0)
-        for c in reversed(den):
-            acc = acc * x + c
-        if acc == 0:
+        if _peval(den, x) == 0:
             raise PoleError(x, f"difference has a pole on the sample lattice at {x}")
         x += 1
 
@@ -647,21 +598,17 @@ def tail_square_probe(r1: RationalFunc, r2: RationalFunc, h0, count: int = 10000
     _refuse_lattice_poles(den, h0)
     fnum = [float(c) for c in num]
     fden = [float(c) for c in den]
-
-    def value(x: float) -> float:
-        acc = 0.0
-        for c in reversed(fnum):
-            acc = acc * x + c
-        dacc = 0.0
-        for c in reversed(fden):
-            dacc = dacc * x + c
-        return acc / dacc
-
     x0 = float(h0)
-    terms = [value(x0 + j) ** 2 for j in range(count)]
+
+    def block(start: int, stop: int) -> float:
+        return sum(
+            (_peval(fnum, x0 + j) / _peval(fden, x0 + j)) ** 2
+            for j in range(start, stop)
+        )
+
     q = count // 4
-    b1 = sum(terms[q : 2 * q])
-    b2 = sum(terms[2 * q :])
+    b1 = block(q, 2 * q)
+    b2 = block(2 * q, count)
     if b1 == 0.0 and b2 == 0.0:
         return True
     return b2 < b1

@@ -21,8 +21,9 @@ def invoke(capsys, *argv):
 
 
 def test_config_rejects_bad_ranges():
+    # the max index is range-checked by the checker the command runs
     with pytest.raises(DomainError):
-        RunConfig(command="witt-verify", max_index=0)
+        run(RunConfig(command="witt-verify", max_index=0))
     with pytest.raises(DomainError):
         RunConfig(command="witt-hs", truncation=0)
     with pytest.raises(DomainError):
@@ -125,6 +126,12 @@ def test_witt_closed_runs(capsys):
         capsys, "witt-closed", "--depth", "1", "--index-bound", "1"
     )
     assert code == 0
+
+
+def test_witt_closed_zero_depth_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "witt-closed", "--depth", "0")
+    assert code == 2
+    assert "depth" in err
 
 
 def test_octa_demo_json(capsys):

@@ -6,8 +6,9 @@ with the files under tests/golden/.  Regenerate after an intended report
 change with ``PYTHONPATH=src python3 tests/test_golden.py``.
 """
 
+import contextlib
+import io
 import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -51,15 +52,13 @@ EXIT_CODES = {"witt-closed-1-1-literal": 1}
 
 def _render(argv):
     """Run one CLI invocation from the repository root; return (exit code, stdout)."""
-    from io import StringIO
-
-    saved_cwd, saved_out = os.getcwd(), sys.stdout
-    sys.stdout = buffer = StringIO()
+    saved_cwd = os.getcwd()
+    buffer = io.StringIO()
     try:
         os.chdir(ROOT)
-        code = main(argv)
+        with contextlib.redirect_stdout(buffer):
+            code = main(argv)
     finally:
-        sys.stdout = saved_out
         os.chdir(saved_cwd)
     return code, buffer.getvalue()
 

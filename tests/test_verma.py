@@ -19,7 +19,6 @@ from liecomposite.exact import (
 from liecomposite.report import FAIL, INFO, PASS
 from liecomposite.shiftop import OperatorClass, ShiftOperator
 from liecomposite.verma import (
-    HighestWeight,
     bracket,
     bracket_combo,
     check_absolutely_closed,
@@ -76,7 +75,6 @@ def test_numeric_weight_substitutes_coefficients():
         (d, substitute_h(c, h0)) for d, c in op_L(2).components
     )
     assert at == expected
-    assert op_L(2, HighestWeight(h0)) == at
 
 
 def test_shapovalov_weights_frozen():
@@ -88,14 +86,11 @@ def test_shapovalov_weights_frozen():
 
 
 def test_highest_weight_coercion():
-    assert HighestWeight.coerce(None).is_symbolic
-    assert HighestWeight.coerce("5/7").value == Fraction(5, 7)
-    assert HighestWeight.coerce(2).is_unitarizable
-    assert not HighestWeight.coerce(Fraction(-1, 3)).is_unitarizable
-    hw = HighestWeight(Fraction(1, 2))
-    assert HighestWeight.coerce(hw) is hw
-    with pytest.raises(AttributeError):
-        hw.value = Fraction(1)
+    # the weight is None (formal symbol) or anything Fraction accepts
+    assert op_L(2, "5/7") == op_L(2, Fraction(5, 7))
+    assert op_L(2, None) == op_L(2)
+    with pytest.raises(DomainError):
+        check_symmetric(1, Fraction(-1, 3))
 
 
 # -- bracket table --------------------------------------------------------
@@ -285,6 +280,37 @@ def test_check_absolutely_closed_modes():
         check_absolutely_closed(1, 1, mode="strict")
 
 
+def _closed_classes(report):
+    """Per item: (subject, verdict, defect class, plain nested-commutator class)."""
+    out = []
+    for item in report.items:
+        defect, plain = (
+            OperatorClass.from_label(part.strip().split(" class ")[1])
+            for part in item.note.split(";")[:2]
+        )
+        out.append((item.subject, item.verdict, defect, plain))
+    return out
+
+
+@pytest.mark.parametrize("h0", [Fraction(3), Fraction(5, 7)])
+def test_closed_check_numeric_weight_matches_formal(h0):
+    formal = _closed_classes(check_absolutely_closed(1, 1))
+    numeric = check_absolutely_closed(1, 1, h0)
+    assert numeric.passed
+    assert _closed_classes(numeric) == formal
+
+
+def test_closed_check_special_weight_only_lowers_classes():
+    # at h = 1/2 some trace-class defects vanish identically
+    formal = _closed_classes(check_absolutely_closed(1, 1))
+    special = _closed_classes(check_absolutely_closed(1, 1, Fraction(1, 2)))
+    assert [row[:2] for row in special] == [row[:2] for row in formal]
+    assert all(
+        s[2] <= f[2] and s[3] <= f[3] for s, f in zip(special, formal)
+    )
+    assert any(s[2:] != f[2:] for s, f in zip(special, formal))
+
+
 def test_closed_check_frozen_examples():
     n1 = represent(e(2)).commutator(represent(e(-2))).commutator(represent(e(3)))
     phi1 = bracket_combo(bracket(e(2), e(-2)), {e(3): Fraction(1)})
@@ -380,6 +406,19 @@ def test_tail_probe_agreement_randomized():
         sym = tail_square_equivalence(r1, r2, Fraction(1, 2))
         num = tail_square_probe(r1, r2, Fraction(1, 2), 4000)
         assert sym == num
+
+
+def test_tail_probe_streams_its_sums():
+    import tracemalloc
+
+    h = var_h()
+    tracemalloc.start()
+    try:
+        assert tail_square_probe(1 / h, 1 / (h + 1), Fraction(1, 2), 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_tail_equivalence_report_structure():
