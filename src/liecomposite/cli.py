@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -199,10 +200,8 @@ def _cmd_octa_demo(config: RunConfig):
         ),
     ]
     reports = [check_compatibility(octa), killing_certificate()]
-    rep = so4_composite_rep(config.two_j1, config.two_j2)
-    reports.append(check_representation(octa, rep))
-    extraction = extract_so4(rep)
-    reports.append(extraction.verdict)
+    extraction = extract_so4(so4_composite_rep(config.two_j1, config.two_j2))
+    reports += [extraction.precondition, extraction.verdict]
     return params, reports, extra
 
 
@@ -374,7 +373,13 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe; send the exit-time flush to
+            # devnull so it does not raise a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -1,49 +1,44 @@
-"""Exact scalar arithmetic: rationals, univariate polynomials, rational functions.
+"""Exact scalar arithmetic: rationals, polynomials, rational functions.
 
-The package works in a fixed two-level tower of fields
+The package works over the fields QQ(h) and QQ(h)(n), where h is the
+highest-weight parameter and n is the growth variable.  Every
+``RationalFunc`` is stored fraction-free as N/D with N, D in ZZ[h][n]:
 
-    QQ  (Fraction)  <  QQ(h)  (symbol "h")  <  QQ(h)(n)  (symbol "n"),
+- N and D are coprime in ZZ[h, n], integer content included;
+- D has a positive leading coefficient (highest power of n, then of h);
+- zero is 0/1.
 
-where h is the highest-weight parameter and n is the growth variable.
-Every value of ``RationalFunc`` is kept in canonical form: numerator and
-denominator coprime, denominator monic, zero represented as 0/1.  Canonical
-form makes structural equality (and hashing) agree with mathematical
-equality, which the operator layer relies on.
+This form is unique, so structural equality (and hashing) coincides with
+mathematical equality, which the operator layer relies on.  A QQ(h) value
+(symbol "h") is the case where N and D do not involve n, so both symbols
+share one set of integer kernels and mixing them only relabels the result.
 
-Polynomials are plain tuples of coefficients in ascending degree order with
-no trailing zeros; the empty tuple is the zero polynomial.  Coefficients are
-``Fraction`` at the inner level and ``RationalFunc`` (symbol "h") at the
-outer level, and all helpers are duck-typed over both.
+Polynomials are tuples of coefficients in ascending degree order with no
+trailing zeros; the empty tuple is the zero polynomial.  A ZZ[h] polynomial
+has int coefficients; a ZZ[h][n] polynomial has ZZ[h] coefficients.
+``Fraction`` appears only at the boundary: constants, evaluating a QQ(h)
+value, ``fraction_coeff_tuples`` and printing, which renders a value monic
+in its own symbol with reduced QQ(h) (or QQ) coefficients.
 
 Growth analysis (``asymptotic_degree``) reads off deg(num) - deg(den) in the
-value's own symbol; for the outer level this treats h-dependent leading
+value's own symbol; for symbol "n" this treats h-dependent leading
 coefficients as nonzero, i.e. h is generic.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
 from .errors import ParseError, PoleError, ZeroDenominatorError
 
-Rational = Fraction
-
 NEG_INF = float("-inf")
-
-# Tower order: lower-level values coerce into constants of higher levels.
-_SYMBOL_LEVEL = {"h": 0, "n": 1}
-
-
-def _is_one(c) -> bool:
-    if isinstance(c, Fraction):
-        return c == 1
-    return c.is_one()
 
 
 # ---------------------------------------------------------------------------
-# Polynomials as coefficient tuples (ascending, trailing coefficient nonzero).
+# ZZ[h]: int coefficient tuples (ascending, trailing coefficient nonzero).
 
 
 def _trim(coeffs) -> tuple:
@@ -58,7 +53,7 @@ def _padd(a: tuple, b: tuple) -> tuple:
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
-        out[i] = out[i] + c
+        out[i] += c
     return _trim(out)
 
 
@@ -73,56 +68,33 @@ def _psub(a: tuple, b: tuple) -> tuple:
 def _pmul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
-    out: list = [None] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            t = ca * cb
-            out[i + j] = t if out[i + j] is None else out[i + j] + t
-    zero = a[0] * 0  # zero of the coefficient arithmetic, not a bare int
-    return _trim(zero if c is None else c for c in out)
-
-
-def _pscale(a: tuple, s) -> tuple:
-    if not s:
-        return ()
-    return tuple(c * s for c in a)
-
-
-def _pscale_div(a: tuple, s) -> tuple:
-    return tuple(c / s for c in a)
-
-
-def _pdivmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
-    """Quotient and remainder over a field; b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return (), a
-    rem = list(a)
-    lead = b[-1]
-    db = len(b) - 1
-    quot: list = [None] * (len(a) - db)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = rem[i + db]
-        q = c / lead
-        quot[i] = q
-        if q:
+        if ca:
             for j, cb in enumerate(b):
-                rem[i + j] = rem[i + j] - q * cb
-    return _trim(quot), _trim(rem)
+                out[i + j] += ca * cb
+    return tuple(out)
 
 
 def _pdivexact(a: tuple, b: tuple) -> tuple:
-    q, r = _pdivmod(a, b)
-    if r:
+    """a / b in ZZ[x]; raises ArithmeticError unless b divides a."""
+    if b == (1,):
+        return a
+    rem = list(a)
+    db, lead = len(b) - 1, b[-1]
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        q = quot[i] = rem[i + db] // lead  # a remainder left here fails below
+        if q:
+            for j, cb in enumerate(b):
+                rem[i + j] -= q * cb
+    if any(rem):
         raise ArithmeticError("inexact polynomial division")
-    return q
+    return tuple(quot)
 
 
 def _peval(a: tuple, x):
-    """Horner evaluation; x may sit in the coefficient field or below it."""
+    """Horner evaluation of a coefficient tuple at x."""
     if not a:
         return x - x  # zero of the ambient arithmetic
     acc = a[-1]
@@ -131,176 +103,235 @@ def _peval(a: tuple, x):
     return acc
 
 
+def _phomog(a: tuple, p: int, q: int, d: int) -> int:
+    """q^d * a(p/q) for deg a <= d, an integer."""
+    return sum(c * p**i * q ** (d - i) for i, c in enumerate(a))
+
+
 def _pshift_arg(a: tuple, k: int) -> tuple:
-    """p(x) -> p(x + k) for integer k, via Horner in (x + k)."""
-    if k == 0 or not a:
-        return a
+    """p(x) -> p(x + k), via Horner in (x + k)."""
     acc: list = []
     for c in reversed(a):
-        # acc := acc*(x+k) + c
-        nxt = [None] * (len(acc) + 1)
-        for i, t in enumerate(acc):
-            nxt[i + 1] = t
-            scaled = t * k
-            nxt[i] = scaled if nxt[i] is None else nxt[i] + scaled
-        if nxt:
-            nxt[0] = c if nxt[0] is None else nxt[0] + c
-        else:
-            nxt = [c]
-        acc = nxt
-    return _trim(acc)
+        acc = [0] + acc  # acc * x ...
+        for i in range(len(acc) - 1):
+            acc[i] += k * acc[i + 1]  # ... + k * acc
+        acc[0] += c
+    return tuple(acc)
 
 
-def _pmonic(a: tuple) -> tuple:
-    if not a or _is_one(a[-1]):
-        return a
-    return _pscale_div(a, a[-1])
+def _pprimitive(a: tuple) -> tuple:
+    g = math.gcd(*a)
+    return a if g == 1 else tuple(c // g for c in a)
 
 
-# --- gcd over QQ[x] (Fraction coefficients) --------------------------------
-
-
-def _primitive_int(a: tuple) -> tuple:
-    """Scale a Fraction polynomial to primitive integer form, positive lead."""
-    if not a:
-        return a
-    m = 1
-    for c in a:
-        m = m * c.denominator // math.gcd(m, c.denominator)
-    ints = [int(c * m) for c in a]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if ints[-1] < 0:
-        g = -g
-    return tuple(Fraction(v // g) for v in ints)
-
-
-def _pgcd_fractions(a: tuple, b: tuple) -> tuple:
-    a, b = _primitive_int(a), _primitive_int(b)
+def _prs(a: tuple, b: tuple, mul, sub, primitive) -> tuple:
+    """Last nonzero term of the primitive polynomial remainder sequence of
+    primitive a, b over a coefficient ring given by mul, sub and primitive
+    (W. S. Brown, J. ACM 18, 1971): their gcd up to a unit."""
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, _primitive_int(r)
-    return _pmonic(a)
-
-
-# --- gcd over QQ(h)[n] ------------------------------------------------------
-#
-# Coefficients here are RationalFunc values at level "h".  Plain Euclid over
-# the fraction field suffers severe intermediate swell, so the real work is
-# done on denominator-cleared bivariate polynomials (tuples of Fraction
-# tuples) with a primitive polynomial remainder sequence.  A cheap sound
-# certificate short-circuits the common coprime case: specialize h at a
-# sample point and take a univariate gcd.  The certificate is sound whenever
-# one argument is monic in n (true at every call site: canonical denominators
-# are monic), because a monic common divisor of a monic pole-free polynomial
-# is itself pole-free at the sample and stays full-degree there.
-
-_SAMPLE_POINTS = (Fraction(19, 23), Fraction(29, 31), Fraction(17, 37))
-
-
-def _qh_eval(c, h0: Fraction) -> Fraction:
-    num = _peval(c.num, h0)
-    den = _peval(c.den, h0)
-    if not den:
-        raise ZeroDivisionError
-    return num / den
-
-
-def _coprime_certificate(a: tuple, b: tuple) -> bool:
-    """True certifies gcd(a, b) = 1; False is inconclusive.
-
-    Requires at least one of a, b monic in the main variable.
-    """
-    for h0 in _SAMPLE_POINTS:
-        try:
-            sa = _trim(_qh_eval(c, h0) for c in a)
-            sb = _trim(_qh_eval(c, h0) for c in b)
-        except ZeroDivisionError:
-            continue
-        if len(sa) != len(a) and len(sb) != len(b):
-            continue  # both degrees dropped; monic side lost
-        g = _pgcd_fractions(sa, sb)
-        return len(g) == 1
-    return False
-
-
-def _bp_content(bp: list[tuple]) -> tuple:
-    g: tuple = ()
-    for c in bp:
-        if c:
-            g = _pgcd_fractions(g, c) if g else _primitive_int(c)
-        if len(g) == 1:
-            break
-    return g if g else ()
-
-
-def _bp_primitive(bp) -> list[tuple]:
-    bp = [c for c in bp]
-    while bp and not bp[-1]:
-        bp.pop()
-    if not bp:
-        return bp
-    g = _bp_content(bp)
-    if len(g) > 1:
-        bp = [_pdivexact(c, g) if c else () for c in bp]
-    return bp
-
-
-def _bp_prem(a: list[tuple], b: list[tuple]) -> list[tuple]:
-    """Pseudo-remainder of bivariate polynomials (main variable = outer index)."""
-    db = len(b) - 1
-    lead_b = b[-1]
-    rem = list(a)
-    while len(rem) - 1 >= db and rem:
-        lr = rem[-1]
-        shift = len(rem) - 1 - db
-        rem = [_pmul(c, lead_b) for c in rem]
-        for j, cb in enumerate(b):
-            rem[j + shift] = _psub(rem[j + shift], _pmul(cb, lr))
-        while rem and not rem[-1]:
-            rem.pop()
-    return rem
-
-
-def _pgcd_qh(a: tuple, b: tuple) -> tuple:
-    """gcd in QQ(h)[n], returned monic; inputs are tuples of level-"h" values."""
-
-    def clear(p: tuple) -> list[tuple]:
-        lcm = (Fraction(1),)
-        for c in p:
-            g = _pgcd_fractions(lcm, c.den)
-            lcm = _pmul(_pdivexact(lcm, g), c.den)
-        return [_pmul(c.num, _pdivexact(lcm, c.den)) for c in p]
-
-    qh_one = a[-1] / a[-1] if a else b[-1] / b[-1]
-    bp_a = _bp_primitive(clear(a))
-    bp_b = _bp_primitive(clear(b))
-    if len(bp_a) < len(bp_b):
-        bp_a, bp_b = bp_b, bp_a
-    while bp_b:
-        r = _bp_prem(bp_a, bp_b)
-        bp_a, bp_b = bp_b, _bp_primitive(r)
-    out = tuple(RationalFunc.make(c, (Fraction(1),), "h") for c in bp_a)
-    if len(out) == 1:
-        return (qh_one,)
-    return _pmonic(out)
+        rem, db, lead = list(a), len(b) - 1, b[-1]
+        while len(rem) > db:  # pseudo-remainder of a by b
+            lr, shift = rem[-1], len(rem) - 1 - db
+            rem = [mul(c, lead) for c in rem]
+            for j, cb in enumerate(b):
+                rem[j + shift] = sub(rem[j + shift], mul(cb, lr))
+            while rem and not rem[-1]:
+                rem.pop()
+        a, b = b, (primitive(tuple(rem)) if rem else ())
+    return a
 
 
 def _pgcd(a: tuple, b: tuple) -> tuple:
-    """Monic gcd over the coefficient field; dispatches on coefficient type."""
-    if not a:
-        return _pmonic(b)
-    if not b:
-        return _pmonic(a)
-    sample = a[-1]
-    if isinstance(sample, Fraction):
-        return _pgcd_fractions(a, b)
+    """gcd in ZZ[x] with positive leading coefficient."""
+    if not a or not b:
+        g = a or b
+        return _pneg(g) if g and g[-1] < 0 else g
+    g = math.gcd(*a, *b)
     if len(a) == 1 or len(b) == 1:
-        return (sample / sample,)
-    if _coprime_certificate(a, b):
-        return (sample / sample,)
-    return _pgcd_qh(a, b)
+        return (g,)
+    a = _prs(_pprimitive(a), _pprimitive(b), operator.mul, operator.sub, _pprimitive)
+    if len(a) == 1:
+        return (g,)
+    return tuple(c * (g if a[-1] > 0 else -g) for c in a)
+
+
+# ---------------------------------------------------------------------------
+# ZZ[h][n]: tuples (over powers of n) of ZZ[h] polynomials.
+
+_ONE = ((1,),)
+_ZERO = ((), _ONE)  # (num, den) of the zero value
+
+
+def _badd(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = _padd(out[i], c)
+    return _trim(out)
+
+
+def _bneg(a: tuple) -> tuple:
+    return tuple(_pneg(c) for c in a)
+
+
+def _bmul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    out: list = [()] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] = _padd(out[i + j], _pmul(ca, cb))
+    return tuple(out)
+
+
+def _bdivexact(a: tuple, b: tuple) -> tuple:
+    """a / b in ZZ[h][n]; raises ArithmeticError unless b divides a."""
+    if len(b) == 1:
+        return tuple(_pdivexact(c, b[0]) for c in a)
+    rem = list(a)
+    db, lead = len(b) - 1, b[-1]
+    quot: list = [()] * max(len(a) - db, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        q = quot[i] = _pdivexact(rem[i + db], lead)
+        for j, cb in enumerate(b):
+            rem[i + j] = _psub(rem[i + j], _pmul(q, cb))
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(quot)
+
+
+def _columns(a: tuple) -> list[tuple]:
+    """The h^j coefficients of a, as int tuples in n padded to len(a)."""
+    return [tuple(c[j] if j < len(c) else 0 for c in a) for j in range(max(map(len, a), default=0))]
+
+
+def _bshift(a: tuple, k: int) -> tuple:
+    """A(h, n) -> A(h, n + k), shifting each h^j coefficient in n."""
+    cols = [_pshift_arg(col, k) for col in _columns(a)]
+    return tuple(_trim(col[i] for col in cols) for i in range(len(a)))
+
+
+def _content(polys) -> tuple:
+    """gcd in ZZ[h] of ZZ[h] polynomials, positive leading coefficient."""
+    g: tuple = ()
+    for c in polys:
+        g = _pgcd(g, c)
+        if g == (1,):
+            break
+    return g
+
+
+def _bprimitive(a: tuple, content: tuple | None = None) -> tuple:
+    content = _content(a) if content is None else content
+    return tuple(_pdivexact(c, content) for c in a)
+
+
+_SAMPLE_POINTS = (19, 29, 37)
+
+
+def _coprime_certificate(a: tuple, b: tuple) -> bool:
+    """True certifies that gcd(a, b) has n-degree 0; False is inconclusive.
+
+    A cheap test for the common coprime case: specialize h at an integer
+    sample h0 and take the gcd in ZZ[n].  It is sound when lc_n(a) or
+    lc_n(b) does not vanish at h0: a common factor G of positive n-degree
+    has lc_n(G) dividing that coefficient, so G(h0, n) keeps its degree and
+    divides both specializations.
+    """
+    for h0 in _SAMPLE_POINTS:
+        sa = [_peval(c, h0) for c in a]
+        sb = [_peval(c, h0) for c in b]
+        if sa[-1] or sb[-1]:
+            return len(_pgcd(_trim(sa), _trim(sb))) == 1
+    return False
+
+
+def _bgcd(a: tuple, b: tuple) -> tuple:
+    """gcd in ZZ[h][n] of nonzero a, b, with positive leading coefficient.
+
+    gcd(a, b) = gcd(cont a, cont b) * gcd(pp a, pp b) over the h-contents and
+    primitive parts.  The second factor is 1 when either side has n-degree 0
+    or the certificate holds; otherwise the primitive PRS over ZZ[h] gives it.
+    """
+    if a == _ONE or b == _ONE:
+        return _ONE
+    if len(a) == 1 or len(b) == 1 or _coprime_certificate(a, b):
+        return (_content(a + b),)
+    ca, cb = _content(a), _content(b)
+    a = _prs(_bprimitive(a, ca), _bprimitive(b, cb), _pmul, _psub, _bprimitive)
+    g = _pgcd(ca, cb)
+    if len(a) == 1:
+        return (g,)
+    return tuple(_pmul(c, g) for c in (a if a[-1][-1] > 0 else _bneg(a)))
+
+
+# --- canonical fractions: (num, den) pairs of ZZ[h][n] polynomials ----------
+
+
+def _reduce(num: tuple, den: tuple) -> tuple[tuple, tuple]:
+    if not num:
+        return _ZERO
+    g = _bgcd(num, den)
+    if g != _ONE:
+        num, den = _bdivexact(num, g), _bdivexact(den, g)
+    if den[-1][-1] < 0:
+        num, den = _bneg(num), _bneg(den)
+    return num, den
+
+
+def _sum(a: "RationalFunc", b: "RationalFunc") -> tuple[tuple, tuple]:
+    """a + b for canonical a, b; only the denominators' gcd is cancelled."""
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    if not an:
+        return bn, bd
+    if not bn:
+        return an, ad
+    if ad == bd:
+        num = _badd(an, bn)
+        if not num:
+            return _ZERO
+        g = _bgcd(num, ad)
+        return (num, ad) if g == _ONE else (_bdivexact(num, g), _bdivexact(ad, g))
+    g = _bgcd(ad, bd)
+    if g == _ONE:
+        num = _badd(_bmul(an, bd), _bmul(bn, ad))
+        return (num, _bmul(ad, bd)) if num else _ZERO
+    ag = _bdivexact(ad, g)
+    t = _badd(_bmul(an, _bdivexact(bd, g)), _bmul(bn, ag))
+    if not t:
+        return _ZERO
+    g2 = _bgcd(t, g)
+    if g2 != _ONE:
+        t, bd = _bdivexact(t, g2), _bdivexact(bd, g2)
+    return t, _bmul(ag, bd)
+
+
+def _difference(a: "RationalFunc", b: "RationalFunc") -> tuple[tuple, tuple]:
+    return _sum(a, -b)
+
+
+def _product(a: "RationalFunc", b: "RationalFunc") -> tuple[tuple, tuple]:
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    if not an or not bn:
+        return _ZERO
+    if bd != _ONE:
+        g = _bgcd(an, bd)
+        if g != _ONE:
+            an, bd = _bdivexact(an, g), _bdivexact(bd, g)
+    if ad != _ONE:
+        g = _bgcd(bn, ad)
+        if g != _ONE:
+            bn, ad = _bdivexact(bn, g), _bdivexact(ad, g)
+    return _bmul(an, bn), _bmul(ad, bd)
+
+
+def _quotient(a: "RationalFunc", b: "RationalFunc") -> tuple[tuple, tuple]:
+    return _product(a, b.reciprocal())
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +339,13 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
 
 
 class RationalFunc:
-    """A rational function in one symbol over the level below it.
+    """An element of QQ(h) (symbol "h") or QQ(h)(n) (symbol "n").
 
-    Instances are immutable and always canonical: num/den coprime, den monic,
-    zero stored as ()/(1,).  Equality and hash are structural, which by
-    canonicality coincides with mathematical equality at the same level.
-    Arithmetic accepts int, Fraction and lower-level RationalFunc operands
-    and lifts them; mixing values of the same symbol but different towers is
-    the caller's responsibility (the package only ever builds h under n).
+    Instances are immutable and always canonical (see the module docstring);
+    equality and hash are structural, which by canonicality coincides with
+    mathematical equality at the same symbol.  Arithmetic accepts int,
+    Fraction and RationalFunc operands of either symbol; a result with an
+    "n" operand has symbol "n".
     """
 
     __slots__ = ("num", "den", "symbol")
@@ -333,23 +363,16 @@ class RationalFunc:
 
     @classmethod
     def make(cls, num, den, symbol: str) -> "RationalFunc":
-        num, den = _trim(num), _trim(den)
-        if symbol not in _SYMBOL_LEVEL:
+        """The canonical value of num/den, given as ZZ[h][n] int tuples."""
+        if symbol not in ("h", "n"):
             raise ValueError(f"unknown symbol {symbol!r}")
+        num = _trim(_trim(c) for c in num)
+        den = _trim(_trim(c) for c in den)
         if not den:
             raise ZeroDenominatorError("zero denominator")
-        lead = den[-1]
-        if not _is_one(lead):
-            den = _pscale_div(den, lead)
-            num = _pscale_div(num, lead)
-        if not num:
-            return cls((), (den[-1],), symbol, _trust=True)
-        if len(den) > 1:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdivexact(num, g)
-                den = _pdivexact(den, g)
-        return cls(num, den, symbol, _trust=True)
+        if symbol == "h" and max(len(num), len(den)) > 1:
+            raise ValueError('a level-"h" value cannot depend on n')
+        return cls(*_reduce(num, den), symbol, _trust=True)
 
     # -- basic queries ----------------------------------------------------
 
@@ -357,173 +380,80 @@ class RationalFunc:
         return not self.num
 
     def is_one(self) -> bool:
-        return len(self.num) == 1 and len(self.den) == 1 and _is_one(self.num[0])
+        return self.num == _ONE and self.den == _ONE
 
     def __bool__(self) -> bool:
         return bool(self.num)
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
-
-    @property
-    def _one_coeff(self):
-        """Multiplicative unit of the coefficient field (den is monic)."""
-        return self.den[-1]
+        """True when the value does not involve its own symbol."""
+        if self.symbol == "n":
+            return len(self.num) <= 1 and len(self.den) == 1
+        return all(len(c) <= 1 for c in self.num) and len(self.den[0]) == 1
 
     def constant_value(self):
-        """The coefficient-field value of a constant; raises otherwise."""
+        """A constant's value one level down (a level-"h" value for symbol
+        "n", a Fraction for symbol "h"); raises otherwise."""
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self.num[0] if self.num else self._one_coeff - self._one_coeff
-
-    # -- coercion ----------------------------------------------------------
-
-    def _const_from_coeff(self, c) -> "RationalFunc":
-        one = self._one_coeff
-        if not c:
-            return RationalFunc((), (one,), self.symbol, _trust=True)
-        return RationalFunc((c,), (one,), self.symbol, _trust=True)
-
-    def _lift(self, other):
-        if isinstance(other, RationalFunc):
-            if other.symbol == self.symbol:
-                return other
-            if _SYMBOL_LEVEL[other.symbol] < _SYMBOL_LEVEL[self.symbol]:
-                return self._const_from_coeff(other)
-            return None
-        if isinstance(other, (int, Fraction)):
-            return self._const_from_coeff(self._one_coeff * other)
-        return None
-
-    def _pair(self, other):
-        """(self, other) lifted to their common level, or None.
-
-        Needed because Python skips reflected dunders when both operands share
-        a type, so level mixing inside one class must be resolved here.
-        """
-        if isinstance(other, RationalFunc) and other.symbol != self.symbol \
-                and _SYMBOL_LEVEL[other.symbol] > _SYMBOL_LEVEL[self.symbol]:
-            return other._const_from_coeff(self), other
-        lifted = self._lift(other)
-        if lifted is None:
-            return None
-        return self, lifted
+        if self.symbol == "n":
+            return RationalFunc(self.num, self.den, "h", _trust=True)
+        return Fraction(self.num[0][0], self.den[0][0]) if self.num else Fraction(0)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _add(self, other: "RationalFunc") -> "RationalFunc":
-        a, b = self, other
-        if a.is_zero():
-            return b
-        if b.is_zero():
-            return a
-        if a.den == b.den:
-            num = _padd(a.num, b.num)
-            if not num:
-                return a._const_from_coeff(0)
-            g = _pgcd(num, a.den) if len(a.den) > 1 else (a._one_coeff,)
-            if len(g) > 1:
-                return RationalFunc(_pdivexact(num, g), _pdivexact(a.den, g),
-                                    a.symbol, _trust=True)
-            return RationalFunc(num, a.den, a.symbol, _trust=True)
-        g = _pgcd(a.den, b.den)
-        if len(g) == 1:
-            num = _padd(_pmul(a.num, b.den), _pmul(b.num, a.den))
-            den = _pmul(a.den, b.den)
-            if not num:
-                return a._const_from_coeff(0)
-            return RationalFunc(num, den, a.symbol, _trust=True)
-        bg = _pdivexact(b.den, g)
-        ag = _pdivexact(a.den, g)
-        t = _padd(_pmul(a.num, bg), _pmul(b.num, ag))
-        if not t:
-            return a._const_from_coeff(0)
-        g2 = _pgcd(t, g)
-        if len(g2) > 1:
-            t = _pdivexact(t, g2)
-            den = _pmul(ag, _pdivexact(b.den, g2))
+    def _apply(self, kernel, other, reflected: bool = False):
+        if isinstance(other, RationalFunc):
+            symbol = "n" if "n" in (self.symbol, other.symbol) else "h"
+        elif isinstance(other, (int, Fraction)):
+            other, symbol = _const(other, self.symbol), self.symbol
         else:
-            den = _pmul(ag, b.den)
-        return RationalFunc(t, den, a.symbol, _trust=True)
-
-    def _mul(self, other: "RationalFunc") -> "RationalFunc":
-        a, b = self, other
-        if a.is_zero() or b.is_zero():
-            return a._const_from_coeff(0)
-        an, bd = a.num, b.den
-        if len(bd) > 1:
-            g1 = _pgcd(an, bd)
-            if len(g1) > 1:
-                an, bd = _pdivexact(an, g1), _pdivexact(bd, g1)
-        bn, ad = b.num, a.den
-        if len(ad) > 1:
-            g2 = _pgcd(bn, ad)
-            if len(g2) > 1:
-                bn, ad = _pdivexact(bn, g2), _pdivexact(ad, g2)
-        return RationalFunc(_pmul(an, bn), _pmul(ad, bd), a.symbol, _trust=True)
+            return NotImplemented
+        a, b = (other, self) if reflected else (self, other)
+        return RationalFunc(*kernel(a, b), symbol, _trust=True)
 
     def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0]._add(pair[1])
+        return self._apply(_sum, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_zero():
-            return self
-        return RationalFunc(_pneg(self.num), self.den, self.symbol, _trust=True)
+        return RationalFunc(_bneg(self.num), self.den, self.symbol, _trust=True)
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0]._add(-pair[1])
+        return self._apply(_difference, other)
 
     def __rsub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        return pair[1]._add(-pair[0])
+        return self._apply(_difference, other, reflected=True)
 
     def __mul__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0]._mul(pair[1])
+        return self._apply(_product, other)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RationalFunc":
+        """1/self: num and den swap, signs fixed; no gcd is needed."""
         if self.is_zero():
             raise ZeroDenominatorError("division by zero rational function")
-        return RationalFunc.make(self.den, self.num, self.symbol)
+        num, den = self.den, self.num
+        if den[-1][-1] < 0:
+            num, den = _bneg(num), _bneg(den)
+        return RationalFunc(num, den, self.symbol, _trust=True)
 
     def __truediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0]._mul(pair[1].reciprocal())
+        return self._apply(_quotient, other)
 
     def __rtruediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        return pair[1]._mul(pair[0].reciprocal())
+        return self._apply(_quotient, other, reflected=True)
 
     def __pow__(self, exponent: int):
+        """Coprime powers stay coprime, so num and den are raised apart."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer exponents")
-        out = self._const_from_coeff(self._one_coeff)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out._mul(base)
-            base = base._mul(base)
-            e >>= 1
-        return out
+        num = den = _ONE
+        for _ in range(exponent):
+            num, den = _bmul(num, self.num), _bmul(den, self.den)
+        return RationalFunc(num, den, self.symbol, _trust=True)
 
     # -- structure ----------------------------------------------------------
 
@@ -536,60 +466,86 @@ class RationalFunc:
         return hash((self.symbol, self.num, self.den))
 
     def shift_arg(self, k: int) -> "RationalFunc":
-        """Substitute symbol -> symbol + k; a field automorphism, so the
-        canonical form is preserved (shifting keeps denominators monic)."""
+        """Substitute symbol -> symbol + k.  This automorphism of ZZ[h, n]
+        fixes leading coefficients, so the canonical form is preserved."""
         if k == 0:
             return self
-        return RationalFunc(_pshift_arg(self.num, k), _pshift_arg(self.den, k),
-                            self.symbol, _trust=True)
+        if self.symbol == "n":
+            num, den = _bshift(self.num, k), _bshift(self.den, k)
+        else:
+            num, den = (tuple(_pshift_arg(c, k) for c in p) for p in (self.num, self.den))
+        return RationalFunc(num, den, self.symbol, _trust=True)
 
     def evaluate(self, point):
-        """Value at symbol = point; raises PoleError on a vanishing denominator."""
-        den = _peval(self.den, point)
+        """Value at symbol = point (an int or Fraction): a Fraction for symbol
+        "h", a level-"h" value for symbol "n".  Raises PoleError where the
+        denominator vanishes (identically in h, for symbol "n")."""
+        x = Fraction(point)
+        if self.symbol == "h":
+            den = _peval(self.den[0], x)
+            if not den:
+                raise PoleError(point)
+            return Fraction(_peval(self.num[0], x)) / den if self.num else Fraction(0)
+        d = max(len(self.num), len(self.den)) - 1
+        num, den = (_trim(_phomog(col, x.numerator, x.denominator, d) for col in _columns(a))
+                    for a in (self.num, self.den))
         if not den:
             raise PoleError(point)
-        if not self.num:
-            return den - den
-        return _peval(self.num, point) / den
+        return RationalFunc.make((num,), (den,), "h")
 
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        num = _poly_str(self.num, self.symbol)
-        if len(self.den) == 1 and _is_one(self.den[0]):
-            return num
-        den = _poly_str(self.den, self.symbol)
-        return f"({num})/({den})"
+        if self.symbol == "h":
+            num, den = fraction_coeff_tuples(self)
+        else:
+            lead = self.den[-1]
+            num, den = (tuple(_qh_coeff(c, lead) for c in a) for a in (self.num, self.den))
+        return _ratio_str(num, den, self.symbol)
 
     def __repr__(self) -> str:
         return f"<{self.symbol}-rational {self}>"
 
 
+def _monic(num: tuple, den: tuple) -> tuple[tuple, tuple]:
+    """ZZ coefficient tuples num/den as Fraction tuples with den monic."""
+    lead = den[-1]
+    return tuple(Fraction(c, lead) for c in num), tuple(Fraction(c, lead) for c in den)
+
+
+def _qh_coeff(c: tuple, lead: tuple) -> tuple[tuple, tuple]:
+    """The QQ(h) coefficient c/lead, reduced, as monic Fraction tuples."""
+    g = _pgcd(c, lead)
+    return _monic(_pdivexact(c, g), _pdivexact(lead, g))
+
+
+def _ratio_str(num: tuple, den: tuple, symbol: str) -> str:
+    text = _poly_str(num, symbol)
+    return text if len(den) == 1 else f"({text})/({_poly_str(den, symbol)})"
+
+
 def _poly_str(coeffs: tuple, symbol: str) -> str:
-    if not coeffs:
-        return "0"
+    """Coefficients are Fractions, or (num, den) Fraction tuples in h."""
     parts: list[tuple[bool, str]] = []  # (negative, text without sign)
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
-        if not c:
-            continue
-        negative = False
         if isinstance(c, Fraction):
-            if c < 0:
-                negative, c = True, -c
-            cs = str(c)
+            if not c:
+                continue
+            negative = c < 0
+            cs = str(-c if negative else c)
         else:
-            cs, _atomic = _wrap_qh(c)
-            if cs.startswith("-"):
-                negative, cs = True, cs[1:]
+            if not c[0]:
+                continue
+            cs = _wrap_qh(*c)
+            negative = cs.startswith("-")
+            if negative:
+                cs = cs[1:]
         if k == 0:
             text = cs
         else:
             sym = symbol if k == 1 else f"{symbol}^{k}"
-            if cs == "1":
-                text = sym
-            else:
-                text = f"{cs}*{sym}"
+            text = sym if cs == "1" else f"{cs}*{sym}"
         parts.append((negative, text))
     if not parts:
         return "0"
@@ -602,17 +558,16 @@ def _poly_str(coeffs: tuple, symbol: str) -> str:
     return "".join(out)
 
 
-def _wrap_qh(c: RationalFunc) -> tuple[str, bool]:
-    """Render a level-"h" coefficient for use inside a product term.
+def _wrap_qh(num: tuple, den: tuple) -> str:
+    """Render a QQ(h) coefficient for use inside a product term.
 
-    Returns (text, atomic); non-atomic coefficients come back parenthesized.
     A single monomial with positive rational coefficient ("3*h^2") is safe in
     a product because * and / associate left; anything else gets parentheses.
     A leading "-" is only produced for the negated-single-monomial case so the
     term joiner can absorb it.
     """
-    if len(c.den) == 1 and _is_one(c.den[0]):
-        nonzero = [(i, v) for i, v in enumerate(c.num) if v]
+    if len(den) == 1:
+        nonzero = [(i, v) for i, v in enumerate(num) if v]
         if len(nonzero) == 1:
             i, v = nonzero[0]
             neg = v < 0
@@ -623,39 +578,42 @@ def _wrap_qh(c: RationalFunc) -> tuple[str, bool]:
                 body = "h" if i == 1 else f"h^{i}"
             else:
                 body = f"{vv}*h" if i == 1 else f"{vv}*h^{i}"
-            return ("-" + body if neg else body), True
-    return f"({c})", False
+            return "-" + body if neg else body
+    return f"({_ratio_str(num, den, 'h')})"
 
 
 # ---------------------------------------------------------------------------
-# Tower constructors and the public exact-arithmetic operations.
+# Constructors and the public exact-arithmetic operations.
 
-_QH_ONE = Fraction(1)
+
+def _const(value, symbol: str) -> RationalFunc:
+    v = Fraction(value)
+    return RationalFunc(((v.numerator,),) if v else (), ((v.denominator,),), symbol, _trust=True)
 
 
 def qh_const(value=0) -> RationalFunc:
     """Constant element of QQ(h)."""
-    v = Fraction(value)
-    return RationalFunc((v,) if v else (), (_QH_ONE,), "h", _trust=True)
+    return _const(value, "h")
 
 
 def var_h() -> RationalFunc:
-    return RationalFunc((Fraction(0), Fraction(1)), (_QH_ONE,), "h", _trust=True)
+    return RationalFunc(((0, 1),), _ONE, "h", _trust=True)
 
 
 def qhn_const(value=0) -> RationalFunc:
-    """Constant element of QQ(h)(n) from int/Fraction or a level-"h" value."""
+    """Element of QQ(h)(n) from an int, a Fraction or a value of either symbol.
+
+    A level-"h" value is relabelled; a level-"n" value is returned as is.
+    """
     if isinstance(value, RationalFunc):
-        if value.symbol == "n":
-            return value
-        c = value
-    else:
-        c = qh_const(value)
-    return RationalFunc((c,) if c else (), (qh_const(1),), "n", _trust=True)
+        return value if value.symbol == "n" else RationalFunc(value.num, value.den, "n", _trust=True)
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"cannot use {type(value).__name__} as a rational-function constant")
+    return _const(value, "n")
 
 
 def var_n() -> RationalFunc:
-    return RationalFunc((qh_const(0), qh_const(1)), (qh_const(1),), "n", _trust=True)
+    return RationalFunc(((), (1,)), _ONE, "n", _trust=True)
 
 
 def var_h_in_n() -> RationalFunc:
@@ -673,18 +631,11 @@ def normalize(r: RationalFunc) -> RationalFunc:
 
 
 def equals(r1, r2) -> bool:
-    """Mathematical equality; accepts int/Fraction and mixed tower levels."""
-    if isinstance(r1, RationalFunc):
-        lifted = r1._lift(r2)
-        if lifted is not None:
-            return r1.num == lifted.num and r1.den == lifted.den
-        if isinstance(r2, RationalFunc):
-            lifted = r2._lift(r1)
-            return lifted.num == r2.num and lifted.den == r2.den
+    """Mathematical equality; accepts int/Fraction and values of either symbol."""
+    a, b = (_const(r, "h") if isinstance(r, (int, Fraction)) else r for r in (r1, r2))
+    if not (isinstance(a, RationalFunc) and isinstance(b, RationalFunc)):
         return False
-    if isinstance(r2, RationalFunc):
-        return equals(r2, r1)
-    return Fraction(r1) == Fraction(r2)
+    return a.num == b.num and a.den == b.den
 
 
 def evaluate(r: RationalFunc, point):
@@ -696,51 +647,47 @@ def asymptotic_degree(r: RationalFunc):
     """deg(num) - deg(den) in the value's own symbol; -inf for the zero function."""
     if r.is_zero():
         return NEG_INF
-    return (len(r.num) - 1) - (len(r.den) - 1)
+    if r.symbol == "n":
+        return len(r.num) - len(r.den)
+    return len(r.num[0]) - len(r.den[0])
 
 
 def substitute_h(r: RationalFunc, h0: Fraction) -> RationalFunc:
-    """Specialize the weight symbol; result has constant level-"h" coefficients.
+    """Specialize the weight symbol at h0; the result is h-free.
 
-    Coefficient denominators are cleared jointly first (a unit scaling of the
-    whole function), so only genuine degeneration of the denominator at h0
-    raises PoleError; removable coefficient poles created by the monic
-    canonical form do not.
+    N and D are specialized directly, so only a denominator that vanishes
+    identically in n at h0 raises PoleError; removable poles of the printed
+    (monic) coefficients do not.
     """
     if r.symbol != "n":
         raise ValueError("substitute_h expects a level-\"n\" value")
     h0 = Fraction(h0)
     if r.is_zero():
         return r
+    p, q = h0.numerator, h0.denominator
+    d = max(len(c) for c in (*r.num, *r.den)) - 1
 
-    lcm = (Fraction(1),)
-    for c in (*r.num, *r.den):
-        g = _pgcd_fractions(lcm, c.den)
-        lcm = _pmul(_pdivexact(lcm, g), c.den)
+    def spec(a: tuple) -> tuple:
+        return _trim((v,) if v else () for v in (_phomog(c, p, q, d) for c in a))
 
-    def spec(c: RationalFunc) -> Fraction:
-        return _peval(_pmul(c.num, _pdivexact(lcm, c.den)), h0) if c.num else Fraction(0)
-
-    den = _trim(spec(c) for c in r.den)
+    den = spec(r.den)
     if not den:
         raise PoleError(h0, f"denominator degenerates at h = {h0}")
-    num = tuple(spec(c) for c in r.num)
-    return RationalFunc.make(tuple(qh_const(v) for v in num),
-                             tuple(qh_const(v) for v in den), "n")
+    return RationalFunc(*_reduce(spec(r.num), den), "n", _trust=True)
 
 
 def fraction_coeff_tuples(r: RationalFunc) -> tuple[tuple, tuple]:
-    """(num, den) as Fraction tuples for an h-free level-"n" value.
+    """(num, den) as Fraction tuples in the value's own symbol, den monic.
 
-    Raises ValueError when a coefficient still depends on h.
+    Raises ValueError when a level-"n" value still depends on h.
     """
-    def unwrap(c: RationalFunc) -> Fraction:
-        if not c.is_constant():
-            raise ValueError("value depends on h")
-        v = c.constant_value()
-        return v if isinstance(v, Fraction) else Fraction(v)
-
-    return tuple(unwrap(c) for c in r.num), tuple(unwrap(c) for c in r.den)
+    if r.symbol == "h":
+        num, den = (r.num[0] if r.num else ()), r.den[0]
+    elif all(len(c) <= 1 for c in (*r.num, *r.den)):
+        num, den = (tuple(c[0] if c else 0 for c in a) for a in (r.num, r.den))
+    else:
+        raise ValueError("value depends on h")
+    return _monic(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,7 @@ class So4Extraction:
     shifted: FinDimRep
     central_values: dict
     verdict: CheckReport
+    precondition: CheckReport  # check_representation on the octahedron
 
     @property
     def passed(self) -> bool:
@@ -354,7 +355,7 @@ def extract_so4(
             items,
             notes=("input rejected before extraction",),
         )
-        return So4Extraction({}, rep, {}, verdict)
+        return So4Extraction({}, rep, {}, verdict, pre)
 
     dim = rep.space_dim
     mats = {v: rep.matrix(v) for v in VERTICES}
@@ -498,7 +499,7 @@ def extract_so4(
         },
         items,
     )
-    return So4Extraction(lambdas, shifted, central_values, verdict)
+    return So4Extraction(lambdas, shifted, central_values, verdict, pre)
 
 
 # -- static certificate for the abstract 6-dimensional algebra ---------------

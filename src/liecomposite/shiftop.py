@@ -85,24 +85,12 @@ class ShiftComponent(NamedTuple):
     coeff: RationalFunc  # nonzero, rational in n over Q(h)
 
 
-def _as_coeff(value) -> RationalFunc:
-    if isinstance(value, RationalFunc):
-        return value if value.symbol == "n" else qhn_const(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return qhn_const(Fraction(value))
-    if isinstance(value, Fraction):
-        return qhn_const(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a band coefficient")
-
-
 def _as_scalar(value) -> RationalFunc:
     # scalars live in Q(h): n-dependent scaling would be a composition,
     # not a scalar multiple
-    if isinstance(value, RationalFunc) and value.symbol == "n":
-        if not value.is_constant():
-            raise TypeError("operator scalars must not depend on n")
-        value = value.constant_value()
-    return _as_coeff(value)
+    if isinstance(value, RationalFunc) and value.symbol == "n" and not value.is_constant():
+        raise TypeError("operator scalars must not depend on n")
+    return qhn_const(value)
 
 
 class WeightFunction:
@@ -182,7 +170,7 @@ class ShiftOperator:
             d, c = item
             if not isinstance(d, int) or isinstance(d, bool):
                 raise TypeError("component shift must be an integer")
-            c = _as_coeff(c)
+            c = qhn_const(c)
             merged[d] = merged[d] + c if d in merged else c
         object.__setattr__(
             self,

@@ -534,17 +534,10 @@ def check_hs_deviations(
 def _univariate_difference(r1: RationalFunc, r2: RationalFunc) -> RationalFunc:
     if not isinstance(r1, RationalFunc) or not isinstance(r2, RationalFunc):
         raise DomainError("expected rational-function operands")
-    if r1.symbol != r2.symbol:
-        if r1.symbol == "h":
-            r1 = qhn_const(r1)
-        elif r2.symbol == "h":
-            r2 = qhn_const(r2)
     return r1 - r2
 
 
 def _as_fraction_polys(d: RationalFunc):
-    if d.symbol == "h":
-        return d.num, d.den
     try:
         return fraction_coeff_tuples(d)
     except ValueError:
