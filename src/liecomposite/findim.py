@@ -67,6 +67,14 @@ def _coerce_vector(values, what: str):
         raise MalformedInputError(f"bad {what}: {exc}") from None
 
 
+def _exact_vector(values, what: str):
+    """_coerce_vector, refusing floats: the axiom checks are exact."""
+    vector = _coerce_vector(values, what)
+    if any(isinstance(x, float) for x in vector):
+        raise MalformedInputError(f"bad {what}: float scalar (write it as a string)")
+    return vector
+
+
 def _coerce_scalar(v):
     if isinstance(v, _EXACT_TYPES):
         return Fraction(v) if isinstance(v, int) else v
@@ -79,13 +87,14 @@ class SubspaceAlgebra:
     """A marked subspace with its own bracket.
 
     basis: rows, each an ambient coordinate vector; structure constants
-    c[k][i][j] give [b_i, b_j] = sum_k c[k][i][j] b_k.  Validates linear
-    independence, antisymmetry, and the Jacobi identity exactly.
+    c[k][i][j] give [b_i, b_j] = sum_k c[k][i][j] b_k.  Scalars are exact
+    (floats are refused).  Validates linear independence, antisymmetry,
+    and the Jacobi identity exactly.
     """
 
     def __init__(self, name: str, basis, structure_constants):
         self.name = str(name)
-        self.basis = tuple(_coerce_vector(row, f"basis row of {name}") for row in basis)
+        self.basis = tuple(_exact_vector(row, f"basis row of {name}") for row in basis)
         dim = len(self.basis)
         if dim < 2:
             raise MalformedInputError(
@@ -104,7 +113,7 @@ class SubspaceAlgebra:
                 f"subspace {name}: structure constants must be {dim}x{dim}x{dim}"
             )
         self.structure_constants = tuple(
-            tuple(_coerce_vector(row, f"structure constants of {name}") for row in plane)
+            tuple(_exact_vector(row, f"structure constants of {name}") for row in plane)
             for plane in c
         )
         for k in range(dim):
@@ -375,11 +384,7 @@ def check_representation(
         for p in range(sub.dim):
             for q in range(p + 1, sub.dim):
                 comm = mat_commutator(mats[p], mats[q])
-                unit = [Fraction(0)] * sub.dim
-                unit[p] = Fraction(1)
-                other = [Fraction(0)] * sub.dim
-                other[q] = Fraction(1)
-                coords = sub.bracket_coords(unit, other)
+                coords = [sub.structure_constants[k][p][q] for k in range(sub.dim)]
                 target = rep.ambient_matrix(sub.to_ambient(coords), names)
                 diff = mat_sub(comm, target)
                 if exact:

@@ -264,21 +264,13 @@ def nullspace(a):
 
 def column_span_contains(basis_cols, vector) -> bool:
     """Whether vector lies in the span of the given column vectors."""
-    if not basis_cols:
-        return all(not x for x in vector)
-    m = [list(row) for row in zip(*basis_cols)]
-    before = rank(m)
-    augmented = [row + [vector[i]] for i, row in enumerate(m)]
-    return rank(augmented) == before
+    return solve_columns(basis_cols, vector) is not None
 
 
 def independent_columns(cols):
-    """Subset of the given column vectors forming a basis of their span."""
-    kept = []
-    for v in cols:
-        if not column_span_contains(kept, v):
-            kept.append(v)
-    return kept
+    """Subset of the given column vectors forming a basis of their span:
+    the first column of each new direction, in input order."""
+    return [cols[c] for c in rref([list(row) for row in zip(*cols)])[1]]
 
 
 def column_space_intersection(u_cols, v_cols):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .errors import DomainError, MalformedInputError, SearchFailureError
 from .findim import (
@@ -36,12 +36,11 @@ from .findim import (
 )
 from .linalg import (
     GaussianRational,
-    column_span_contains,
-    independent_columns,
     kron,
     mat_commutator,
     mat_identity,
     mat_mul,
+    mat_sub,
     mat_trace,
     rank,
     symmetric_signature,
@@ -338,6 +337,12 @@ def extract_so4(
             return all(not x for row in matrix for x in row)
         return _max_abs(matrix) <= tol
 
+    def vanishing_item(subject, matrices) -> CheckItem:
+        """PASS when every matrix is zeroish; floats also report the worst residual."""
+        ok = all(map(zeroish, matrices))
+        residual = None if exact else f"{max(map(_max_abs, matrices)):.3e}"
+        return CheckItem(subject=subject, verdict=PASS if ok else FAIL, residual=residual)
+
     pre = check_representation(composite, rep, tolerance)
     items = [
         CheckItem(
@@ -366,14 +371,7 @@ def extract_so4(
         k = mat_commutator(mats[p], mats[q])
         centrals[f"{p},{q}"] = k
         comms = [mat_commutator(k, mats[v]) for v in VERTICES]
-        ok = all(zeroish(m) for m in comms)
-        items.append(
-            CheckItem(
-                subject=f"[T({p}), T({q})] is central",
-                verdict=PASS if ok else FAIL,
-                residual=None if exact else f"{max(map(_max_abs, comms)):.3e}",
-            )
-        )
+        items.append(vanishing_item(f"[T({p}), T({q})] is central", comms))
 
     if irreducible_hint:
         irreducible, how = True, "asserted by caller"
@@ -428,36 +426,29 @@ def extract_so4(
     shifted_mats = {v: _minus_scalar(mats[v], lambdas[v]) for v in VERTICES}
     shifted = FinDimRep(dim, shifted_mats)
 
+    # each commutator of the shifted family once; a reversed pair negates
+    pairs = list(combinations(VERTICES, 2))
+    brackets = {(p, q): mat_commutator(shifted_mats[p], shifted_mats[q]) for p, q in pairs}
+    brackets.update({(q, p): [[-x for x in row] for row in brackets[p, q]] for p, q in pairs})
+
     for p, q, r in FACES:
-        worst_residual = 0.0
-        ok = True
-        for left, mid, right in ((p, q, r), (q, r, p), (r, p, q)):
-            diff = mat_commutator(shifted_mats[left], shifted_mats[mid])
-            diff = [
-                [diff[i][j] - shifted_mats[right][i][j] for j in range(dim)]
-                for i in range(dim)
-            ]
-            ok = ok and zeroish(diff)
-            worst_residual = max(worst_residual, _max_abs(diff))
+        diffs = [
+            mat_sub(brackets[left, mid], shifted_mats[right])
+            for left, mid, right in ((p, q, r), (q, r, p), (r, p, q))
+        ]
         items.append(
-            CheckItem(
-                subject=f"face ({p}{q}{r}) so(3) relations on shifted operators",
-                verdict=PASS if ok else FAIL,
-                residual=None if exact else f"{worst_residual:.3e}",
-            )
+            vanishing_item(f"face ({p}{q}{r}) so(3) relations on shifted operators", diffs)
         )
     for p, q in OPPOSITE_PAIRS:
-        diff = mat_commutator(shifted_mats[p], shifted_mats[q])
         items.append(
-            CheckItem(
-                subject=f"shifted opposite pair ({p}, {q}) commutes",
-                verdict=PASS if zeroish(diff) else FAIL,
-                residual=None if exact else f"{_max_abs(diff):.3e}",
-            )
+            vanishing_item(f"shifted opposite pair ({p}, {q}) commutes", [brackets[p, q]])
         )
 
-    flat = {v: [x for row in shifted_mats[v] for x in row] for v in VERTICES}
-    if all(all(not x for x in vec) for vec in flat.values()) and exact:
+    def flat(matrix):
+        return [x for row in matrix for x in row]
+
+    vectors = [flat(shifted_mats[v]) for v in VERTICES]
+    if all(all(not x for x in vec) for vec in vectors) and exact:
         items.append(
             CheckItem(
                 subject="semisimplicity evidence",
@@ -466,18 +457,13 @@ def extract_so4(
             )
         )
     elif exact:
-        basis = independent_columns([flat[v] for v in VERTICES])
-        closed = True
-        for p in VERTICES:
-            for q in VERTICES:
-                br = mat_commutator(shifted_mats[p], shifted_mats[q])
-                if not column_span_contains(basis, [x for row in br for x in row]):
-                    closed = False
+        span_dim = rank(vectors)
+        closed = rank(vectors + [flat(brackets[pair]) for pair in pairs]) == span_dim
         items.append(
             CheckItem(
                 subject="semisimplicity evidence",
                 verdict=PASS if closed else FAIL,
-                note=f"span dimension {len(basis)}, bracket-closed: {closed};"
+                note=f"span dimension {span_dim}, bracket-closed: {closed};"
                 " abstract so(3)+so(3) certificate: see killing_certificate",
             )
         )
@@ -572,18 +558,14 @@ def killing_certificate() -> CheckReport:
         )
     )
     for name, ideal in (("first", ideal1), ("second", ideal2)):
-        closed = all(
-            column_span_contains(ideal, so4.bracket_coords(u, v))
-            for u in ideal
-            for v in ideal
-        )
-        nonabelian = any(
-            any(so4.bracket_coords(u, v)) for u in ideal for v in ideal
-        )
+        brackets = [so4.bracket_coords(u, v) for u in ideal for v in ideal]
+        ideal_dim = rank(ideal)
+        closed = rank(ideal + brackets) == ideal_dim
+        nonabelian = any(any(br) for br in brackets)
         items.append(
             CheckItem(
                 subject=f"{name} ideal is a 3-dimensional subalgebra",
-                verdict=PASS if (closed and nonabelian and rank(ideal) == 3) else FAIL,
+                verdict=PASS if (closed and nonabelian and ideal_dim == 3) else FAIL,
             )
         )
     ortho = all(

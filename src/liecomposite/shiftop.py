@@ -305,16 +305,15 @@ class ShiftOperator:
 
     # -- adjoint and classification -------------------------------------------
 
-    def adjoint(self, weight: WeightFunction | None = None) -> "ShiftOperator":
-        """Adjoint for the inner product <z^m, z^n> = delta_mn * weight(n).
+    def adjoint(self) -> "ShiftOperator":
+        """Adjoint for the inner product <z^m, z^n> = delta_mn * WEIGHT(n).
 
         Component (d, c) maps to (-d, c(n-d) * w(n)/w(n-d)); the transform
         keeps coefficients rational because the weight ratio is a finite
         product of linear factors.
         """
-        w = WEIGHT if weight is None else weight
         return ShiftOperator(
-            (-d, c.shift_arg(-d) * w.ratio(d)) for d, c in self.components
+            (-d, c.shift_arg(-d) * WEIGHT.ratio(d)) for d, c in self.components
         )
 
     def classify(self) -> OperatorClass:

@@ -84,6 +84,33 @@ def test_broken_rep_exits_one(tmp_path, capsys):
     assert any(item["verdict"] == "fail" for item in payload["items"])
 
 
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        ([[0.1, 0.7], [0.3, 2.1]], "float scalar"),
+        ([["0.1", "0.7"], ["0.3", "2.1"]], "basis rows are dependent"),
+    ],
+)
+def test_composite_basis_is_read_exactly(tmp_path, capsys, basis, message):
+    data = {
+        "dimension": 2,
+        "basis_names": ["x", "y"],
+        "subspaces": [
+            {
+                "name": "s",
+                "basis": basis,
+                "structure_constants": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+            }
+        ],
+    }
+    cpath = tmp_path / "composite.json"
+    cpath.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = invoke(capsys, "composite-check", str(cpath))
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code, out, err = invoke(capsys, "composite-check", str(tmp_path / "nope.json"))
     assert code == 2

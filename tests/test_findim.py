@@ -89,6 +89,26 @@ def test_subspace_rejects_dependent_rows():
         SubspaceAlgebra("s", rows, abelian_constants(3))
 
 
+def test_subspace_refuses_float_scalars():
+    # 3 * (0.1, 0.7) = (0.3, 2.1) exactly, but not in binary floating point
+    with pytest.raises(MalformedInputError, match="float"):
+        SubspaceAlgebra("s", [[0.1, 0.7], [0.3, 2.1]], abelian_constants(2))
+    with pytest.raises(MalformedInputError, match="dependent"):
+        SubspaceAlgebra("s", [["0.1", "0.7"], ["0.3", "2.1"]], abelian_constants(2))
+    c = abelian_constants(2)
+    c[0][0][1], c[0][1][0] = 1.0, -1.0
+    with pytest.raises(MalformedInputError, match="float"):
+        SubspaceAlgebra("s", eye_rows(2, [0, 1]), c)
+
+
+def test_subspace_accepts_integer_scalars():
+    c = [[[0, 0], [0, 0]], [[0, 1], [-1, 0]]]
+    sub = SubspaceAlgebra("s", [[1, 0], [0, 2]], c)
+    assert sub.basis == ((F1, F0), (F0, Fraction(2)))
+    assert all(type(x) is Fraction for row in sub.basis for x in row)
+    assert sub.structure_constants[1][0][1] == F1
+
+
 def test_subspace_rejects_bad_constant_shape():
     with pytest.raises(MalformedInputError):
         SubspaceAlgebra("s", eye_rows(3, [0, 1, 2]), abelian_constants(2))
