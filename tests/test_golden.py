@@ -40,6 +40,8 @@ CASES = {
         "composite-check", "tests/golden/octa.json", "--rep", "tests/golden/so4_1_1.json",
     ],
     "octa-demo-1-1": ["octa-demo", "--two-j1", "1", "--two-j2", "1"],
+    # the parameter point of the benchmark's octa workload
+    "octa-demo-2-1": ["octa-demo", "--two-j1", "2", "--two-j2", "1"],
     # T(A) = -T(F) here, so the shifted span is 3-dimensional
     "octa-demo-1-0": ["octa-demo", "--two-j1", "1", "--two-j2", "0"],
     "tail-equivalence-readme": [
