@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import count
+from math import isqrt
 
 from .errors import (
     DimensionMismatchError,
@@ -35,6 +37,7 @@ from .linalg import (
     mat_sub,
     nullspace,
     rank,
+    rank_mod_p,
     solve_columns,
 )
 from .report import FAIL, INFO, PASS, CheckItem, CheckReport
@@ -76,6 +79,8 @@ def _exact_vector(values, what: str):
 
 
 def _coerce_scalar(v):
+    if isinstance(v, bool):
+        raise MalformedInputError(f"unsupported scalar {v!r} (a boolean is not a number)")
     if isinstance(v, _EXACT_TYPES):
         return Fraction(v) if isinstance(v, int) else v
     if isinstance(v, float):
@@ -427,33 +432,82 @@ def tensor_product(rep1: FinDimRep, rep2: FinDimRep) -> FinDimRep:
     return FinDimRep(rep1.space_dim * rep2.space_dim, matrices)
 
 
-def commutant_dimension(rep: FinDimRep) -> int:
-    """Dimension of {S : [S, T(v)] = 0 for every basis matrix T(v)},
-    by one exact null-space computation.  The dimension is insensitive to
-    scalar extension; its interpretation as a Schur irreducibility test
-    is only faithful over algebraically closed scalars."""
-    m = rep.space_dim
+# The first modulus of the commutant certificate: p = 1 (mod 4), so F_p
+# holds a square root of -1 for i to map to, and p < 2**30 keeps every
+# residue a one-digit Python int.
+_COMMUTANT_PRIME = 2**30 - 35
+
+
+def _split_primes():
+    """Primes p = 1 (mod 4) from _COMMUTANT_PRIME upward, each paired with
+    a square root of -1 mod p (c**((p-1)/4) for the least non-residue c)."""
+    for p in count(_COMMUTANT_PRIME, 4):
+        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            roots = (pow(c, (p - 1) // 4, p) for c in count(2))
+            yield p, next(r for r in roots if r * r % p == p - 1)
+
+
+def _residue(x, p: int, root: int) -> int:
+    """Image of an exact scalar in F_p with i mapped to root; ValueError
+    when p divides a denominator."""
+    if isinstance(x, GaussianRational):
+        return (_residue(x.re, p, root) + root * _residue(x.im, p, root)) % p
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _commutant_rows(matrices, zero):
+    """The linear system [S, T] = 0 for every T in matrices, in the m*m
+    entries of S (row-major): one row per entry (i, j) of each T."""
     rows = []
-    for matrix in rep.matrices.values():
+    for t in matrices:
+        m = len(t)
         for i in range(m):
             for j in range(m):
-                row = []
-                for p in range(m):
-                    for q in range(m):
-                        entry = Fraction(0)
-                        if p == i:
-                            entry = entry + matrix[q][j]
-                        if q == j:
-                            entry = entry - matrix[i][p]
-                        row.append(entry)
+                row = [zero] * (m * m)
+                for q in range(m):
+                    row[i * m + q] = row[i * m + q] + t[q][j]
+                for k in range(m):
+                    row[k * m + j] = row[k * m + j] - t[i][k]
                 rows.append(row)
-    return len(nullspace(rows))
+    return rows
+
+
+def _commutant_nullity_mod_p(matrices) -> int:
+    """Nullity of the commutant system reduced into F_p, at the first
+    split prime p that divides no denominator of the entries."""
+    for p, root in _split_primes():
+        try:
+            reduced = [[[_residue(x, p, root) for x in row] for row in t] for t in matrices]
+        except ValueError:
+            continue
+        return len(matrices[0]) ** 2 - rank_mod_p(_commutant_rows(reduced, 0), p)
+
+
+def commutant_dimension(rep: FinDimRep) -> int:
+    """Dimension of {S : [S, T(v)] = 0 for every basis matrix T(v)}.
+
+    An exact representation is first reduced into F_p (p = 1 mod 4, with
+    i mapped to a square root of -1).  That reduction is a ring
+    homomorphism on the entries, so the rank of the system cannot rise
+    under it: the mod-p nullity is at least the exact one, which is at
+    least 1 because the identity commutes.  A mod-p nullity of 1 is
+    therefore the exact answer.  Any other mod-p nullity, and every
+    float representation, takes one exact null-space computation.  The
+    dimension is insensitive to scalar extension; its interpretation as
+    a Schur irreducibility test is only faithful over algebraically
+    closed scalars."""
+    matrices = list(rep.matrices.values())
+    if rep.is_exact and _commutant_nullity_mod_p(matrices) == 1:
+        return 1
+    return len(nullspace(_commutant_rows(matrices, Fraction(0))))
 
 
 def is_irreducible(rep: FinDimRep) -> bool:
-    """Schur test: commutant dimension exactly 1.  Over non-closed
-    scalars this is evidence, not proof; callers may override with an
-    asserted flag where the spec of the pipeline allows it."""
+    """Schur test: commutant dimension exactly 1.  For an irreducible
+    exact representation, commutant_dimension usually proves this with
+    one rank computation mod p.  Over non-closed scalars this is
+    evidence, not proof; callers may override with an asserted flag where
+    the spec of the pipeline allows it."""
     return commutant_dimension(rep) == 1
 
 

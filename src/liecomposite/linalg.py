@@ -242,6 +242,26 @@ def rank(a) -> int:
     return len(rref(a)[1])
 
 
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of a matrix of Python ints (list of rows), by row
+    echelon elimination with every entry kept in [0, p)."""
+    m = [r for r in ([x % p for x in row] for row in rows) if any(r)]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = pow(m[r][c], -1, p)
+        pivot = [x * inv % p for x in m[r][c:]]
+        for i in range(r + 1, len(m)):
+            factor = m[i][c]
+            if factor:
+                m[i][c:] = [(x - factor * y) % p for x, y in zip(m[i][c:], pivot)]
+        r += 1
+    return r
+
+
 def nullspace(a):
     """Basis of the right kernel, as a list of column vectors (lists)."""
     rows, cols = mat_shape(a)

@@ -366,9 +366,20 @@ def extract_so4(
     mats = {v: rep.matrix(v) for v in VERTICES}
     dim_scalar = Fraction(dim)
 
+    lambdas = {v: mat_trace(mats[v]) / dim_scalar for v in VERTICES}
+    shifted_mats = {v: _minus_scalar(mats[v], lambdas[v]) for v in VERTICES}
+    shifted = FinDimRep(dim, shifted_mats)
+
+    # each commutator of the shifted family once; a reversed pair negates
+    pairs = list(combinations(VERTICES, 2))
+    brackets = {(p, q): mat_commutator(shifted_mats[p], shifted_mats[q]) for p, q in pairs}
+    brackets.update({(q, p): [[-x for x in row] for row in brackets[p, q]] for p, q in pairs})
+
     centrals = {}
     for p, q in OPPOSITE_PAIRS:
-        k = mat_commutator(mats[p], mats[q])
+        # scalar shifts leave an exact commutator unchanged, but not a
+        # float one, whose residuals are reported digit by digit
+        k = brackets[p, q] if exact else mat_commutator(mats[p], mats[q])
         centrals[f"{p},{q}"] = k
         comms = [mat_commutator(k, mats[v]) for v in VERTICES]
         items.append(vanishing_item(f"[T({p}), T({q})] is central", comms))
@@ -407,7 +418,6 @@ def extract_so4(
                 )
             )
 
-    lambdas = {v: mat_trace(mats[v]) / dim_scalar for v in VERTICES}
     all_zero = all(
         (not x) if not isinstance(x, float) else abs(x) <= tol
         for x in lambdas.values()
@@ -422,14 +432,6 @@ def extract_so4(
             + ", ".join(f"{v}={_scalar_str(x)}" for v, x in lambdas.items() if x),
         )
     )
-
-    shifted_mats = {v: _minus_scalar(mats[v], lambdas[v]) for v in VERTICES}
-    shifted = FinDimRep(dim, shifted_mats)
-
-    # each commutator of the shifted family once; a reversed pair negates
-    pairs = list(combinations(VERTICES, 2))
-    brackets = {(p, q): mat_commutator(shifted_mats[p], shifted_mats[q]) for p, q in pairs}
-    brackets.update({(q, p): [[-x for x in row] for row in brackets[p, q]] for p, q in pairs})
 
     for p, q, r in FACES:
         diffs = [

@@ -18,6 +18,7 @@ require it to be positive.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -546,11 +547,19 @@ def _as_fraction_polys(d: RationalFunc):
         ) from None
 
 
+def _cauchy_bound(poly) -> Fraction:
+    """A bound above the modulus of every complex root of poly
+    (coefficients from low to high degree); 0 for a constant."""
+    if len(poly) <= 1:
+        return Fraction(0)
+    lead = poly[-1]
+    return 1 + max(abs(c / lead) for c in poly[:-1])
+
+
 def _refuse_lattice_poles(den, h0: Fraction):
     if len(den) <= 1:
         return
-    lead = den[-1]
-    bound = 1 + max(abs(c / lead) for c in den[:-1])
+    bound = _cauchy_bound(den)
     x = h0
     while x <= bound:
         if _peval(den, x) == 0:
@@ -575,11 +584,15 @@ def tail_square_equivalence(r1: RationalFunc, r2: RationalFunc, h0) -> bool:
 
 
 def tail_square_probe(r1: RationalFunc, r2: RationalFunc, h0, count: int = 10000) -> bool:
-    """Numeric cross-check of tail_square_equivalence on the first terms.
+    """Numeric cross-check of tail_square_equivalence on count terms.
 
-    Sums |difference|^2 in float64 and calls the series convergent iff the
-    second half-block sum strictly undercuts the preceding block (or all
-    sampled terms vanish).
+    Sums |difference|^2 in float64 at the lattice points h0 + j*stride and
+    calls the series convergent iff the block j in [count/2, count)
+    strictly undercuts the block j in [count/4, count/2) (or all sampled
+    terms vanish).  The stride is 1 unless the roots of the difference's
+    numerator and denominator, or h0 itself, lie too far out for count
+    terms: it then places the window past them.  Refuses with a domain
+    error when float64 cannot hold the terms out there.
     """
     h0 = Fraction(h0)
     if count < 8:
@@ -589,17 +602,34 @@ def tail_square_probe(r1: RationalFunc, r2: RationalFunc, h0, count: int = 10000
         return True
     num, den = _as_fraction_polys(d)
     _refuse_lattice_poles(den, h0)
+    # As a function of j, the difference at h0 + j*stride has every root
+    # below bound/stride.  A window that starts 6*(len(num) + len(den))
+    # times further out keeps the terms within a factor 2 of c*j**(2*deg),
+    # so the later block (twice as long) undercuts the earlier iff deg <= -1.
+    q = count // 4
+    bound = max(_cauchy_bound(num), _cauchy_bound(den)) + abs(h0)
+    stride = max(1, math.ceil(6 * (len(num) + len(den)) * bound / q))
+    far = math.ceil(abs(h0)) + count * stride
+    bits = max(
+        max(c.numerator.bit_length() - c.denominator.bit_length() for c in poly if c)
+        + (len(poly) - 1) * math.log2(far)
+        for poly in (num, den)
+    )
+    if bits > 1000:
+        raise DomainError(
+            f"the tail probe would evaluate the difference out to n = 2**{far.bit_length()},"
+            " beyond the float64 range"
+        )
     fnum = [float(c) for c in num]
     fden = [float(c) for c in den]
     x0 = float(h0)
 
     def block(start: int, stop: int) -> float:
         return sum(
-            (_peval(fnum, x0 + j) / _peval(fden, x0 + j)) ** 2
-            for j in range(start, stop)
+            (_peval(fnum, x0 + offset) / _peval(fden, x0 + offset)) ** 2
+            for offset in range(start * stride, stop * stride, stride)
         )
 
-    q = count // 4
     b1 = block(q, 2 * q)
     b2 = block(2 * q, count)
     if b1 == 0.0 and b2 == 0.0:

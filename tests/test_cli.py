@@ -89,6 +89,8 @@ def test_broken_rep_exits_one(tmp_path, capsys):
     [
         ([[0.1, 0.7], [0.3, 2.1]], "float scalar"),
         ([["0.1", "0.7"], ["0.3", "2.1"]], "basis rows are dependent"),
+        # JSON true is not the scalar 1
+        ([[True, False], [0, 1]], "boolean"),
     ],
 )
 def test_composite_basis_is_read_exactly(tmp_path, capsys, basis, message):
@@ -184,6 +186,30 @@ def test_tail_equivalence_convergent_and_divergent(capsys):
     )
     assert code == 0
     assert "not equivalent" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the terms fall until n = 10**6 and rise after it
+        ["(n - 1000000)/(n+1)", "0"],
+        # rise until n = 2*10**6, then fall like 1/n**2
+        ["(n-1000000)/(n^2+1)", "0"],
+        # from n = 10**6 on, a short window of 1/n**2 looks flat
+        ["1/n", "0", "--weight", "1000000"],
+    ],
+)
+def test_tail_probe_agrees_when_the_terms_turn_late(capsys, argv):
+    code, out, err = invoke(capsys, "tail-equivalence", *argv)
+    assert code == 0
+    assert "[  ok] numeric probe agreement" in out
+
+
+def test_tail_probe_beyond_float_range_is_input_error(capsys):
+    code, out, err = invoke(capsys, "tail-equivalence", "n^80", "0")
+    assert code == 2
+    assert "float64 range" in err
+    assert out == ""
 
 
 def test_tail_equivalence_pole_is_input_error(capsys):

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from liecomposite import findim
 from liecomposite.errors import (
     DimensionMismatchError,
     DomainError,
@@ -33,7 +35,8 @@ from liecomposite.findim import (
     save_rep,
     tensor_product,
 )
-from liecomposite.linalg import GaussianRational as G
+from liecomposite.linalg import GaussianRational as G, nullspace, rank_mod_p
+from liecomposite.octa import VERTICES, _abstract_constants, so4_composite_rep
 from liecomposite.report import FAIL, INFO, PASS
 
 F0, F1 = Fraction(0), Fraction(1)
@@ -107,6 +110,17 @@ def test_subspace_accepts_integer_scalars():
     assert sub.basis == ((F1, F0), (F0, Fraction(2)))
     assert all(type(x) is Fraction for row in sub.basis for x in row)
     assert sub.structure_constants[1][0][1] == F1
+
+
+def test_subspace_and_rep_refuse_boolean_scalars():
+    # bool is a subclass of int, but True is not the scalar 1
+    with pytest.raises(MalformedInputError, match="boolean"):
+        SubspaceAlgebra("s", [[True, False], [0, 1]], abelian_constants(2))
+    c = [[[0, 0], [0, 0]], [[0, True], [-1, 0]]]
+    with pytest.raises(MalformedInputError, match="boolean"):
+        SubspaceAlgebra("s", [[1, 0], [0, 1]], c)
+    with pytest.raises(MalformedInputError, match="boolean"):
+        FinDimRep(2, {"x": [[False, 0], [0, 0]]})
 
 
 def test_subspace_rejects_bad_constant_shape():
@@ -307,26 +321,34 @@ def test_tensor_product_dimensions_and_rep_property():
         tensor_product(rep, other)
 
 
+def dsum(a, b):
+    n, m = len(a), len(b)
+    pad = G(0)
+    return [
+        [
+            a[i][j]
+            if i < n and j < n
+            else (b[i - n][j - n] if i >= n and j >= n else pad)
+            for j in range(n + m)
+        ]
+        for i in range(n + m)
+    ]
+
+
+def direct_sums():
+    """spin-1/2 + spin-1/2 (commutant dimension 4) and spin-1/2 + zero (5)."""
+    rep = FinDimRep(2, spin_half_matrices())
+    zero = FinDimRep(2, {n: [[F0, F0], [F0, F0]] for n in "xyz"})
+    double = FinDimRep(4, {n: dsum(rep.matrices[n], rep.matrices[n]) for n in "xyz"})
+    mixed = FinDimRep(4, {n: dsum(rep.matrices[n], zero.matrices[n]) for n in "xyz"})
+    return double, mixed
+
+
 def test_direct_sum_commutant_superadditive():
     rep = FinDimRep(2, spin_half_matrices())
     zero = FinDimRep(2, {n: [[F0, F0], [F0, F0]] for n in "xyz"})
-
-    def dsum(a, b):
-        n, m = len(a), len(b)
-        pad = G(0)
-        return [
-            [
-                a[i][j]
-                if i < n and j < n
-                else (b[i - n][j - n] if i >= n and j >= n else pad)
-                for j in range(n + m)
-            ]
-            for i in range(n + m)
-        ]
-
-    double = FinDimRep(4, {n: dsum(rep.matrices[n], rep.matrices[n]) for n in "xyz"})
+    double, mixed = direct_sums()
     assert commutant_dimension(double) == 4
-    mixed = FinDimRep(4, {n: dsum(rep.matrices[n], zero.matrices[n]) for n in "xyz"})
     assert commutant_dimension(mixed) == 5
     assert commutant_dimension(mixed) >= commutant_dimension(rep) + commutant_dimension(zero)
 
@@ -347,6 +369,108 @@ def test_tensor_rep_property_randomized():
         assert check_representation(comp, t1).passed
         assert check_representation(comp, t2).passed
         assert check_representation(comp, tensor_product(t1, t2)).passed
+
+
+# -- the two routes of commutant_dimension ----------------------------------
+
+
+def commutant_system(rep):
+    """Entry (i, j) of S T - T S, for every T, as a linear form in the
+    entries of S (row-major): the exact system of the commutant."""
+    m = rep.space_dim
+    rows = []
+    for t in rep.matrices.values():
+        for i in range(m):
+            for j in range(m):
+                row = [F0] * (m * m)
+                for k in range(m):
+                    row[i * m + k] += t[k][j]
+                    row[k * m + j] -= t[i][k]
+                rows.append(row)
+    return rows
+
+
+@pytest.fixture
+def exact_fallbacks(monkeypatch):
+    """Row counts of the exact null-space computations commutant_dimension runs."""
+    calls = []
+
+    def spy(rows):
+        calls.append(len(rows))
+        return nullspace(rows)
+
+    monkeypatch.setattr(findim, "nullspace", spy)
+    return calls
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+_entries = st.one_of(st.just(F0), _small, st.builds(G, _small, _small))
+
+
+@st.composite
+def exact_reps(draw):
+    size = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 3))
+    return FinDimRep(
+        size,
+        {
+            f"t{k}": [[draw(_entries) for _ in range(size)] for _ in range(size)]
+            for k in range(count)
+        },
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_reps())
+def test_commutant_dimension_matches_exact_nullspace(rep):
+    assert commutant_dimension(rep) == len(nullspace(commutant_system(rep)))
+
+
+def adjoint_so4_rep():
+    # the octahedron algebra acting on itself: real, two ideals, dimension 2
+    c = _abstract_constants()
+    return FinDimRep(
+        6, {v: [[c[k][i][j] for j in range(6)] for k in range(6)] for i, v in enumerate(VERTICES)}
+    )
+
+
+def test_reducible_reps_take_the_exact_route(exact_fallbacks):
+    rep = FinDimRep(2, spin_half_matrices())
+    double, mixed = direct_sums()
+    cases = [(tensor_product(rep, rep), 2), (double, 4), (mixed, 5), (adjoint_so4_rep(), 2)]
+    for reducible, dimension in cases:
+        before = len(exact_fallbacks)
+        assert commutant_dimension(reducible) == dimension
+        assert len(exact_fallbacks) == before + 1
+
+
+@pytest.mark.parametrize("two_j1, two_j2", [(1, 1), (2, 1)])
+def test_irreducible_so4_reps_are_decided_mod_p(exact_fallbacks, two_j1, two_j2):
+    assert commutant_dimension(so4_composite_rep(two_j1, two_j2)) == 1
+    assert exact_fallbacks == []
+
+
+def test_commutant_moves_past_a_prime_dividing_a_denominator(exact_fallbacks, monkeypatch):
+    p = findim._COMMUTANT_PRIME
+    moduli = []
+
+    def spy(rows, modulus):
+        moduli.append(modulus)
+        return rank_mod_p(rows, modulus)
+
+    monkeypatch.setattr(findim, "rank_mod_p", spy)
+    # conjugating spin-1/2 by diag(1, p) puts p and 1/p off the diagonal
+    rep = FinDimRep(
+        2,
+        {
+            n: [[t[0][0], t[0][1] * p], [t[1][0] / p, t[1][1]]]
+            for n, t in spin_half_matrices().items()
+        },
+    )
+    assert rep.matrices["x"][1][0] == G(0, Fraction(-1, 2 * p))
+    assert commutant_dimension(rep) == 1
+    assert exact_fallbacks == []
+    assert len(moduli) == 1 and moduli[0] > p and moduli[0] % 4 == 1
 
 
 # -- serialization ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Span questions of the exact linear algebra: independence, membership,
-coordinates and rank over Q and Q(i)."""
+coordinates and rank over Q and Q(i), and rank over F_p."""
 
+import random
 from fractions import Fraction as Fr
 
 from liecomposite.linalg import (
@@ -8,6 +9,7 @@ from liecomposite.linalg import (
     column_span_contains,
     independent_columns,
     rank,
+    rank_mod_p,
     solve_columns,
 )
 
@@ -68,3 +70,22 @@ def test_rank_of_mixed_fraction_and_gaussian_rows():
     assert rank(rows) == 2
     rows[1][1] = Fr(1)
     assert rank(rows) == 3
+
+
+def test_rank_mod_p_matches_rank_over_q_away_from_p():
+    rng = random.Random(31)
+    p = 2**30 - 35
+    for _ in range(30):
+        rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(rng.randint(1, 6))]
+        rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])  # a dependent row
+        assert rank_mod_p(rows, p) == rank([[Fr(x) for x in row] for row in rows])
+
+
+def test_rank_mod_p_can_only_drop():
+    # rank 2 over Q; mod 7 the second row vanishes and the third reduces
+    # to the first
+    rows = [[1, 2, 3], [7, 14, 0], [8, 16, 24 + 7]]
+    assert rank([[Fr(x) for x in row] for row in rows]) == 2
+    assert rank_mod_p(rows, 7) == 1
+    assert rank_mod_p([], 7) == 0
+    assert rank_mod_p([[0, 7, -14]], 7) == 0

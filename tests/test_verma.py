@@ -408,6 +408,30 @@ def test_tail_probe_agreement_randomized():
         assert sym == num
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([-10**6, -1000, -3, -1, 1, 2, 10, 1000, 10**6]), min_size=1, max_size=4),
+    st.lists(st.integers(-10, 10), max_size=3),
+    st.sampled_from([Fraction(1, 2), Fraction(22, 7), Fraction(10**6 + 1, 3)]),
+    st.sampled_from([8, 100, 4000]),
+)
+def test_tail_probe_agrees_when_roots_or_weight_lie_far_out(num_coeffs, den_low, h0, count):
+    # a monic integer denominator has only integer rational roots, and no
+    # lattice h0 + j here meets an integer, so there is no pole to refuse
+    h = var_h()
+    num = sum((qh_const(c) * h ** k for k, c in enumerate(num_coeffs)), qh_const(0))
+    den = sum((qh_const(c) * h ** k for k, c in enumerate(den_low)), h ** len(den_low))
+    r = num / den
+    assert tail_square_probe(r, qh_const(0), h0, count) == tail_square_equivalence(
+        r, qh_const(0), h0
+    )
+
+
+def test_tail_probe_refuses_terms_beyond_float_range():
+    with pytest.raises(DomainError, match="float64"):
+        tail_square_probe(var_h() ** 80, qh_const(0), Fraction(1, 2))
+
+
 def test_tail_probe_streams_its_sums():
     import tracemalloc
 
