@@ -39,9 +39,22 @@ CASES = {
     "composite-check-octa-so4_1_1": [
         "composite-check", "tests/golden/octa.json", "--rep", "tests/golden/so4_1_1.json",
     ],
+    # a float rep on the tolerance path, an exact rep with one wrong
+    # entry, and exact entries read under an explicit tolerance
+    "composite-check-octa-so4_1_1-float": [
+        "composite-check", "tests/golden/octa.json", "--rep", "tests/golden/so4_1_1_float.json",
+    ],
+    "composite-check-octa-so4_1_1-broken": [
+        "composite-check", "tests/golden/octa.json", "--rep", "tests/golden/so4_1_1_broken.json",
+    ],
+    "composite-check-octa-so4_1_1-tolerance": [
+        "composite-check", "tests/golden/octa.json", "--rep", "tests/golden/so4_1_1.json",
+        "--tolerance", "1e-6",
+    ],
     "octa-demo-1-1": ["octa-demo", "--two-j1", "1", "--two-j2", "1"],
     # the parameter point of the benchmark's octa workload
     "octa-demo-2-1": ["octa-demo", "--two-j1", "2", "--two-j2", "1"],
+    "octa-demo-2-2": ["octa-demo", "--two-j1", "2", "--two-j2", "2"],
     # T(A) = -T(F) here, so the shifted span is 3-dimensional
     "octa-demo-1-0": ["octa-demo", "--two-j1", "1", "--two-j2", "0"],
     "tail-equivalence-readme": [
@@ -51,7 +64,12 @@ CASES = {
 }
 
 
-EXIT_CODES = {"witt-closed-1-1-literal": 1}
+EXIT_CODES = {"witt-closed-1-1-literal": 1, "composite-check-octa-so4_1_1-broken": 1}
+
+# so4_1_1 conjugated into a real basis: T -> S^-1 T S, with S the columns
+# e0+e3, i(e0-e3), e1-e2, i(e1+e2).  The result is the vector
+# representation of so(4), so every entry is 0 or +-1.
+REAL_BASIS = [["1", "i", "0", "0"], ["0", "0", "1", "i"], ["0", "0", "-1", "i"], ["1", "-i", "0", "0"]]
 
 
 def _render(argv):
@@ -78,13 +96,42 @@ def test_report_bytes_match_golden(name, fmt):
     assert out == expected
 
 
+def _derived_reps(rep):
+    """The float and the broken copies of so4_1_1, as JSON data."""
+    import random
+
+    from liecomposite.findim import rep_to_data
+    from liecomposite.linalg import GaussianRational as G, mat_mul
+
+    s = [[G.parse(x) for x in row] for row in REAL_BASIS]
+    # the columns of S are orthogonal with squared norm 2: S^-1 = S^H / 2
+    s_inv = [[G(s[j][i].re / 2, -s[j][i].im / 2) for j in range(4)] for i in range(4)]
+    rng = random.Random(6)
+    floats = {"space_dim": 4, "matrices": {}}
+    for name, t in rep.matrices.items():
+        real = mat_mul(mat_mul(s_inv, t), s)
+        assert all(not x.im for row in real for x in row)
+        floats["matrices"][name] = [
+            [float(x.re) + rng.uniform(-1e-12, 1e-12) for x in row] for row in real
+        ]
+    broken = rep_to_data(rep)
+    broken["matrices"]["A"][0][1] = "1/3"  # 1/2 in the exact rep
+    return floats, broken
+
+
 def _regenerate():
+    import json
+
     from liecomposite.findim import save_composite, save_rep
     from liecomposite.octa import build_octahedron, so4_composite_rep
 
     GOLDEN.mkdir(exist_ok=True)
     save_composite(build_octahedron(), str(GOLDEN / "octa.json"))
     save_rep(so4_composite_rep(1, 1), str(GOLDEN / "so4_1_1.json"))
+    for suffix, data in zip(("float", "broken"), _derived_reps(so4_composite_rep(1, 1))):
+        with open(GOLDEN / f"so4_1_1_{suffix}.json", "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     for name, argv in CASES.items():
         for fmt, ext in (("text", "txt"), ("json", "json")):
             code, out = _render(argv + ["--format", fmt])

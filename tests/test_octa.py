@@ -1,7 +1,9 @@
 """Octahedron composite, so(3) irreducibles, and the so(4) extraction."""
 
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,10 @@ from liecomposite.linalg import (
     GaussianRational,
     mat_commutator,
     mat_identity,
+    mat_mul,
     mat_sub,
     mat_trace,
+    rref,
 )
 from liecomposite.octa import (
     FACES,
@@ -273,6 +277,91 @@ def test_extraction_serialization_shape_and_determinism():
     assert text1 == text2
 
 
+# -- recorded extractions ------------------------------------------------------
+#
+# extract_so4(...).to_data() of conjugated reps, recorded in
+# tests/golden/extractions.json; regenerate after an intended report change
+# with ``PYTHONPATH=src python3 tests/test_octa.py``.
+
+EXTRACTIONS = Path(__file__).resolve().parent / "golden" / "extractions.json"
+
+
+def vector_rep():
+    """The vector representation of so(4) on R^4: each vertex acts as an
+    elementary antisymmetric matrix e_a e_b^T - e_b e_a^T.  It is the real
+    form of so4_composite_rep(1, 1)."""
+    mats = {}
+    for v, (a, b) in zip(VERTICES, [(1, 3), (0, 3), (0, 1), (1, 2), (2, 3), (0, 2)]):
+        m = [[Fraction(0)] * 4 for _ in range(4)]
+        m[a][b], m[b][a] = Fraction(1), Fraction(-1)
+        mats[v] = m
+    return FinDimRep(4, mats)
+
+
+def random_conjugator(rng, size, gaussian):
+    """A random invertible matrix with small rational (or Gaussian) entries,
+    and its inverse."""
+    def entry():
+        x = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+        return G(x, Fraction(rng.randint(-2, 2), rng.choice([1, 2]))) if gaussian else x
+
+    while True:
+        s = [[entry() for _ in range(size)] for _ in range(size)]
+        eye = mat_identity(size)
+        reduced, pivots = rref([row + eye_row for row, eye_row in zip(s, eye)])
+        if pivots == list(range(size)):
+            return s, [row[size:] for row in reduced]
+
+
+def conjugated(rep, rng, gaussian=False):
+    s, s_inv = random_conjugator(rng, rep.space_dim, gaussian)
+    return FinDimRep(
+        rep.space_dim, {v: mat_mul(mat_mul(s_inv, t), s) for v, t in rep.matrices.items()}
+    )
+
+
+def recorded_cases():
+    """Name -> (rep, extract_so4 keyword arguments): ten noisy float reps
+    and six rationally conjugated exact ones."""
+    cases = {}
+    for seed in range(10):
+        rng = random.Random(seed)
+        base = vector_rep() if seed % 2 == 0 else adjoint_rep()
+        exact = conjugated(base, rng)
+        noise = 10.0 ** -rng.randint(6, 13)
+        rep = FinDimRep(exact.space_dim, {
+            v: [[float(x) + rng.uniform(-noise, noise) for x in row] for row in t]
+            for v, t in exact.matrices.items()
+        })
+        kwargs = {"irreducible_hint": seed % 3 == 0, "tolerance": 1e-6 if seed % 4 == 1 else None}
+        cases[f"float-{seed}"] = (rep, kwargs)
+    exact_bases = [
+        ("so4-1-0", so4_composite_rep(1, 0), True),
+        ("so4-0-1", so4_composite_rep(0, 1), False),
+        ("so4-1-1", so4_composite_rep(1, 1), True),
+        ("so4-2-0", so4_composite_rep(2, 0), True),
+        ("vector", vector_rep(), True),
+        ("adjoint", adjoint_rep(), False),
+    ]
+    for seed, (name, base, gaussian) in enumerate(exact_bases):
+        rep = conjugated(base, random.Random(100 + seed), gaussian)
+        cases[f"exact-{name}"] = (rep, {"irreducible_hint": name == "so4-2-0"})
+    return cases
+
+
+def test_recorded_extractions_cover_every_case():
+    cases = recorded_cases()
+    assert sorted(cases) == sorted(json.loads(EXTRACTIONS.read_text(encoding="utf-8")))
+    assert sum(rep.is_exact for rep, _ in cases.values()) == 6
+
+
+@pytest.mark.parametrize("name", sorted(recorded_cases()))
+def test_extraction_matches_recorded_data(name):
+    rep, kwargs = recorded_cases()[name]
+    expected = json.loads(EXTRACTIONS.read_text(encoding="utf-8"))[name]
+    assert extract_so4(rep, **kwargs).to_data() == expected
+
+
 # -- static certificate -----------------------------------------------------
 
 
@@ -285,3 +374,14 @@ def test_killing_certificate_passes():
     subjects = [item.subject for item in report.items]
     assert "the two ideals commute" in subjects
     assert "ideals are Killing-orthogonal" in subjects
+
+
+def _record_extractions():
+    data = {name: extract_so4(rep, **kwargs).to_data() for name, (rep, kwargs) in recorded_cases().items()}
+    with open(EXTRACTIONS, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    _record_extractions()
