@@ -11,14 +11,16 @@ constrained.
 
 All axiom checks are exact.  Representation matrices may be Fraction,
 Gaussian-rational, or float entries; a tolerance enters only when floats
-are present.
+are present.  Exact representation checks run on ZMatrix integers, and
+the tolerance path on the entry lists.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, count
 from math import isqrt
 
 from .errors import (
@@ -29,9 +31,11 @@ from .errors import (
 )
 from .linalg import (
     GaussianRational,
+    ZMatrix,
     column_space_intersection,
     column_span_contains,
     kron,
+    mat_add,
     mat_commutator,
     mat_identity,
     mat_sub,
@@ -131,23 +135,15 @@ class SubspaceAlgebra:
         self._check_jacobi()
 
     def _check_jacobi(self):
-        dim = self.dim
-        c = self.structure_constants
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for k in range(j + 1, dim):
-                    for l in range(dim):
-                        total = Fraction(0)
-                        for m in range(dim):
-                            total += (
-                                c[m][i][j] * c[l][m][k]
-                                + c[m][j][k] * c[l][m][i]
-                                + c[m][k][i] * c[l][m][j]
-                            )
-                        if total:
-                            raise MalformedInputError(
-                                f"subspace {self.name}: Jacobi fails at ({i},{j},{k})"
-                            )
+        """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] = 0."""
+        eye = mat_identity(self.dim)
+        for i, j, k in combinations(range(self.dim), 3):
+            terms = [
+                self.bracket_coords(self.bracket_coords(eye[a], eye[b]), eye[c])
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+            ]
+            if any(sum(t) for t in zip(*terms)):
+                raise MalformedInputError(f"subspace {self.name}: Jacobi fails at ({i},{j},{k})")
 
     @property
     def dim(self) -> int:
@@ -162,21 +158,17 @@ class SubspaceAlgebra:
         return [list(row) for row in self.basis]
 
     def to_ambient(self, coords):
-        return [
-            sum((coords[p] * self.basis[p][i] for p in range(self.dim)), Fraction(0))
-            for i in range(self.ambient_dim)
-        ]
+        terms = [(x, self.basis[p]) for p, x in enumerate(coords) if x]
+        return [sum((x * row[i] for x, row in terms), Fraction(0)) for i in range(self.ambient_dim)]
 
     def bracket_coords(self, x, y):
-        """Bracket of two coordinate vectors, in subspace coordinates."""
-        dim = self.dim
+        """Bracket of two coordinate vectors, in subspace coordinates; zero
+        coordinates are skipped."""
         c = self.structure_constants
+        pairs = [(i, j, xi * yj) for i, xi in enumerate(x) if xi for j, yj in enumerate(y) if yj]
         return [
-            sum(
-                (c[k][i][j] * x[i] * y[j] for i in range(dim) for j in range(dim)),
-                Fraction(0),
-            )
-            for k in range(dim)
+            sum((c[k][i][j] * xy for i, j, xy in pairs if c[k][i][j]), Fraction(0))
+            for k in range(self.dim)
         ]
 
 
@@ -205,14 +197,19 @@ class FinDimComposite:
 
 
 class FinDimRep:
-    """A matrix for every ambient basis vector, all of one square size."""
+    """A matrix for every ambient basis vector, all of one square size.
+    ``matrices`` holds lists of rows; a matrix may be given as a ZMatrix,
+    which also seeds exact_matrices."""
 
     def __init__(self, space_dim: int, matrices):
         self.space_dim = int(space_dim)
         if self.space_dim < 1:
             raise MalformedInputError("representation space must be nonzero")
         out = {}
+        given = {str(k): m for k, m in dict(matrices).items() if isinstance(m, ZMatrix)}
         for name, matrix in dict(matrices).items():
+            if isinstance(matrix, ZMatrix):
+                matrix = matrix.to_rows()
             rows = [
                 list(_coerce_vector(row, f"matrix row of {name}")) for row in matrix
             ]
@@ -226,6 +223,8 @@ class FinDimRep:
         if not out:
             raise MalformedInputError("representation has no matrices")
         self.matrices = out
+        if len(given) == len(out):
+            self.exact_matrices = given
 
     @property
     def is_exact(self) -> bool:
@@ -236,19 +235,33 @@ class FinDimRep:
             for x in row
         )
 
+    @cached_property
+    def exact_matrices(self) -> dict:
+        """The matrices of an exact representation as ZMatrix, by name."""
+        return {name: ZMatrix.from_rows(m) for name, m in self.matrices.items()}
+
     def matrix(self, name: str):
         try:
             return self.matrices[name]
         except KeyError:
             raise DimensionMismatchError(f"no matrix for basis vector {name!r}") from None
 
-    def ambient_matrix(self, vector, basis_names):
-        """Matrix of T applied to an ambient coordinate vector."""
+    def ambient_matrix(self, vector, basis_names, exact: bool = False):
+        """Matrix of T applied to an ambient coordinate vector: a ZMatrix
+        summed over the nonzero coefficients when exact, else a list of
+        rows."""
         if len(vector) != len(basis_names):
             raise DimensionMismatchError("coordinate vector has the wrong length")
+        matrices = [self.matrix(name) for name in basis_names]
+        if exact:
+            total = ZMatrix(1, [{} for _ in range(self.space_dim)], self.space_dim)
+            for coeff, name in zip(vector, basis_names):
+                if coeff:
+                    total = total.add(self.exact_matrices[name].scale(coeff))
+            return total
         total = None
-        for coeff, name in zip(vector, basis_names):
-            term = [[coeff * x for x in row] for row in self.matrix(name)]
+        for coeff, matrix in zip(vector, matrices):
+            term = [[coeff * x for x in row] for row in matrix]
             total = term if total is None else [
                 [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(total, term)
             ]
@@ -385,15 +398,15 @@ def check_representation(
     names = composite.basis_names
     items = []
     for sub in composite.subspaces:
-        mats = [rep.ambient_matrix(list(row), names) for row in sub.basis]
+        mats = [rep.ambient_matrix(list(row), names, exact) for row in sub.basis]
         for p in range(sub.dim):
             for q in range(p + 1, sub.dim):
                 comm = mat_commutator(mats[p], mats[q])
                 coords = [sub.structure_constants[k][p][q] for k in range(sub.dim)]
-                target = rep.ambient_matrix(sub.to_ambient(coords), names)
+                target = rep.ambient_matrix(sub.to_ambient(coords), names, exact)
                 diff = mat_sub(comm, target)
                 if exact:
-                    ok = all(not x for row in diff for x in row)
+                    ok = not diff
                     residual = None if ok else "nonzero exact difference"
                 else:
                     worst = _max_abs(diff)
@@ -422,13 +435,10 @@ def tensor_product(rep1: FinDimRep, rep2: FinDimRep) -> FinDimRep:
         raise DomainError("representations are keyed by different basis names")
     eye1 = mat_identity(rep1.space_dim)
     eye2 = mat_identity(rep2.space_dim)
-    matrices = {}
-    for name, m1 in rep1.matrices.items():
-        m2 = rep2.matrices[name]
-        matrices[name] = [
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(kron(m1, eye2), kron(eye1, m2))
-        ]
+    matrices = {
+        name: mat_add(kron(m1, eye2), kron(eye1, rep2.matrices[name]))
+        for name, m1 in rep1.matrices.items()
+    }
     return FinDimRep(rep1.space_dim * rep2.space_dim, matrices)
 
 
@@ -445,14 +455,6 @@ def _split_primes():
         if all(p % d for d in range(3, isqrt(p) + 1, 2)):
             roots = (pow(c, (p - 1) // 4, p) for c in count(2))
             yield p, next(r for r in roots if r * r % p == p - 1)
-
-
-def _residue(x, p: int, root: int) -> int:
-    """Image of an exact scalar in F_p with i mapped to root; ValueError
-    when p divides a denominator."""
-    if isinstance(x, GaussianRational):
-        return (_residue(x.re, p, root) + root * _residue(x.im, p, root)) % p
-    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def _commutant_rows(matrices, zero):
@@ -473,14 +475,14 @@ def _commutant_rows(matrices, zero):
 
 
 def _commutant_nullity_mod_p(matrices) -> int:
-    """Nullity of the commutant system reduced into F_p, at the first
-    split prime p that divides no denominator of the entries."""
+    """Nullity of the commutant system of ZMatrix matrices reduced into
+    F_p, at the first split prime p that divides no denominator."""
     for p, root in _split_primes():
         try:
-            reduced = [[[_residue(x, p, root) for x in row] for row in t] for t in matrices]
+            reduced = [t.residues(p, root) for t in matrices]
         except ValueError:
             continue
-        return len(matrices[0]) ** 2 - rank_mod_p(_commutant_rows(reduced, 0), p)
+        return matrices[0].ncols ** 2 - rank_mod_p(_commutant_rows(reduced, 0), p)
 
 
 def commutant_dimension(rep: FinDimRep) -> int:
@@ -496,10 +498,9 @@ def commutant_dimension(rep: FinDimRep) -> int:
     dimension is insensitive to scalar extension; its interpretation as
     a Schur irreducibility test is only faithful over algebraically
     closed scalars."""
-    matrices = list(rep.matrices.values())
-    if rep.is_exact and _commutant_nullity_mod_p(matrices) == 1:
+    if rep.is_exact and _commutant_nullity_mod_p(list(rep.exact_matrices.values())) == 1:
         return 1
-    return len(nullspace(_commutant_rows(matrices, Fraction(0))))
+    return len(nullspace(_commutant_rows(list(rep.matrices.values()), Fraction(0))))
 
 
 def is_irreducible(rep: FinDimRep) -> bool:

@@ -1,14 +1,18 @@
-"""Exact linear algebra over small fields: Gaussian rationals and generic
-matrix routines (rref, rank, nullspace, Kronecker products, congruence
-signature) for list-of-lists matrices.
+"""Exact linear algebra over small fields: Gaussian rationals, the integer
+matrix type ZMatrix, and matrix routines (rref, rank, nullspace, Kronecker
+products, congruence signature).
 
-Matrix entries may be Fraction or GaussianRational; the routines only use
-field operations and truthiness for zero tests, so the two mix freely.
+List-of-lists matrices may hold Fraction, GaussianRational or float
+entries; those routines only use field operations and truthiness for zero
+tests, so the types mix freely.  An exact matrix can instead be a ZMatrix,
+whose arithmetic stays in Python ints; the product, sum, trace and
+Kronecker helpers accept either form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatchError, ParseError
 
@@ -109,9 +113,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def __pos__(self):
-        return self
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
@@ -141,7 +142,124 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-# -- generic matrix helpers ----------------------------------------------
+def _gauss(x):
+    """An exact scalar as (re, im, den): Gaussian-integer numerator over a
+    positive integer denominator."""
+    re, im = (x.re, x.im) if isinstance(x, GaussianRational) else (x, 0)
+    den = lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+
+
+def _scalar(re: int, im: int, den: int):
+    """(re + im i) / den as a Fraction, or a GaussianRational if im != 0."""
+    return Fraction(re, den) if not im else GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+class ZMatrix:
+    """An exact Q(i) matrix kept in integers: one positive denominator
+    ``den`` and sparse ``rows``, each a dict {column: (re, im)} of nonzero
+    Gaussian-integer numerators.  Arithmetic never leaves Python ints, and
+    zero entries are neither stored nor multiplied."""
+
+    __slots__ = ("den", "rows", "ncols")
+
+    def __init__(self, den: int, rows: list, ncols: int):
+        self.den, self.rows, self.ncols = den, rows, ncols
+
+    @classmethod
+    def from_rows(cls, a):
+        entries = [[_gauss(x) for x in row] for row in a]
+        den = lcm(*(d for row in entries for _, _, d in row))
+        rows = [
+            {j: (r * (den // d), i * (den // d)) for j, (r, i, d) in enumerate(row) if r or i}
+            for row in entries
+        ]
+        return cls(den, rows, len(a[0]) if a else 0)
+
+    def to_rows(self):
+        zero = Fraction(0)
+        return [
+            [_scalar(*row[j], self.den) if j in row else zero for j in range(self.ncols)]
+            for row in self.rows
+        ]
+
+    def __bool__(self):
+        return any(self.rows)
+
+    def add(self, other, sign: int = 1):
+        """self + sign * other."""
+        if (len(self.rows), self.ncols) != (len(other.rows), other.ncols):
+            raise DimensionMismatchError("add matrices of different shapes")
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = []
+        for arow, brow in zip(self.rows, other.rows):
+            row = {j: (r * fa, i * fa) for j, (r, i) in arow.items()}
+            for j, (r, i) in brow.items():
+                r0, i0 = row.pop(j, (0, 0))
+                if r0 + r * fb or i0 + i * fb:
+                    row[j] = (r0 + r * fb, i0 + i * fb)
+            out.append(row)
+        return ZMatrix(den, out, self.ncols)
+
+    def __matmul__(self, other):
+        if self.ncols != len(other.rows):
+            raise DimensionMismatchError(f"multiply by {len(other.rows)} rows, need {self.ncols}")
+        out = []
+        for arow in self.rows:
+            acc = {}
+            for k, (ar, ai) in arow.items():
+                for j, (br, bi) in other.rows[k].items():
+                    r0, i0 = acc.get(j, (0, 0))
+                    acc[j] = (r0 + ar * br - ai * bi, i0 + ar * bi + ai * br)
+            out.append({j: e for j, e in acc.items() if e[0] or e[1]})
+        return ZMatrix(self.den * other.den, out, other.ncols)
+
+    def scale(self, scalar):
+        sr, si, sd = _gauss(scalar)
+        if not (sr or si):
+            return ZMatrix(1, [{} for _ in self.rows], self.ncols)
+        rows = [
+            {j: (r * sr - i * si, r * si + i * sr) for j, (r, i) in row.items()}
+            for row in self.rows
+        ]
+        return ZMatrix(self.den * sd, rows, self.ncols)
+
+    def trace(self):
+        diagonal = [row[k] for k, row in enumerate(self.rows) if k in row]
+        return _scalar(sum(r for r, _ in diagonal), sum(i for _, i in diagonal), self.den)
+
+    def kron(self, other):
+        rows = [
+            {
+                j * other.ncols + l: (ar * br - ai * bi, ar * bi + ai * br)
+                for j, (ar, ai) in arow.items()
+                for l, (br, bi) in brow.items()
+            }
+            for arow in self.rows
+            for brow in other.rows
+        ]
+        return ZMatrix(self.den * other.den, rows, self.ncols * other.ncols)
+
+    def flat(self) -> dict:
+        """All entries times den as one sparse row, row-major."""
+        return {k * self.ncols + j: e for k, row in enumerate(self.rows) for j, e in row.items()}
+
+    def residues(self, p: int, root: int):
+        """Dense rows of ints in [0, p): the image in F_p with i mapped to
+        root.  One inverse of den serves every entry; ValueError when p
+        divides den."""
+        inv = pow(self.den, -1, p)
+        out = []
+        for row in self.rows:
+            dense = [0] * self.ncols
+            for j, (r, i) in row.items():
+                dense[j] = (r + root * i) * inv % p
+            out.append(dense)
+        return out
+
+
+# -- matrix helpers: lists of rows, or ZMatrix --------------------------------
 
 
 def mat_shape(a):
@@ -158,6 +276,8 @@ def mat_identity(n, one=Fraction(1)):
 
 
 def mat_add(a, b):
+    if isinstance(a, ZMatrix):
+        return a.add(b)
     ra, ca = mat_shape(a)
     rb, cb = mat_shape(b)
     if (ra, ca) != (rb, cb):
@@ -166,10 +286,14 @@ def mat_add(a, b):
 
 
 def mat_sub(a, b):
+    if isinstance(a, ZMatrix):
+        return a.add(b, -1)
     return mat_add(a, [[-x for x in row] for row in b])
 
 
 def mat_mul(a, b):
+    if isinstance(a, ZMatrix):
+        return a @ b
     ra, ca = mat_shape(a)
     rb, cb = mat_shape(b)
     if ca != rb:
@@ -191,6 +315,8 @@ def mat_commutator(a, b):
 
 
 def mat_trace(a):
+    if isinstance(a, ZMatrix):
+        return a.trace()
     rows, cols = mat_shape(a)
     if rows != cols:
         raise DimensionMismatchError("trace of non-square matrix")
@@ -203,6 +329,8 @@ def mat_trace(a):
 
 
 def kron(a, b):
+    if isinstance(a, ZMatrix):
+        return a.kron(b)
     ra, ca = mat_shape(a)
     rb, cb = mat_shape(b)
     return [
@@ -237,9 +365,34 @@ def rref(a):
 
 
 def rank(a) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
+    """Rank over Q(i) of a list of rows, each a list of exact scalars or a
+    sparse dict {column: (re, im)} of Gaussian integers (ZMatrix.flat),
+    by fraction-free elimination in Z[i] (Bareiss, Math. Comp. 22, 1968):
+    a step cross-multiplies by the pivot and divides exactly by the one
+    before, so every entry stays a minor of the denominator-free rows."""
+    rows = [row if isinstance(row, dict) else ZMatrix.from_rows([row]).rows[0] for row in a]
+    rows = [row for row in rows if row]
+    pr, pi, found = 1, 0, 0
+    while rows:
+        top = rows.pop()
+        c = min(top)
+        tr, ti = top[c]
+        norm = pr * pr + pi * pi
+        reduced = []
+        for row in rows:
+            fr, fi = row.get(c, (0, 0))
+            new = {}
+            for j in row.keys() | top.keys():
+                xr, xi = row.get(j, (0, 0))
+                yr, yi = top.get(j, (0, 0))
+                zr = tr * xr - ti * xi - fr * yr + fi * yi
+                zi = tr * xi + ti * xr - fr * yi - fi * yr
+                if zr or zi:
+                    new[j] = ((zr * pr + zi * pi) // norm, (zi * pr - zr * pi) // norm)
+            if new:
+                reduced.append(new)
+        rows, pr, pi, found = reduced, tr, ti, found + 1
+    return found
 
 
 def rank_mod_p(rows, p: int) -> int:

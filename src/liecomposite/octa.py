@@ -36,10 +36,10 @@ from .findim import (
 )
 from .linalg import (
     GaussianRational,
+    ZMatrix,
     kron,
     mat_commutator,
     mat_identity,
-    mat_mul,
     mat_sub,
     mat_trace,
     rank,
@@ -250,18 +250,14 @@ def _search_vertex_assignment():
 
 
 def _rep_from_assignment(two_j1: int, two_j2: int, assignment) -> FinDimRep:
-    t1 = so3_irrep(two_j1)
-    t2 = so3_irrep(two_j2)
-    eye1 = mat_identity(two_j1 + 1)
-    eye2 = mat_identity(two_j2 + 1)
-    matrices = {}
-    for vertex, (s1, i1, s2, i2) in assignment.items():
-        left = kron(t1[i1], eye2)
-        right = kron(eye1, t2[i2])
-        matrices[vertex] = [
-            [s1 * a + s2 * b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(left, right)
-        ]
+    t1 = [ZMatrix.from_rows(t) for t in so3_irrep(two_j1)]
+    t2 = [ZMatrix.from_rows(t) for t in so3_irrep(two_j2)]
+    eye1 = ZMatrix.from_rows(mat_identity(two_j1 + 1))
+    eye2 = ZMatrix.from_rows(mat_identity(two_j2 + 1))
+    matrices = {
+        vertex: kron(t1[i1], eye2).add(kron(eye1, t2[i2]), s1 * s2).scale(s1)
+        for vertex, (s1, i1, s2, i2) in assignment.items()
+    }
     return FinDimRep((two_j1 + 1) * (two_j2 + 1), matrices)
 
 
@@ -277,7 +273,10 @@ def so4_composite_rep(two_j1: int, two_j2: int) -> FinDimRep:
 
 
 def _minus_scalar(matrix, scalar):
-    """matrix - scalar * identity, entry by entry."""
+    """matrix - scalar * identity."""
+    if isinstance(matrix, ZMatrix):
+        n = len(matrix.rows)
+        return matrix.add(ZMatrix.from_rows(mat_identity(n, scalar)), -1) if scalar else matrix
     eye = mat_identity(len(matrix))
     return [
         [x - scalar * e for x, e in zip(row, eye_row)]
@@ -333,9 +332,7 @@ def extract_so4(
     tol = 1e-9 if tolerance is None else float(tolerance)
 
     def zeroish(matrix) -> bool:
-        if exact:
-            return all(not x for row in matrix for x in row)
-        return _max_abs(matrix) <= tol
+        return not matrix if exact else _max_abs(matrix) <= tol
 
     def vanishing_item(subject, matrices) -> CheckItem:
         """PASS when every matrix is zeroish; floats also report the worst residual."""
@@ -363,7 +360,8 @@ def extract_so4(
         return So4Extraction({}, rep, {}, verdict, pre)
 
     dim = rep.space_dim
-    mats = {v: rep.matrix(v) for v in VERTICES}
+    # exact input runs on ZMatrix integers, float input on the entry lists
+    mats = {v: rep.exact_matrices[v] if exact else rep.matrix(v) for v in VERTICES}
     dim_scalar = Fraction(dim)
 
     lambdas = {v: mat_trace(mats[v]) / dim_scalar for v in VERTICES}
@@ -373,7 +371,10 @@ def extract_so4(
     # each commutator of the shifted family once; a reversed pair negates
     pairs = list(combinations(VERTICES, 2))
     brackets = {(p, q): mat_commutator(shifted_mats[p], shifted_mats[q]) for p, q in pairs}
-    brackets.update({(q, p): [[-x for x in row] for row in brackets[p, q]] for p, q in pairs})
+    brackets.update({
+        (q, p): brackets[p, q].scale(-1) if exact else [[-x for x in row] for row in brackets[p, q]]
+        for p, q in pairs
+    })
 
     centrals = {}
     for p, q in OPPOSITE_PAIRS:
@@ -446,11 +447,8 @@ def extract_so4(
             vanishing_item(f"shifted opposite pair ({p}, {q}) commutes", [brackets[p, q]])
         )
 
-    def flat(matrix):
-        return [x for row in matrix for x in row]
-
-    vectors = [flat(shifted_mats[v]) for v in VERTICES]
-    if all(all(not x for x in vec) for vec in vectors) and exact:
+    vectors = [shifted_mats[v].flat() for v in VERTICES] if exact else []
+    if exact and not any(vectors):
         items.append(
             CheckItem(
                 subject="semisimplicity evidence",
@@ -460,7 +458,7 @@ def extract_so4(
         )
     elif exact:
         span_dim = rank(vectors)
-        closed = rank(vectors + [flat(brackets[pair]) for pair in pairs]) == span_dim
+        closed = rank(vectors + [brackets[pair].flat() for pair in pairs]) == span_dim
         items.append(
             CheckItem(
                 subject="semisimplicity evidence",
@@ -516,12 +514,12 @@ def killing_certificate() -> CheckReport:
     so4 = SubspaceAlgebra("so4", mat_identity(6), c)
     items = [CheckItem(subject="bracket table satisfies Jacobi", verdict=PASS)]
 
-    ad = [
-        [[c[k][i][j] for j in range(6)] for k in range(6)] for i in range(6)
-    ]
-    killing = [
-        [mat_trace(mat_mul(ad[i], ad[j])) for j in range(6)] for i in range(6)
-    ]
+    # K[i][j] = tr(ad_i ad_j) = sum over k, l of c[k][i][l] * c[l][j][k]
+    killing = [[Fraction(0)] * 6 for _ in range(6)]
+    for k, i, l in product(range(6), repeat=3):
+        if c[k][i][l]:
+            for j in range(6):
+                killing[i][j] += c[k][i][l] * c[l][j][k]
     r = rank(killing)
     items.append(
         CheckItem(

@@ -1,13 +1,23 @@
 """Span questions of the exact linear algebra: independence, membership,
-coordinates and rank over Q and Q(i), and rank over F_p."""
+coordinates and rank over Q and Q(i), rank over F_p, and the integer
+matrix type ZMatrix against naive list arithmetic."""
 
 import random
 from fractions import Fraction as Fr
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from liecomposite.linalg import (
     GaussianRational as G,
+    ZMatrix,
     column_span_contains,
     independent_columns,
+    kron,
+    mat_commutator,
+    mat_mul,
+    mat_sub,
+    mat_trace,
     rank,
     rank_mod_p,
     solve_columns,
@@ -89,3 +99,87 @@ def test_rank_mod_p_can_only_drop():
     assert rank_mod_p(rows, 7) == 1
     assert rank_mod_p([], 7) == 0
     assert rank_mod_p([[0, 7, -14]], 7) == 0
+
+
+# -- ZMatrix against a naive reference over Fraction / GaussianRational lists --
+
+_parts = st.builds(Fr, st.integers(-4, 4), st.sampled_from([1, 2, 3, 7]))
+_entry = st.one_of(st.just(Fr(0)), st.just(Fr(0)), _parts, st.builds(G, _parts, _parts))
+
+
+@st.composite
+def square_pairs(draw):
+    """Two n x n Q(i) matrices, n in 0..5, mostly zero entries; either may
+    be the zero matrix."""
+    n = draw(st.integers(0, 5))
+
+    def matrix():
+        if draw(st.booleans()) and draw(st.booleans()):
+            return [[Fr(0)] * n for _ in range(n)]
+        return [[draw(_entry) for _ in range(n)] for _ in range(n)]
+
+    return matrix(), matrix()
+
+
+def ref_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fr(0)) for j in range(n)] for i in range(n)]
+
+
+def ref_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def ref_residue(x, p, root):
+    re, im = (x.re, x.im) if isinstance(x, G) else (Fr(x), Fr(0))
+    return (re.numerator * pow(re.denominator, -1, p) + root * im.numerator * pow(im.denominator, -1, p)) % p
+
+
+def ref_rank(a):
+    """Gaussian elimination over Q(i) with field division."""
+    rows = [list(row) for row in a if any(row)]
+    found = 0
+    while rows:
+        top = rows.pop()
+        c = next(j for j, x in enumerate(top) if x)
+        rows = [[x - row[c] / top[c] * y for x, y in zip(row, top)] for row in rows]
+        rows = [row for row in rows if any(row)]
+        found += 1
+    return found
+
+
+def entries_equal(a, b):
+    return len(a) == len(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_pairs())
+def test_zmatrix_agrees_with_naive_list_arithmetic(pair):
+    a, b = pair
+    za, zb = ZMatrix.from_rows(a), ZMatrix.from_rows(b)
+    assert entries_equal(za.to_rows(), a)
+    assert entries_equal(mat_mul(za, zb).to_rows(), ref_mul(a, b))
+    assert entries_equal(mat_commutator(za, zb).to_rows(), ref_sub(ref_mul(a, b), ref_mul(b, a)))
+    assert entries_equal(mat_sub(za, zb).to_rows(), ref_sub(a, b))
+    assert mat_trace(za) == sum((a[i][i] for i in range(len(a))), Fr(0))
+    assert entries_equal(kron(za, zb).to_rows(), ref_kron(a, b))
+    assert (not za) == all(not x for row in a for x in row)
+    assert (not mat_commutator(za, zb)) == all(not x for row in ref_sub(ref_mul(a, b), ref_mul(b, a)) for x in row)
+    for p, root in ((13, 5), (2**30 - 35, pow(3, (2**30 - 36) // 4, 2**30 - 35))):
+        assert root * root % p == p - 1
+        assert za.residues(p, root) == [[ref_residue(x, p, root) for x in row] for row in a]
+    assert rank(a) == ref_rank(a)
+    assert rank(za.rows) == ref_rank(a)
+    assert rank([za.flat(), zb.flat()]) == ref_rank([[x for row in m for x in row] for m in (a, b)])
+
+
+def test_zmatrix_residue_refuses_a_prime_dividing_the_denominator():
+    z = ZMatrix.from_rows([[Fr(1, 7), G(0, 1)], [Fr(0), Fr(2)]])
+    assert z.den == 7
+    with pytest.raises(ValueError):
+        z.residues(7, 1)
+    assert z.residues(13, 5) == [[2, 5], [0, 2]]
