@@ -159,7 +159,7 @@ class SubspaceAlgebra:
 
     def to_ambient(self, coords):
         terms = [(x, self.basis[p]) for p, x in enumerate(coords) if x]
-        return [sum((x * row[i] for x, row in terms), Fraction(0)) for i in range(self.ambient_dim)]
+        return [sum((x * b[i] for x, b in terms), Fraction(0)) for i in range(self.ambient_dim)]
 
     def bracket_coords(self, x, y):
         """Bracket of two coordinate vectors, in subspace coordinates; zero
@@ -197,19 +197,14 @@ class FinDimComposite:
 
 
 class FinDimRep:
-    """A matrix for every ambient basis vector, all of one square size.
-    ``matrices`` holds lists of rows; a matrix may be given as a ZMatrix,
-    which also seeds exact_matrices."""
+    """A matrix for every ambient basis vector, all of one square size."""
 
     def __init__(self, space_dim: int, matrices):
         self.space_dim = int(space_dim)
         if self.space_dim < 1:
             raise MalformedInputError("representation space must be nonzero")
         out = {}
-        given = {str(k): m for k, m in dict(matrices).items() if isinstance(m, ZMatrix)}
         for name, matrix in dict(matrices).items():
-            if isinstance(matrix, ZMatrix):
-                matrix = matrix.to_rows()
             rows = [
                 list(_coerce_vector(row, f"matrix row of {name}")) for row in matrix
             ]
@@ -223,8 +218,6 @@ class FinDimRep:
         if not out:
             raise MalformedInputError("representation has no matrices")
         self.matrices = out
-        if len(given) == len(out):
-            self.exact_matrices = given
 
     @property
     def is_exact(self) -> bool:

@@ -255,7 +255,7 @@ def _rep_from_assignment(two_j1: int, two_j2: int, assignment) -> FinDimRep:
     eye1 = ZMatrix.from_rows(mat_identity(two_j1 + 1))
     eye2 = ZMatrix.from_rows(mat_identity(two_j2 + 1))
     matrices = {
-        vertex: kron(t1[i1], eye2).add(kron(eye1, t2[i2]), s1 * s2).scale(s1)
+        vertex: kron(t1[i1], eye2).add(kron(eye1, t2[i2]), s1 * s2).scale(s1).to_rows()
         for vertex, (s1, i1, s2, i2) in assignment.items()
     }
     return FinDimRep((two_j1 + 1) * (two_j2 + 1), matrices)
@@ -366,15 +366,16 @@ def extract_so4(
 
     lambdas = {v: mat_trace(mats[v]) / dim_scalar for v in VERTICES}
     shifted_mats = {v: _minus_scalar(mats[v], lambdas[v]) for v in VERTICES}
-    shifted = FinDimRep(dim, shifted_mats)
+    shifted = FinDimRep(
+        dim, {v: m.to_rows() for v, m in shifted_mats.items()} if exact else shifted_mats
+    )
 
     # each commutator of the shifted family once; a reversed pair negates
     pairs = list(combinations(VERTICES, 2))
     brackets = {(p, q): mat_commutator(shifted_mats[p], shifted_mats[q]) for p, q in pairs}
-    brackets.update({
-        (q, p): brackets[p, q].scale(-1) if exact else [[-x for x in row] for row in brackets[p, q]]
-        for p, q in pairs
-    })
+    for p, q in pairs:
+        k = brackets[p, q]
+        brackets[q, p] = k.scale(-1) if exact else [[-x for x in row] for row in k]
 
     centrals = {}
     for p, q in OPPOSITE_PAIRS:
