@@ -29,6 +29,14 @@ CASES = {
     "witt-hs-3-50": [
         "witt-hs", "--index-bound", "3", "--truncation", "50", "--weight", "1/2",
     ],
+    # the parameter point of the benchmark's ladder-batch workload
+    "witt-hs-6-500": [
+        "witt-hs", "--index-bound", "6", "--truncation", "500", "--weight", "1/2",
+    ],
+    # a generic weight, where the tail fractions are nonzero floats
+    "witt-hs-4-300-w5_7": [
+        "witt-hs", "--index-bound", "4", "--truncation", "300", "--weight", "5/7",
+    ],
     "witt-closed-1-1-bracket": [
         "witt-closed", "--depth", "1", "--index-bound", "1", "--mode", "bracket",
     ],
@@ -60,6 +68,12 @@ CASES = {
     "tail-equivalence-readme": [
         "tail-equivalence", "(n+1)/(n+2)", "(n+1)/(n+2) + 1/n",
         "--weight", "1/2", "--truncation", "1000",
+    ],
+    # roots far out: the probe samples with a stride above 1
+    "tail-equivalence-far-root": ["tail-equivalence", "(n-1000000)/(n^2+1)", "0"],
+    # a difference of degree 3 over degree 5
+    "tail-equivalence-cubic": [
+        "tail-equivalence", "(n^3+2*n+1)/(n^4+3*n^2+5)", "1/(n+1)",
     ],
 }
 
