@@ -30,6 +30,7 @@ from .errors import (
 )
 from .exact import (
     RationalFunc,
+    _peval,
     asymptotic_degree,
     evaluate,
     parse,
@@ -342,15 +343,16 @@ class ShiftOperator:
             raise DomainError("truncation size must be nonnegative")
         cols = []
         for d, c in self.components:
+            # at h0 the coefficient is N/D with N, D in ZZ[n]: integer
+            # Horner values at each n, one exact Fraction per column entry
             ch = substitute_h(c, h0)
+            num, den = (tuple(a[0] if a else 0 for a in p) for p in (ch.num, ch.den))
             vals = []
             for n in range(size + 1):
-                try:
-                    vals.append(evaluate(ch, Fraction(n)).constant_value())
-                except PoleError:
-                    raise PoleError(
-                        Fraction(n), f"coefficient pole at n={n} with h0={h0}"
-                    ) from None
+                dn = _peval(den, n)
+                if not dn:
+                    raise PoleError(Fraction(n), f"coefficient pole at n={n} with h0={h0}")
+                vals.append(Fraction(_peval(num, n), dn))
             cols.append((d, vals))
         return h0, cols
 

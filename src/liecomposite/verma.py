@@ -26,7 +26,11 @@ from typing import NamedTuple
 from .errors import DomainError, PoleError
 from .exact import (
     RationalFunc,
+    _pdivexact,
     _peval,
+    _pgcd,
+    _pprimitive,
+    _pshift_arg,
     asymptotic_degree,
     evaluate,
     fraction_coeff_tuples,
@@ -397,6 +401,41 @@ def check_absolutely_symmetric(max_len: int, index_bound: int, h=None) -> CheckR
     )
 
 
+@lru_cache(maxsize=1)
+def _closed_classes(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
+    """(subject, defect class, plain class, table bracket) per nested tuple,
+    in traversal order: classes and strings, no operators.  Both modes
+    read the same traversal, so the last one is kept for the other mode."""
+    letters = _letters(index_bound)
+    out = []
+
+    def visit(tail_letters, acc_op: ShiftOperator, acc_combo: Combo, length: int):
+        # tuples of length 3 .. depth + 2 (nesting level 1 .. depth); the
+        # length-2 case is the plain pair deviation covered elsewhere
+        if length >= 3:
+            # substitute first, so the numeric table bracket is subtracted
+            # from a numeric operator
+            op_at = _at_weight(acc_op, h0)
+            out.append((
+                "(" + ", ".join(str(x) for x in tail_letters) + ")",
+                (op_at - represent_combo(acc_combo, h0)).classify(),
+                op_at.classify(),
+                _combo_str(acc_combo),
+            ))
+        if length == depth + 2:
+            return
+        for letter in letters:
+            visit(
+                tail_letters + (letter,),
+                acc_op.commutator(represent(letter)) if length else represent(letter),
+                bracket_combo(acc_combo, {letter: Fraction(1)}) if length else {letter: Fraction(1)},
+                length + 1,
+            )
+
+    visit((), ShiftOperator.zero(), {}, 0)
+    return tuple(out)
+
+
 def check_absolutely_closed(
     depth: int, index_bound: int, h=None, mode: str = "bracket"
 ) -> CheckReport:
@@ -417,47 +456,24 @@ def check_absolutely_closed(
     if mode not in ("bracket", "literal"):
         raise DomainError("mode must be 'bracket' or 'literal'")
     h0 = _weight(h)
-    letters = _letters(index_bound)
     items: list[CheckItem] = []
     nonzero_phi = 0
-
-    def visit(tail_letters, acc_op: ShiftOperator, acc_combo: Combo, length: int):
-        nonlocal nonzero_phi
-        # tuples of length 3 .. depth + 2 (nesting level 1 .. depth); the
-        # length-2 case is the plain pair deviation covered elsewhere
-        if length >= 3:
-            # substitute first, so the numeric table bracket is subtracted
-            # from a numeric operator
-            op_at = _at_weight(acc_op, h0)
-            bracket_cls = (op_at - represent_combo(acc_combo, h0)).classify()
-            literal_cls = op_at.classify()
-            gate = bracket_cls if mode == "bracket" else literal_cls
-            ok = gate <= _HS
-            if acc_combo:
-                nonzero_phi += 1
-            items.append(
-                CheckItem(
-                    subject="(" + ", ".join(str(x) for x in tail_letters) + ")",
-                    verdict=PASS if ok else FAIL,
-                    operator_class=gate.label,
-                    note=(
-                        f"defect class {bracket_cls.label};"
-                        f" plain nested-commutator class {literal_cls.label};"
-                        f" table bracket {_combo_str(acc_combo)}"
-                    ),
-                )
+    for subject, bracket_cls, literal_cls, combo in _closed_classes(depth, index_bound, h0):
+        gate = bracket_cls if mode == "bracket" else literal_cls
+        if combo != "0":
+            nonzero_phi += 1
+        items.append(
+            CheckItem(
+                subject=subject,
+                verdict=PASS if gate <= _HS else FAIL,
+                operator_class=gate.label,
+                note=(
+                    f"defect class {bracket_cls.label};"
+                    f" plain nested-commutator class {literal_cls.label};"
+                    f" table bracket {combo}"
+                ),
             )
-        if length == depth + 2:
-            return
-        for letter in letters:
-            visit(
-                tail_letters + (letter,),
-                acc_op.commutator(represent(letter)) if length else represent(letter),
-                bracket_combo(acc_combo, {letter: Fraction(1)}) if length else {letter: Fraction(1)},
-                length + 1,
-            )
-
-    visit((), ShiftOperator.zero(), {}, 0)
+        )
     if h0 is None:
         sub_note = ()
     else:
@@ -556,15 +572,78 @@ def _cauchy_bound(poly) -> Fraction:
     return 1 + max(abs(c / lead) for c in poly[:-1])
 
 
+def _pderiv(a: tuple) -> tuple:
+    return tuple(i * c for i, c in enumerate(a))[1:]
+
+
+def _sturm_chain(p: tuple) -> list:
+    """Sturm sequence of the squarefree part of p in ZZ[x], each member
+    scaled to a primitive integer polynomial by a positive factor."""
+    p = _pdivexact(p, _pgcd(p, _pderiv(p)))
+    chain = [p, _pderiv(p)]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        if b[-1] < 0:  # an associate divisor leaves the remainder over Q
+            b = tuple(-c for c in b)
+        rem, db, lead = list(a), len(b) - 1, b[-1]
+        while len(rem) > db:  # lead^k * (a mod b)
+            lr, shift = rem[-1], len(rem) - 1 - db
+            rem = [c * lead for c in rem]
+            for k, cb in enumerate(b):
+                rem[k + shift] -= cb * lr
+            while rem and not rem[-1]:
+                rem.pop()
+        chain.append(_pprimitive(tuple(-c for c in rem)))
+    return chain
+
+
 def _refuse_lattice_poles(den, h0: Fraction):
+    """Raise at the smallest lattice point h0 + j (j >= 0) where den vanishes.
+
+    Q(j) = den(h0 + j) is cleared to ZZ[j] and the real roots of its
+    squarefree part in (-1, J] are isolated by Sturm-sequence bisection
+    over integer endpoints, J the last j below the Cauchy bound of den.
+    A unit interval (j - 1, j] that still holds a root is decided by
+    evaluating Q at j exactly.
+    """
     if len(den) <= 1:
         return
-    bound = _cauchy_bound(den)
-    x = h0
-    while x <= bound:
-        if _peval(den, x) == 0:
-            raise PoleError(x, f"difference has a pole on the sample lattice at {x}")
-        x += 1
+    top = math.floor(_cauchy_bound(den) - h0)
+    if top < 0:
+        return
+    q = _pshift_arg(den, h0)
+    lcm = math.lcm(*(c.denominator for c in q))
+    chain = _sturm_chain(tuple(int(c * lcm) for c in q))
+
+    def variations(x: int) -> int:
+        signs = [v > 0 for v in (_peval(p, x) for p in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # a stack of (a, V(a), b, V(b)): V(a) - V(b) roots lie in (a, b]
+    stack = [(-1, variations(-1), top, variations(top))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            if not _peval(chain[0], b):
+                x = h0 + b
+                raise PoleError(x, f"difference has a pole on the sample lattice at {x}")
+            continue
+        m = (a + b) // 2
+        vm = variations(m)
+        stack += [(m, vm, b, vb), (a, va, m, vm)]  # the left half first
+
+
+def _difference_polys(r1: RationalFunc, r2: RationalFunc, h0: Fraction):
+    """The difference r1 - r2 and its (num, den) Fraction tuples, or None
+    for them when it vanishes; refuses a pole on the lattice h0 + j."""
+    d = _univariate_difference(r1, r2)
+    if d.is_zero():
+        return d, None
+    polys = _as_fraction_polys(d)
+    _refuse_lattice_poles(polys[1], h0)
+    return d, polys
 
 
 def tail_square_equivalence(r1: RationalFunc, r2: RationalFunc, h0) -> bool:
@@ -574,34 +653,31 @@ def tail_square_equivalence(r1: RationalFunc, r2: RationalFunc, h0) -> bool:
     <= -1 (so the squared terms decay at least like 1/j^2).  Refuses with
     a pole error if the difference has a pole on the lattice h0 + j.
     """
-    h0 = Fraction(h0)
-    d = _univariate_difference(r1, r2)
-    if d.is_zero():
-        return True
-    _, den = _as_fraction_polys(d)
-    _refuse_lattice_poles(den, h0)
-    return asymptotic_degree(d) <= -1
+    d, polys = _difference_polys(r1, r2, Fraction(h0))
+    return polys is None or asymptotic_degree(d) <= -1
 
 
-def tail_square_probe(r1: RationalFunc, r2: RationalFunc, h0, count: int = 10000) -> bool:
-    """Numeric cross-check of tail_square_equivalence on count terms.
+def _horner(coeffs: list):
+    """A float evaluator of coeffs doing _peval's operations in its order,
+    unrolled for up to three coefficients."""
+    if len(coeffs) == 1:
+        (c0,) = coeffs
+        return lambda x: c0
+    if len(coeffs) == 2:
+        c0, c1 = coeffs
+        return lambda x: c1 * x + c0
+    if len(coeffs) == 3:
+        c0, c1, c2 = coeffs
+        return lambda x: (c2 * x + c1) * x + c0
+    return lambda x: _peval(coeffs, x)
 
-    Sums |difference|^2 in float64 at the lattice points h0 + j*stride and
-    calls the series convergent iff the block j in [count/2, count)
-    strictly undercuts the block j in [count/4, count/2) (or all sampled
-    terms vanish).  The stride is 1 unless the roots of the difference's
-    numerator and denominator, or h0 itself, lie too far out for count
-    terms: it then places the window past them.  Refuses with a domain
-    error when float64 cannot hold the terms out there.
-    """
-    h0 = Fraction(h0)
+
+def _probe(polys, h0: Fraction, count: int) -> bool:
     if count < 8:
         raise DomainError("probe needs at least 8 terms")
-    d = _univariate_difference(r1, r2)
-    if d.is_zero():
+    if polys is None:
         return True
-    num, den = _as_fraction_polys(d)
-    _refuse_lattice_poles(den, h0)
+    num, den = polys
     # As a function of j, the difference at h0 + j*stride has every root
     # below bound/stride.  A window that starts 6*(len(num) + len(den))
     # times further out keeps the terms within a factor 2 of c*j**(2*deg),
@@ -620,14 +696,16 @@ def tail_square_probe(r1: RationalFunc, r2: RationalFunc, h0, count: int = 10000
             f"the tail probe would evaluate the difference out to n = 2**{far.bit_length()},"
             " beyond the float64 range"
         )
-    fnum = [float(c) for c in num]
-    fden = [float(c) for c in den]
+    fnum = _horner([float(c) for c in num])
+    fden = _horner([float(c) for c in den])
     x0 = float(h0)
 
     def block(start: int, stop: int) -> float:
+        # sum() of a stream: constant memory, and on Python >= 3.12 the
+        # same compensated float sum whatever the block length
         return sum(
-            (_peval(fnum, x0 + offset) / _peval(fden, x0 + offset)) ** 2
-            for offset in range(start * stride, stop * stride, stride)
+            (fnum(x) / fden(x)) ** 2
+            for x in map(x0.__add__, range(start * stride, stop * stride, stride))
         )
 
     b1 = block(q, 2 * q)
@@ -637,9 +715,28 @@ def tail_square_probe(r1: RationalFunc, r2: RationalFunc, h0, count: int = 10000
     return b2 < b1
 
 
+def tail_square_probe(r1: RationalFunc, r2: RationalFunc, h0, count: int = 10000) -> bool:
+    """Numeric cross-check of tail_square_equivalence on count terms.
+
+    Sums |difference|^2 in float64 at the lattice points h0 + j*stride and
+    calls the series convergent iff the block j in [count/2, count)
+    strictly undercuts the block j in [count/4, count/2) (or all sampled
+    terms vanish).  The stride is 1 unless the roots of the difference's
+    numerator and denominator, or h0 itself, lie too far out for count
+    terms: it then places the window past them.  Refuses with a domain
+    error when float64 cannot hold the terms out there.
+    """
+    h0 = Fraction(h0)
+    _, polys = _difference_polys(r1, r2, h0)
+    return _probe(polys, h0, count)
+
+
 def tail_equivalence_report(r1: RationalFunc, r2: RationalFunc, h0, probe_terms: int = 10000) -> CheckReport:
-    symbolic = tail_square_equivalence(r1, r2, h0)
-    numeric = tail_square_probe(r1, r2, h0, probe_terms)
+    # both legs share the difference and its pole test
+    h0 = Fraction(h0)
+    d, polys = _difference_polys(r1, r2, h0)
+    symbolic = polys is None or asymptotic_degree(d) <= -1
+    numeric = _probe(polys, h0, probe_terms)
     answer = "equivalent (tail-square series converges)" if symbolic else "not equivalent (series diverges)"
     items = [
         CheckItem(subject="symbolic decision", verdict=INFO, note=answer),
@@ -652,6 +749,6 @@ def tail_equivalence_report(r1: RationalFunc, r2: RationalFunc, h0, probe_terms:
     ]
     return CheckReport.build(
         "tail-equivalence",
-        {"r1": str(r1), "r2": str(r2), "h0": str(Fraction(h0))},
+        {"r1": str(r1), "r2": str(r2), "h0": str(h0)},
         items,
     )

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from liecomposite import verma
@@ -98,12 +98,13 @@ def _reference_blocks(r, h0, count):
 
 @contextlib.contextmanager
 def _recorded_sums():
-    """Record the value of every sum() the verma module takes."""
+    """Record the value of every float sum() the verma module takes."""
     seen = []
 
     def recording_sum(iterable, start=0):
         total = builtins.sum(iterable, start)
-        seen.append(total)
+        if isinstance(total, float):
+            seen.append(total)
         return total
 
     verma.sum = recording_sum
@@ -259,15 +260,19 @@ def _reference_pole(den, h0):
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(1, 4), st.integers(-12, 12)), max_size=3),
+    st.integers(1, 2),
     st.lists(st.integers(-5, 5), max_size=3),
     st.fractions(min_value=-12, max_value=12, max_denominator=4),
 )
-def test_lattice_pole_matches_a_scan(linear, other, h0):
-    # den = prod(a*n - b) * (n^k + other...), with rational roots where a
-    # divides b into a lattice point, repeated roots and irrational ones
+# a double root below the lattice: the Sturm count needs the squarefree part
+@example(linear=[(1, 1), (1, 1), (1, 2)], power=1, other=[], h0=Fraction(2))
+def test_lattice_pole_matches_a_scan(linear, power, other, h0):
+    # den = (a0*n - b0)^power * prod(a*n - b) * (n^k + other...), with
+    # rational roots where a divides b into a lattice point, multiple
+    # roots and irrational ones
     den = _poly(other + [1])
-    for a, b in linear:
-        den = den * (a * N - b)
+    for i, (a, b) in enumerate(linear):
+        den = den * (a * N - b) ** (power if i == 0 else 1)
     r = (N + 100) / den
     _, fden = fraction_coeff_tuples(r)
     pole = _reference_pole(fden, h0)
@@ -286,3 +291,23 @@ def test_smallest_of_several_lattice_poles_is_named(capsys):
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: difference has a pole on the sample lattice at {pole}\n"
+
+
+def test_poles_far_out_are_decided_exactly():
+    # a scan would visit every one of the 10**12 lattice points below them
+    far = 2 * 10**12 + 1
+    want = (PoleError, f"difference has a pole on the sample lattice at {far}/2", Fraction(far, 2))
+    assert _outcome(tail_square_equivalence, 1 / (2 * N - far), qhn_const(0), Fraction(1, 2)) == want
+    twice = 1 / ((2 * N - far) ** 2 * (N**2 - 2))
+    assert _outcome(tail_square_equivalence, twice, qhn_const(0), Fraction(1, 2)) == want
+    assert tail_square_equivalence(1 / (N + 10**12), qhn_const(0), Fraction(1, 2))
+    assert tail_square_equivalence(1 / (2 * N - far), qhn_const(0), Fraction(1, 3))
+
+
+def test_report_tests_the_lattice_once(monkeypatch):
+    seen = []
+    real = verma._refuse_lattice_poles
+    monkeypatch.setattr(verma, "_refuse_lattice_poles", lambda den, h0: seen.append(h0) or real(den, h0))
+    report = verma.tail_equivalence_report(1 / (N + 1), qhn_const(0), Fraction(1, 2), 1000)
+    assert report.passed
+    assert seen == [Fraction(1, 2)]
