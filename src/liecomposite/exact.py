@@ -157,6 +157,31 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
     return tuple(c * (g if a[-1] > 0 else -g) for c in a)
 
 
+def _pderiv(a: tuple) -> tuple:
+    return tuple(i * c for i, c in enumerate(a))[1:]
+
+
+def _sturm_chain(p: tuple) -> list:
+    """Sturm sequence of the squarefree part of p in ZZ[x], each member
+    scaled to a primitive integer polynomial by a positive factor."""
+    p = _pdivexact(p, _pgcd(p, _pderiv(p)))
+    chain = [p, _pderiv(p)]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        if b[-1] < 0:  # an associate divisor leaves the remainder over Q
+            b = tuple(-c for c in b)
+        rem, db, lead = list(a), len(b) - 1, b[-1]
+        while len(rem) > db:  # lead^k * (a mod b)
+            lr, shift = rem[-1], len(rem) - 1 - db
+            rem = [c * lead for c in rem]
+            for k, cb in enumerate(b):
+                rem[k + shift] -= cb * lr
+            while rem and not rem[-1]:
+                rem.pop()
+        chain.append(_pprimitive(tuple(-c for c in rem)))
+    return chain
+
+
 # ---------------------------------------------------------------------------
 # ZZ[h][n]: tuples (over powers of n) of ZZ[h] polynomials.
 

@@ -26,11 +26,9 @@ from typing import NamedTuple
 from .errors import DomainError, PoleError
 from .exact import (
     RationalFunc,
-    _pdivexact,
     _peval,
-    _pgcd,
-    _pprimitive,
     _pshift_arg,
+    _sturm_chain,
     asymptotic_degree,
     evaluate,
     fraction_coeff_tuples,
@@ -403,9 +401,9 @@ def check_absolutely_symmetric(max_len: int, index_bound: int, h=None) -> CheckR
 
 @lru_cache(maxsize=1)
 def _closed_classes(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
-    """(subject, defect class, plain class, table bracket) per nested tuple,
-    in traversal order: classes and strings, no operators.  Both modes
-    read the same traversal, so the last one is kept for the other mode."""
+    """(subject, defect class, plain class, note, table bracket nonzero)
+    per nested tuple, in traversal order: no operators.  Both modes read
+    the same traversal, so the last one is kept for the other mode."""
     letters = _letters(index_bound)
     out = []
 
@@ -416,12 +414,15 @@ def _closed_classes(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
             # substitute first, so the numeric table bracket is subtracted
             # from a numeric operator
             op_at = _at_weight(acc_op, h0)
-            out.append((
-                "(" + ", ".join(str(x) for x in tail_letters) + ")",
-                (op_at - represent_combo(acc_combo, h0)).classify(),
-                op_at.classify(),
-                _combo_str(acc_combo),
-            ))
+            bracket_cls = (op_at - represent_combo(acc_combo, h0)).classify()
+            literal_cls = op_at.classify()
+            note = (
+                f"defect class {bracket_cls.label};"
+                f" plain nested-commutator class {literal_cls.label};"
+                f" table bracket {_combo_str(acc_combo)}"
+            )
+            subject = "(" + ", ".join(str(x) for x in tail_letters) + ")"
+            out.append((subject, bracket_cls, literal_cls, note, bool(acc_combo)))
         if length == depth + 2:
             return
         for letter in letters:
@@ -458,20 +459,15 @@ def check_absolutely_closed(
     h0 = _weight(h)
     items: list[CheckItem] = []
     nonzero_phi = 0
-    for subject, bracket_cls, literal_cls, combo in _closed_classes(depth, index_bound, h0):
+    for subject, bracket_cls, literal_cls, note, has_phi in _closed_classes(depth, index_bound, h0):
         gate = bracket_cls if mode == "bracket" else literal_cls
-        if combo != "0":
-            nonzero_phi += 1
+        nonzero_phi += has_phi
         items.append(
             CheckItem(
                 subject=subject,
                 verdict=PASS if gate <= _HS else FAIL,
                 operator_class=gate.label,
-                note=(
-                    f"defect class {bracket_cls.label};"
-                    f" plain nested-commutator class {literal_cls.label};"
-                    f" table bracket {combo}"
-                ),
+                note=note,
             )
         )
     if h0 is None:
@@ -570,31 +566,6 @@ def _cauchy_bound(poly) -> Fraction:
         return Fraction(0)
     lead = poly[-1]
     return 1 + max(abs(c / lead) for c in poly[:-1])
-
-
-def _pderiv(a: tuple) -> tuple:
-    return tuple(i * c for i, c in enumerate(a))[1:]
-
-
-def _sturm_chain(p: tuple) -> list:
-    """Sturm sequence of the squarefree part of p in ZZ[x], each member
-    scaled to a primitive integer polynomial by a positive factor."""
-    p = _pdivexact(p, _pgcd(p, _pderiv(p)))
-    chain = [p, _pderiv(p)]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        if b[-1] < 0:  # an associate divisor leaves the remainder over Q
-            b = tuple(-c for c in b)
-        rem, db, lead = list(a), len(b) - 1, b[-1]
-        while len(rem) > db:  # lead^k * (a mod b)
-            lr, shift = rem[-1], len(rem) - 1 - db
-            rem = [c * lead for c in rem]
-            for k, cb in enumerate(b):
-                rem[k + shift] -= cb * lr
-            while rem and not rem[-1]:
-                rem.pop()
-        chain.append(_pprimitive(tuple(-c for c in rem)))
-    return chain
 
 
 def _refuse_lattice_poles(den, h0: Fraction):
