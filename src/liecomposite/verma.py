@@ -19,6 +19,7 @@ require it to be positive.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -399,15 +400,22 @@ def check_absolutely_symmetric(max_len: int, index_bound: int, h=None) -> CheckR
     )
 
 
+def _gated(gate: OperatorClass) -> str:
+    return PASS if gate <= _HS else FAIL
+
+
 @lru_cache(maxsize=1)
-def _closed_classes(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
-    """(subject, defect class, plain class, note, table bracket nonzero)
-    per nested tuple, in traversal order: no operators.  Both modes read
-    the same traversal, so the last one is kept for the other mode."""
+def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
+    """The bracket-mode report items of every nested tuple in traversal
+    order, their plain nested-commutator classes, and the count of nonzero
+    table brackets.  Literal mode re-gates the same items, so the last
+    traversal is kept for it; it holds report items, no operators."""
     letters = _letters(index_bound)
-    out = []
+    items, plain = [], []
+    nonzero_phi = 0
 
     def visit(tail_letters, acc_op: ShiftOperator, acc_combo: Combo, length: int):
+        nonlocal nonzero_phi
         # tuples of length 3 .. depth + 2 (nesting level 1 .. depth); the
         # length-2 case is the plain pair deviation covered elsewhere
         if length >= 3:
@@ -416,13 +424,21 @@ def _closed_classes(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
             op_at = _at_weight(acc_op, h0)
             bracket_cls = (op_at - represent_combo(acc_combo, h0)).classify()
             literal_cls = op_at.classify()
-            note = (
-                f"defect class {bracket_cls.label};"
-                f" plain nested-commutator class {literal_cls.label};"
-                f" table bracket {_combo_str(acc_combo)}"
+            if acc_combo:
+                nonzero_phi += 1
+            items.append(
+                CheckItem(
+                    subject="(" + ", ".join(str(x) for x in tail_letters) + ")",
+                    verdict=_gated(bracket_cls),
+                    operator_class=bracket_cls.label,
+                    note=(
+                        f"defect class {bracket_cls.label};"
+                        f" plain nested-commutator class {literal_cls.label};"
+                        f" table bracket {_combo_str(acc_combo)}"
+                    ),
+                )
             )
-            subject = "(" + ", ".join(str(x) for x in tail_letters) + ")"
-            out.append((subject, bracket_cls, literal_cls, note, bool(acc_combo)))
+            plain.append(literal_cls)
         if length == depth + 2:
             return
         for letter in letters:
@@ -434,7 +450,7 @@ def _closed_classes(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
             )
 
     visit((), ShiftOperator.zero(), {}, 0)
-    return tuple(out)
+    return tuple(items), tuple(plain), nonzero_phi
 
 
 def check_absolutely_closed(
@@ -457,19 +473,12 @@ def check_absolutely_closed(
     if mode not in ("bracket", "literal"):
         raise DomainError("mode must be 'bracket' or 'literal'")
     h0 = _weight(h)
-    items: list[CheckItem] = []
-    nonzero_phi = 0
-    for subject, bracket_cls, literal_cls, note, has_phi in _closed_classes(depth, index_bound, h0):
-        gate = bracket_cls if mode == "bracket" else literal_cls
-        nonzero_phi += has_phi
-        items.append(
-            CheckItem(
-                subject=subject,
-                verdict=PASS if gate <= _HS else FAIL,
-                operator_class=gate.label,
-                note=note,
-            )
-        )
+    items, plain, nonzero_phi = _closed_items(depth, index_bound, h0)
+    if mode == "literal":
+        items = [
+            replace(item, verdict=_gated(cls), operator_class=cls.label)
+            for item, cls in zip(items, plain)
+        ]
     if h0 is None:
         sub_note = ()
     else:
