@@ -124,6 +124,19 @@ def _pprimitive(a: tuple) -> tuple:
     return a if g == 1 else tuple(c // g for c in a)
 
 
+def _pprem(a: tuple, b: tuple, mul, sub) -> tuple:
+    """Pseudo-remainder lead(b)^k * (a mod b) over the ring of mul and sub."""
+    rem, db, lead = list(a), len(b) - 1, b[-1]
+    while len(rem) > db:
+        lr, shift = rem[-1], len(rem) - 1 - db
+        rem = [mul(c, lead) for c in rem]
+        for j, cb in enumerate(b):
+            rem[j + shift] = sub(rem[j + shift], mul(cb, lr))
+        while rem and not rem[-1]:
+            rem.pop()
+    return tuple(rem)
+
+
 def _prs(a: tuple, b: tuple, mul, sub, primitive) -> tuple:
     """Last nonzero term of the primitive polynomial remainder sequence of
     primitive a, b over a coefficient ring given by mul, sub and primitive
@@ -131,15 +144,8 @@ def _prs(a: tuple, b: tuple, mul, sub, primitive) -> tuple:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        rem, db, lead = list(a), len(b) - 1, b[-1]
-        while len(rem) > db:  # pseudo-remainder of a by b
-            lr, shift = rem[-1], len(rem) - 1 - db
-            rem = [mul(c, lead) for c in rem]
-            for j, cb in enumerate(b):
-                rem[j + shift] = sub(rem[j + shift], mul(cb, lr))
-            while rem and not rem[-1]:
-                rem.pop()
-        a, b = b, (primitive(tuple(rem)) if rem else ())
+        rem = _pprem(a, b, mul, sub)
+        a, b = b, (primitive(rem) if rem else ())
     return a
 
 
@@ -169,16 +175,8 @@ def _sturm_chain(p: tuple) -> list:
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
         if b[-1] < 0:  # an associate divisor leaves the remainder over Q
-            b = tuple(-c for c in b)
-        rem, db, lead = list(a), len(b) - 1, b[-1]
-        while len(rem) > db:  # lead^k * (a mod b)
-            lr, shift = rem[-1], len(rem) - 1 - db
-            rem = [c * lead for c in rem]
-            for k, cb in enumerate(b):
-                rem[k + shift] -= cb * lr
-            while rem and not rem[-1]:
-                rem.pop()
-        chain.append(_pprimitive(tuple(-c for c in rem)))
+            b = _pneg(b)
+        chain.append(_pprimitive(_pneg(_pprem(a, b, operator.mul, operator.sub))))
     return chain
 
 
@@ -708,11 +706,26 @@ def fraction_coeff_tuples(r: RationalFunc) -> tuple[tuple, tuple]:
     """
     if r.symbol == "h":
         num, den = (r.num[0] if r.num else ()), r.den[0]
-    elif all(len(c) <= 1 for c in (*r.num, *r.den)):
-        num, den = (tuple(c[0] if c else 0 for c in a) for a in (r.num, r.den))
     else:
-        raise ValueError("value depends on h")
+        num, den = _int_coeff_tuples(r)
     return _monic(num, den)
+
+
+def _int_coeff_tuples(r: RationalFunc) -> tuple[tuple, tuple]:
+    """(N, D) of a level-"n" value as int tuples in n, or ValueError when
+    the value still depends on h."""
+    if any(len(c) > 1 for c in (*r.num, *r.den)):
+        raise ValueError("value depends on h")
+    return tuple(c[0] if c else 0 for c in r.num), tuple(c[0] if c else 0 for c in r.den)
+
+
+def integer_values(r: RationalFunc, stop: int):
+    """(N(n), D(n)) for n = 0, ..., stop - 1, by integer Horner, where N/D
+    is the stored form of an h-free level-"n" value (as substitute_h
+    returns); D(n) = 0 marks a pole at n."""
+    num, den = _int_coeff_tuples(r)
+    for n in range(stop):
+        yield _peval(num, n), _peval(den, n)
 
 
 # ---------------------------------------------------------------------------

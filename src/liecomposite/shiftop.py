@@ -30,9 +30,9 @@ from .errors import (
 )
 from .exact import (
     RationalFunc,
-    _peval,
     asymptotic_degree,
     evaluate,
+    integer_values,
     parse,
     qh_const,
     qhn_const,
@@ -345,14 +345,11 @@ class ShiftOperator:
         for d, c in self.components:
             # at h0 the coefficient is N/D with N, D in ZZ[n]: integer
             # Horner values at each n, one exact Fraction per column entry
-            ch = substitute_h(c, h0)
-            num, den = (tuple(a[0] if a else 0 for a in p) for p in (ch.num, ch.den))
             vals = []
-            for n in range(size + 1):
-                dn = _peval(den, n)
+            for n, (nn, dn) in enumerate(integer_values(substitute_h(c, h0), size + 1)):
                 if not dn:
                     raise PoleError(Fraction(n), f"coefficient pole at n={n} with h0={h0}")
-                vals.append(Fraction(_peval(num, n), dn))
+                vals.append(Fraction(nn, dn))
             cols.append((d, vals))
         return h0, cols
 

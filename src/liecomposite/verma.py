@@ -639,16 +639,13 @@ def tail_square_equivalence(r1: RationalFunc, r2: RationalFunc, h0) -> bool:
 
 def _horner(coeffs: list):
     """A float evaluator of coeffs doing _peval's operations in its order,
-    unrolled for up to three coefficients."""
+    unrolled for one and two coefficients."""
     if len(coeffs) == 1:
         (c0,) = coeffs
         return lambda x: c0
     if len(coeffs) == 2:
         c0, c1 = coeffs
         return lambda x: c1 * x + c0
-    if len(coeffs) == 3:
-        c0, c1, c2 = coeffs
-        return lambda x: (c2 * x + c1) * x + c0
     return lambda x: _peval(coeffs, x)
 
 
