@@ -44,6 +44,17 @@ CASES = {
     "witt-closed-1-1-literal": [
         "witt-closed", "--depth", "1", "--index-bound", "1", "--mode", "literal",
     ],
+    # nested commutators two deep, and the parameter point of the
+    # benchmark's closure workload in both modes and at a numeric weight
+    "witt-closed-2-1-bracket": [
+        "witt-closed", "--depth", "2", "--index-bound", "1", "--mode", "bracket",
+    ],
+    "witt-closed-1-2-literal": [
+        "witt-closed", "--depth", "1", "--index-bound", "2", "--mode", "literal",
+    ],
+    "witt-closed-1-2-w5_7": [
+        "witt-closed", "--depth", "1", "--index-bound", "2", "--weight", "5/7",
+    ],
     "composite-check-octa-so4_1_1": [
         "composite-check", "tests/golden/octa.json", "--rep", "tests/golden/so4_1_1.json",
     ],
@@ -78,7 +89,11 @@ CASES = {
 }
 
 
-EXIT_CODES = {"witt-closed-1-1-literal": 1, "composite-check-octa-so4_1_1-broken": 1}
+EXIT_CODES = {
+    "witt-closed-1-1-literal": 1,
+    "witt-closed-1-2-literal": 1,
+    "composite-check-octa-so4_1_1-broken": 1,
+}
 
 # so4_1_1 conjugated into a real basis: T -> S^-1 T S, with S the columns
 # e0+e3, i(e0-e3), e1-e2, i(e1+e2).  The result is the vector
