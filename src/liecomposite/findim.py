@@ -39,7 +39,7 @@ from .linalg import (
     mat_commutator,
     mat_identity,
     mat_sub,
-    nullspace,
+    nullspace,  # unused here; findim.nullspace stays a public name
     rank,
     rank_mod_p,
     solve_columns,
@@ -479,29 +479,34 @@ def _commutant_nullity_mod_p(matrices) -> int:
 
 
 def commutant_dimension(rep: FinDimRep) -> int:
-    """Dimension of {S : [S, T(v)] = 0 for every basis matrix T(v)}.
+    """Dimension of {S : [S, T(v)] = 0 for every basis matrix T(v)}, for
+    an exact representation.
 
-    An exact representation is first reduced into F_p (p = 1 mod 4, with
-    i mapped to a square root of -1).  That reduction is a ring
+    The representation is first reduced into F_p (p = 1 mod 4, with i
+    mapped to a square root of -1).  That reduction is a ring
     homomorphism on the entries, so the rank of the system cannot rise
     under it: the mod-p nullity is at least the exact one, which is at
     least 1 because the identity commutes.  A mod-p nullity of 1 is
-    therefore the exact answer.  Any other mod-p nullity, and every
-    float representation, takes one exact null-space computation.  The
-    dimension is insensitive to scalar extension; its interpretation as
-    a Schur irreducibility test is only faithful over algebraically
-    closed scalars."""
-    if rep.is_exact and _commutant_nullity_mod_p(list(rep.exact_matrices.values())) == 1:
+    therefore the exact answer.  Any other mod-p nullity takes one exact
+    rank computation, fraction-free in Z[i].  A float representation is
+    refused, since noise makes the system full rank.  The dimension is
+    insensitive to scalar extension; its interpretation as a Schur
+    irreducibility test is only faithful over algebraically closed
+    scalars."""
+    if not rep.is_exact:
+        raise DomainError("the commutant dimension needs an exact representation")
+    if _commutant_nullity_mod_p(list(rep.exact_matrices.values())) == 1:
         return 1
-    return len(nullspace(_commutant_rows(list(rep.matrices.values()), Fraction(0))))
+    return rep.space_dim**2 - rank(_commutant_rows(list(rep.matrices.values()), Fraction(0)))
 
 
 def is_irreducible(rep: FinDimRep) -> bool:
-    """Schur test: commutant dimension exactly 1.  For an irreducible
-    exact representation, commutant_dimension usually proves this with
-    one rank computation mod p.  Over non-closed scalars this is
-    evidence, not proof; callers may override with an asserted flag where
-    the spec of the pipeline allows it."""
+    """Schur test: commutant dimension exactly 1; a float representation
+    raises DomainError.  For an irreducible exact representation,
+    commutant_dimension usually proves this with one rank computation
+    mod p.  Over non-closed scalars this is evidence, not proof; callers
+    may override with an asserted flag where the spec of the pipeline
+    allows it."""
     return commutant_dimension(rep) == 1
 
 

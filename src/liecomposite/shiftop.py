@@ -149,6 +149,23 @@ class WeightFunction:
             out = 1 / out
         return out
 
+    def forward_ratios(self, d: int, h0: Fraction, columns):
+        """forward_ratio(n, d, h0) for each n of the increasing sequence
+        columns, with n + d >= 0: the first directly, each later one from
+        the one before by one exact product per step of n, since
+        value(m+d)/value(m) = value(m-1+d)/value(m-1) * s(m+d)/s(m) with
+        s(m) = m * (2h + m - 1)."""
+        a, b = h0.numerator, h0.denominator
+        ratio = prev = None
+        for n in columns:
+            if ratio is None:
+                ratio = self.forward_ratio(n, d, h0)
+            else:
+                for m in range(prev + 1, n + 1):
+                    ratio *= Fraction((m + d) * (2 * a + b * (m + d - 1)), m * (2 * a + b * (m - 1)))
+            prev = n
+            yield ratio
+
 
 WEIGHT = WeightFunction()
 
@@ -362,12 +379,9 @@ class ShiftOperator:
         h0, cols = self._numeric_columns(size, h0)
         mat = [[0.0] * (size + 1) for _ in range(size + 1)]
         for d, vals in cols:
-            for n in range(size + 1):
-                row = n + d
-                if row < 0 or row > size or not vals[n]:
-                    continue
-                ratio = WEIGHT.forward_ratio(n, d, h0)
-                mat[row][n] += float(vals[n]) * math.sqrt(ratio)
+            live = [n for n in range(max(0, -d), min(size, size - d) + 1) if vals[n]]
+            for n, ratio in zip(live, WEIGHT.forward_ratios(d, h0, live)):
+                mat[n + d][n] += float(vals[n]) * math.sqrt(ratio)
         return mat
 
     def hs_partial_sums(self, count: int, h0) -> list[float]:
@@ -380,15 +394,13 @@ class ShiftOperator:
         h0, cols = self._numeric_columns(count, h0)
         per_n = [0.0] * (count + 1)
         for d, vals in cols:
-            for n in range(count + 1):
-                v = vals[n]
-                if not v:
-                    continue
-                if n + d < 0:
-                    raise NegativeExponentError(
-                        f"component with shift {d} is not defined at z^{n}"
-                    )
-                per_n[n] += float(v * v * WEIGHT.forward_ratio(n, d, h0))
+            live = [n for n in range(count + 1) if vals[n]]
+            if live and live[0] + d < 0:
+                raise NegativeExponentError(
+                    f"component with shift {d} is not defined at z^{live[0]}"
+                )
+            for n, ratio in zip(live, WEIGHT.forward_ratios(d, h0, live)):
+                per_n[n] += float(vals[n] * vals[n] * ratio)
         sums = []
         running = 0.0
         for x in per_n:

@@ -409,21 +409,33 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
     """The bracket-mode report items of every nested tuple in traversal
     order, their plain nested-commutator classes, and the count of nonzero
     table brackets.  Literal mode re-gates the same items, so the last
-    traversal is kept for it; it holds report items, no operators."""
+    traversal is kept for it; it holds report items, no operators.
+
+    Swapping the root pair negates N and phi of a whole subtree, and
+    classify ignores the sign (README, "Design notes"): operators are
+    formed only under root pairs in letter order, and the reversed
+    subtree, visited later, reuses its twin's classes."""
     letters = _letters(index_bound)
     items, plain = [], []
     nonzero_phi = 0
+    twins = {}  # (x, y) in letter order -> the subtree's classes in pre-order
 
-    def visit(tail_letters, acc_op: ShiftOperator, acc_combo: Combo, length: int):
-        nonlocal nonzero_phi
+    def visit(tail_letters, acc_op, acc_combo: Combo, classes):
         # tuples of length 3 .. depth + 2 (nesting level 1 .. depth); the
-        # length-2 case is the plain pair deviation covered elsewhere
-        if length >= 3:
-            # substitute first, so the numeric table bracket is subtracted
-            # from a numeric operator
-            op_at = _at_weight(acc_op, h0)
-            bracket_cls = (op_at - represent_combo(acc_combo, h0)).classify()
-            literal_cls = op_at.classify()
+        # length-2 case is the plain pair deviation covered elsewhere.
+        # acc_op is None on a reversed subtree, whose classes are read from
+        # the twin's iterator; otherwise they are computed and appended.
+        nonlocal nonzero_phi
+        if len(tail_letters) >= 3:
+            if acc_op is None:
+                bracket_cls, literal_cls = next(classes)
+            else:
+                # substitute first, so the numeric table bracket is
+                # subtracted from a numeric operator
+                op_at = _at_weight(acc_op, h0)
+                bracket_cls = (op_at - represent_combo(acc_combo, h0)).classify()
+                literal_cls = op_at.classify()
+                classes.append((bracket_cls, literal_cls))
             if acc_combo:
                 nonzero_phi += 1
             items.append(
@@ -439,17 +451,22 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
                 )
             )
             plain.append(literal_cls)
-        if length == depth + 2:
+        if len(tail_letters) == depth + 2:
             return
         for letter in letters:
             visit(
                 tail_letters + (letter,),
-                acc_op.commutator(represent(letter)) if length else represent(letter),
-                bracket_combo(acc_combo, {letter: Fraction(1)}) if length else {letter: Fraction(1)},
-                length + 1,
+                None if acc_op is None else acc_op.commutator(represent(letter)),
+                bracket_combo(acc_combo, {letter: Fraction(1)}),
+                classes,
             )
 
-    visit((), ShiftOperator.zero(), {}, 0)
+    for i, x in enumerate(letters):
+        for y in letters[:i]:
+            visit((x, y), None, bracket(x, y), iter(twins.pop((y, x))))
+        for y in letters[i:]:
+            twins[x, y] = []
+            visit((x, y), represent(x).commutator(represent(y)), bracket(x, y), twins[x, y])
     return tuple(items), tuple(plain), nonzero_phi
 
 

@@ -35,7 +35,7 @@ from liecomposite.findim import (
     save_rep,
     tensor_product,
 )
-from liecomposite.linalg import GaussianRational as G, nullspace, rank_mod_p
+from liecomposite.linalg import GaussianRational as G, nullspace, rank, rank_mod_p
 from liecomposite.octa import VERTICES, _abstract_constants, so4_composite_rep
 from liecomposite.report import FAIL, INFO, PASS
 
@@ -392,14 +392,14 @@ def commutant_system(rep):
 
 @pytest.fixture
 def exact_fallbacks(monkeypatch):
-    """Row counts of the exact null-space computations commutant_dimension runs."""
+    """Row counts of the exact rank computations commutant_dimension runs."""
     calls = []
 
     def spy(rows):
         calls.append(len(rows))
-        return nullspace(rows)
+        return rank(rows)
 
-    monkeypatch.setattr(findim, "nullspace", spy)
+    monkeypatch.setattr(findim, "rank", spy)
     return calls
 
 
@@ -471,6 +471,24 @@ def test_commutant_moves_past_a_prime_dividing_a_denominator(exact_fallbacks, mo
     assert commutant_dimension(rep) == 1
     assert exact_fallbacks == []
     assert len(moduli) == 1 and moduli[0] > p and moduli[0] % 4 == 1
+
+
+def test_float_reps_are_refused():
+    # +-1e-12 noise makes the float commutant system full rank, so a rank
+    # read off it would say 0, although the identity always commutes
+    rng = random.Random(12)
+    noisy = FinDimRep(
+        6,
+        {
+            v: [[float(x) + rng.uniform(-1e-12, 1e-12) for x in row] for row in t]
+            for v, t in adjoint_so4_rep().matrices.items()
+        },
+    )
+    for rep in (noisy, FinDimRep(2, {"x": [[0.0, 1.0], [1.0, 0.0]]})):
+        with pytest.raises(DomainError, match="exact representation"):
+            commutant_dimension(rep)
+        with pytest.raises(DomainError, match="exact representation"):
+            is_irreducible(rep)
 
 
 # -- serialization ----------------------------------------------------------

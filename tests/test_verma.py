@@ -16,7 +16,8 @@ from liecomposite.exact import (
     var_h_in_n,
     var_n,
 )
-from liecomposite.report import FAIL, INFO, PASS
+from liecomposite import verma
+from liecomposite.report import FAIL, INFO, PASS, CheckItem
 from liecomposite.shiftop import OperatorClass, ShiftOperator
 from liecomposite.verma import (
     bracket,
@@ -323,6 +324,110 @@ def test_closed_check_frozen_examples():
     phi2 = bracket_combo(bracket(f(2), f(-2)), {e(1): Fraction(1)})
     assert phi2 == {}
     assert n2.classify() <= OperatorClass.HILBERT_SCHMIDT
+
+
+# -- root-pair antisymmetry of the closed check ------------------------------
+
+
+@pytest.mark.parametrize("h0", [None, Fraction(5, 7)])
+def test_root_pairs_are_antisymmetric(h0):
+    # every ordered pair of letters at index bound 2, and every pair of a
+    # table bracket with a third letter: swapping negates both readings
+    letters = verma._letters(2)
+    for x in letters:
+        for y in letters:
+            fwd = represent(x, h0).commutator(represent(y, h0))
+            assert fwd == -(represent(y, h0).commutator(represent(x, h0)))
+            if x == y:
+                assert fwd.is_zero()
+            phi = bracket_combo({x: Fraction(1)}, {y: Fraction(1)})
+            assert phi == {g: -c for g, c in bracket_combo({y: Fraction(1)}, {x: Fraction(1)}).items()}
+            assert represent_combo(phi, h0) == -represent_combo(bracket(y, x), h0)
+            for z in letters:
+                nested = bracket_combo(phi, {z: Fraction(1)})
+                assert nested == {g: -c for g, c in bracket_combo({z: Fraction(1)}, phi).items()}
+                assert nested == {
+                    g: -c for g, c in bracket_combo(bracket(y, x), {z: Fraction(1)}).items()
+                }
+
+
+@st.composite
+def _operators(draw):
+    """Sums of bands whose coefficients are small polynomials in n and h
+    over products of linear factors, at the formal or a numeric weight."""
+    comps = []
+    for _ in range(draw(st.integers(0, 3))):
+        top = sum(
+            (draw(st.integers(-3, 3)) * N**i * H**k for i in range(3) for k in range(2)),
+            qhn_const(draw(st.integers(-2, 2))),
+        )
+        bottom = qhn_const(1)
+        for _ in range(draw(st.integers(0, 2))):
+            bottom = bottom * (N + draw(st.integers(1, 3)) * H + draw(st.integers(0, 4)))
+        comps.append((draw(st.integers(-3, 3)), top / bottom))
+    op = ShiftOperator(comps)
+    h0 = draw(st.sampled_from([None, Fraction(1, 2), Fraction(5, 7), Fraction(3)]))
+    return op if h0 is None else verma._at_weight(op, h0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operators())
+def test_classify_ignores_sign(op):
+    assert (-op).classify() == op.classify()
+    assert (-op).is_zero() == op.is_zero()
+
+
+def _closed_items_reference(depth, index_bound, h0):
+    """Every tuple's operators formed from scratch, in the same pre-order:
+    the traversal before the root-pair antisymmetry was used."""
+    letters = verma._letters(index_bound)
+    items, plain = [], []
+    nonzero_phi = 0
+
+    def visit(tail_letters, acc_op, acc_combo, length):
+        nonlocal nonzero_phi
+        if length >= 3:
+            op_at = verma._at_weight(acc_op, h0)
+            bracket_cls = (op_at - represent_combo(acc_combo, h0)).classify()
+            literal_cls = op_at.classify()
+            if acc_combo:
+                nonzero_phi += 1
+            items.append(
+                CheckItem(
+                    subject="(" + ", ".join(str(x) for x in tail_letters) + ")",
+                    verdict=PASS if bracket_cls <= OperatorClass.HILBERT_SCHMIDT else FAIL,
+                    operator_class=bracket_cls.label,
+                    note=(
+                        f"defect class {bracket_cls.label};"
+                        f" plain nested-commutator class {literal_cls.label};"
+                        f" table bracket {verma._combo_str(acc_combo)}"
+                    ),
+                )
+            )
+            plain.append(literal_cls)
+        if length == depth + 2:
+            return
+        for letter in letters:
+            visit(
+                tail_letters + (letter,),
+                acc_op.commutator(represent(letter)) if length else represent(letter),
+                bracket_combo(acc_combo, {letter: Fraction(1)}) if length else {letter: Fraction(1)},
+                length + 1,
+            )
+
+    visit((), ShiftOperator.zero(), {}, 0)
+    return tuple(items), tuple(plain), nonzero_phi
+
+
+@pytest.mark.parametrize("h0", [None, Fraction(1, 2), Fraction(5, 7)])
+@pytest.mark.parametrize("depth, index_bound", [(1, 2), (2, 1)])
+def test_closed_items_match_the_reference_traversal(depth, index_bound, h0):
+    # the items carry the bracket-mode verdicts and both classes, and
+    # literal mode re-gates them on the plain classes: equal triples give
+    # equal reports in both modes
+    got = verma._closed_items(depth, index_bound, h0)
+    assert got == _closed_items_reference(depth, index_bound, h0)
+    assert len(got[0]) == sum((4 * index_bound + 2) ** (m + 2) for m in range(1, depth + 1))
 
 
 def test_check_hs_deviations_smoke():
