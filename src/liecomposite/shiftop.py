@@ -150,11 +150,8 @@ class WeightFunction:
         return out
 
     def forward_ratios(self, d: int, h0: Fraction, columns):
-        """forward_ratio(n, d, h0) for each n of the increasing sequence
-        columns, with n + d >= 0: the first directly, each later one from
-        the one before by one exact product per step of n, since
-        value(m+d)/value(m) = value(m-1+d)/value(m-1) * s(m+d)/s(m) with
-        s(m) = m * (2h + m - 1)."""
+        """forward_ratio(n, d, h0) for each n of the increasing columns:
+        each step of n multiplies by s(n+d)/s(n), s(m) = m * (2h0 + m - 1)."""
         a, b = h0.numerator, h0.denominator
         ratio = prev = None
         for n in columns:

@@ -411,10 +411,8 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
     table brackets.  Literal mode re-gates the same items, so the last
     traversal is kept for it; it holds report items, no operators.
 
-    Swapping the root pair negates N and phi of a whole subtree, and
-    classify ignores the sign (README, "Design notes"): operators are
-    formed only under root pairs in letter order, and the reversed
-    subtree, visited later, reuses its twin's classes."""
+    Swapping the root pair negates a whole subtree (README, "Design
+    notes"), so its reversed copy, visited later, reuses the classes."""
     letters = _letters(index_bound)
     items, plain = [], []
     nonzero_phi = 0
@@ -422,9 +420,8 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
 
     def visit(tail_letters, acc_op, acc_combo: Combo, classes):
         # tuples of length 3 .. depth + 2 (nesting level 1 .. depth); the
-        # length-2 case is the plain pair deviation covered elsewhere.
-        # acc_op is None on a reversed subtree, whose classes are read from
-        # the twin's iterator; otherwise they are computed and appended.
+        # length-2 case is the plain pair deviation covered elsewhere.  A
+        # reversed subtree has no acc_op and reads its twin's classes.
         nonlocal nonzero_phi
         if len(tail_letters) >= 3:
             if acc_op is None:
