@@ -342,6 +342,10 @@ def _product(a: "RationalFunc", b: "RationalFunc") -> tuple[tuple, tuple]:
     an, ad, bn, bd = a.num, a.den, b.num, b.den
     if not an or not bn:
         return _ZERO
+    if an == _ONE and ad == _ONE:
+        return bn, bd
+    if bn == _ONE and bd == _ONE:
+        return an, ad
     if bd != _ONE:
         g = _bgcd(an, bd)
         if g != _ONE:

@@ -450,20 +450,44 @@ def _split_primes():
             yield p, next(r for r in roots if r * r % p == p - 1)
 
 
-def _commutant_rows(matrices, zero):
-    """The linear system [S, T] = 0 for every T in matrices, in the m*m
-    entries of S (row-major): one row per entry (i, j) of each T."""
+def _commutant_rows(matrices):
+    """The linear system [S, T] = 0 for every T in matrices (dense rows
+    of ints), in the m*m entries of S (row-major): one row per entry
+    (i, j) of each T."""
     rows = []
     for t in matrices:
         m = len(t)
         for i in range(m):
             for j in range(m):
-                row = [zero] * (m * m)
+                row = [0] * (m * m)
                 for q in range(m):
-                    row[i * m + q] = row[i * m + q] + t[q][j]
+                    row[i * m + q] += t[q][j]
                 for k in range(m):
-                    row[k * m + j] = row[k * m + j] - t[i][k]
+                    row[k * m + j] -= t[i][k]
                 rows.append(row)
+    return rows
+
+
+def _commutant_rows_exact(matrices):
+    """The same system for ZMatrix matrices, as sparse rows {column:
+    (re, im)} of Gaussian integers.  The system is homogeneous, so each
+    T enters by its numerators alone; rows that vanish are dropped."""
+    rows = []
+    for t in matrices:
+        m = t.ncols
+        cols = [{} for _ in range(m)]
+        for q, trow in enumerate(t.rows):
+            for j, z in trow.items():
+                cols[j][q] = z
+        for i, trow in enumerate(t.rows):
+            for j in range(m):
+                row = {i * m + q: z for q, z in cols[j].items()}
+                for k, (r, im) in trow.items():
+                    r0, i0 = row.pop(k * m + j, (0, 0))
+                    if r0 != r or i0 != im:
+                        row[k * m + j] = (r0 - r, i0 - im)
+                if row:
+                    rows.append(row)
     return rows
 
 
@@ -475,7 +499,7 @@ def _commutant_nullity_mod_p(matrices) -> int:
             reduced = [t.residues(p, root) for t in matrices]
         except ValueError:
             continue
-        return matrices[0].ncols ** 2 - rank_mod_p(_commutant_rows(reduced, 0), p)
+        return matrices[0].ncols ** 2 - rank_mod_p(_commutant_rows(reduced), p)
 
 
 def commutant_dimension(rep: FinDimRep) -> int:
@@ -497,7 +521,7 @@ def commutant_dimension(rep: FinDimRep) -> int:
         raise DomainError("the commutant dimension needs an exact representation")
     if _commutant_nullity_mod_p(list(rep.exact_matrices.values())) == 1:
         return 1
-    return rep.space_dim**2 - rank(_commutant_rows(list(rep.matrices.values()), Fraction(0)))
+    return rep.space_dim**2 - rank(_commutant_rows_exact(rep.exact_matrices.values()))
 
 
 def is_irreducible(rep: FinDimRep) -> bool:

@@ -22,6 +22,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import DomainError, PoleError
@@ -348,6 +349,37 @@ def check_symmetric(K: int, h=None) -> CheckReport:
     return CheckReport.build("symmetric", {"max_index": K, "h": _weight_str(h0)}, items)
 
 
+def _word_coefficients(max_len: int, index_bound: int):
+    """(word, total, acc) for every word of length <= max_len over
+    _letters(index_bound) whose index sum can still return to 0, in
+    pre-order.  T(word) is the single band of shift -total and coefficient
+    acc(n - total): acc is carried in the frame n + total, so a letter x
+    taking the sum to t multiplies it by c_x(n + t), and the accumulated
+    product is never shifted itself."""
+    letters = _letters(index_bound)
+    shifted: dict = {}  # (letter, t) -> c_x(n + t)
+
+    def letter_at(x: GeneratorId, t: int) -> RationalFunc:
+        key = (x, t)
+        if key not in shifted:
+            ((_, c),) = represent(x).components
+            shifted[key] = c.shift_arg(t)
+        return shifted[key]
+
+    def walk(word: tuple, acc: RationalFunc, total: int):
+        if word:
+            yield word, total, acc
+        if len(word) == max_len:
+            return
+        slack = index_bound * (max_len - len(word) - 1)
+        for x in letters:
+            t = total + x.index
+            if abs(t) <= slack:
+                yield from walk(word + (x,), acc * letter_at(x, t), t)
+
+    return walk((), qhn_const(1), 0)
+
+
 def check_absolutely_symmetric(max_len: int, index_bound: int, h=None) -> CheckReport:
     """Every zero-graded word acts as a self-adjoint operator.
 
@@ -364,30 +396,20 @@ def check_absolutely_symmetric(max_len: int, index_bound: int, h=None) -> CheckR
         raise DomainError("index bound must be nonnegative")
     if _weight(h) is not None:
         raise DomainError("the word-symmetry check runs at the formal weight")
-    letters = _letters(index_bound)
     items: list[CheckItem] = []
-
-    def walk(word: tuple, product: ShiftOperator, total: int):
-        if word and total == 0:
-            adj = product.adjoint()
-            ok = adj == product
-            items.append(
-                CheckItem(
-                    subject="word " + " ".join(str(x) for x in word),
-                    verdict=PASS if ok else FAIL,
-                    residual=None if ok else str(product - adj),
-                )
+    for word, total, acc in _word_coefficients(max_len, index_bound):
+        if total:
+            continue
+        product = ShiftOperator.single(0, acc)
+        adj = product.adjoint()
+        ok = adj == product
+        items.append(
+            CheckItem(
+                subject="word " + " ".join(str(x) for x in word),
+                verdict=PASS if ok else FAIL,
+                residual=None if ok else str(product - adj),
             )
-        if len(word) == max_len:
-            return
-        slack = index_bound * (max_len - len(word) - 1)
-        for letter in letters:
-            t = total + letter.index
-            if abs(t) > slack:
-                continue
-            walk(word + (letter,), product @ represent(letter), t)
-
-    walk((), ShiftOperator.identity(), 0)
+        )
     return CheckReport.build(
         "absolutely-symmetric",
         {"max_word_length": max_len, "index_bound": index_bound, "h": "h"},
@@ -607,10 +629,10 @@ def _refuse_lattice_poles(den, h0: Fraction):
         return
     q = _pshift_arg(den, h0)
     lcm = math.lcm(*(c.denominator for c in q))
-    chain = _sturm_chain(tuple(int(c * lcm) for c in q))
+    sturm = _sturm_chain(tuple(int(c * lcm) for c in q))
 
     def variations(x: int) -> int:
-        signs = [v > 0 for v in (_peval(p, x) for p in chain) if v]
+        signs = [v > 0 for v in (_peval(p, x) for p in sturm) if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     # a stack of (a, V(a), b, V(b)): V(a) - V(b) roots lie in (a, b]
@@ -620,7 +642,7 @@ def _refuse_lattice_poles(den, h0: Fraction):
         if va == vb:
             continue
         if b - a == 1:
-            if not _peval(chain[0], b):
+            if not _peval(sturm[0], b):
                 x = h0 + b
                 raise PoleError(x, f"difference has a pole on the sample lattice at {x}")
             continue
@@ -651,16 +673,20 @@ def tail_square_equivalence(r1: RationalFunc, r2: RationalFunc, h0) -> bool:
     return polys is None or asymptotic_degree(d) <= -1
 
 
-def _horner(coeffs: list):
-    """A float evaluator of coeffs doing _peval's operations in its order,
-    unrolled for one and two coefficients."""
-    if len(coeffs) == 1:
-        (c0,) = coeffs
-        return lambda x: c0
-    if len(coeffs) == 2:
-        c0, c1 = coeffs
-        return lambda x: c1 * x + c0
-    return lambda x: _peval(coeffs, x)
+# Sample points per list pass of the tail probe.
+_PROBE_CHUNK = 2048
+
+
+def _horner_lists(coeffs: list, xs: list):
+    """The float polynomial coeffs at every x of xs, one list pass per
+    step of _peval and in its order; a constant takes no pass."""
+    *low, top = coeffs
+    if not low:
+        return repeat(top, len(xs))
+    vals = [top * x + low[-1] for x in xs]
+    for c in reversed(low[:-1]):
+        vals = [v * x + c for v, x in zip(vals, xs)]
+    return vals
 
 
 def _probe(polys, h0: Fraction, count: int) -> bool:
@@ -687,17 +713,23 @@ def _probe(polys, h0: Fraction, count: int) -> bool:
             f"the tail probe would evaluate the difference out to n = 2**{far.bit_length()},"
             " beyond the float64 range"
         )
-    fnum = _horner([float(c) for c in num])
-    fden = _horner([float(c) for c in den])
+    fnum = [float(c) for c in num]
+    fden = [float(c) for c in den]
     x0 = float(h0)
 
+    def squares(xs: list) -> list:
+        return [(a / b) ** 2 for a, b in zip(_horner_lists(fnum, xs), _horner_lists(fden, xs))]
+
     def block(start: int, stop: int) -> float:
-        # sum() of a stream: constant memory, and on Python >= 3.12 the
-        # same compensated float sum whatever the block length
-        return sum(
-            (fnum(x) / fden(x)) ** 2
-            for x in map(x0.__add__, range(start * stride, stop * stride, stride))
+        offsets = range(start * stride, stop * stride, stride)
+        chunks = (
+            squares(list(map(x0.__add__, offsets[k : k + _PROBE_CHUNK])))
+            for k in range(0, len(offsets), _PROBE_CHUNK)
         )
+        # one sum() over the chained chunks: the terms in the same order
+        # as one at a time, so also under Python 3.12's compensated sum
+        # the same float, in memory bounded by the chunk length
+        return sum(chain.from_iterable(chunks))
 
     b1 = block(q, 2 * q)
     b2 = block(2 * q, count)

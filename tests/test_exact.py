@@ -253,3 +253,11 @@ def test_argument_shift_invertible(r, k):
 def test_level_h_round_trip_and_lift(c):
     assert parse(str(qhn_const(c))) == qhn_const(c)
     assert equals(qhn_const(c) * (N - N + 1), c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(qh_values(), qhn_values()))
+def test_unit_factor_returns_the_other_operand(r):
+    units = [1, Fraction(1), qh_const(1) if r.symbol == "h" else qhn_const(1)]
+    for product in [r * one for one in units] + [one * r for one in units]:
+        assert (product.num, product.den, product.symbol) == (r.num, r.den, r.symbol)

@@ -142,6 +142,36 @@ def test_probe_block_sums_are_bit_identical(num, den_low, lead, h0, stride, extr
     assert verdict == (want == [0.0, 0.0] or want[1] < want[0])
 
 
+@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize(
+    "num_degree, den_degree", [(0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (2, 3), (0, 0)]
+)
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_probe_block_sums_are_bit_identical_across_chunks(num_degree, den_degree, stride, data):
+    # blocks of 3-4 chunks and 6-8 chunks, each ending in a partial chunk
+    def poly(degree):
+        low = data.draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
+        return low + [data.draw(st.integers(1, 9))]
+
+    r = _poly(poly(num_degree)) / _poly(poly(den_degree))
+    pnum, pden = fraction_coeff_tuples(r)
+    assume((len(pnum), len(pden)) == (num_degree + 1, den_degree + 1))
+    chunk = verma._PROBE_CHUNK
+    q = data.draw(st.integers(3, 4)) * chunk + data.draw(st.integers(1, chunk - 1))
+    count = 4 * q + data.draw(st.integers(0, 3))
+    # h0 beyond every root, at a distance that sets the spacing to stride
+    scale = Fraction(q, 6 * (len(pnum) + len(pden)))
+    slack = data.draw(st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=7))
+    h0 = stride * scale - max(_cauchy(pnum), _cauchy(pden)) - slack
+    assert _window(pnum, pden, h0, count) == stride
+    want = _reference_blocks(r, h0, count)
+    with _recorded_sums() as got:
+        verdict = tail_square_probe(r, qhn_const(0), h0, count)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert verdict == (want[1] < want[0])
+
+
 # -- Hilbert-Schmidt sums and the numeric matrix --------------------------------
 
 

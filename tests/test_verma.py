@@ -1,5 +1,6 @@
 """Ladder families, bracket table, deviation checks, and tail equivalence."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,29 @@ def test_check_absolutely_symmetric_counts():
         check_absolutely_symmetric(1, 3)
     with pytest.raises(DomainError):
         check_absolutely_symmetric(3, 2, Fraction(1, 2))
+
+
+def test_word_coefficients_match_composed_products():
+    # the carried coefficient, shifted back by the word's index sum, is the
+    # composed operator's one band, also for words that are not zero-graded
+    letters = verma._letters(1)
+    walked = []
+    for word, total, acc in verma._word_coefficients(3, 1):
+        composed = ShiftOperator.identity()
+        for x in word:
+            composed = composed @ represent(x)
+        assert composed == single(-total, acc.shift_arg(-total))
+        assert total == sum(x.index for x in word)
+        walked.append(word)
+    # pre-order over every word each of whose prefixes can still return to 0
+    wanted = [
+        word
+        for length in (1, 2, 3)
+        for word in itertools.product(letters, repeat=length)
+        if all(abs(sum(x.index for x in word[:k])) <= 3 - k for k in range(1, length + 1))
+    ]
+    assert walked == sorted(wanted, key=lambda w: [letters.index(x) for x in w])
+    assert any(sum(x.index for x in w) for w in walked)
 
 
 def test_check_absolutely_closed_modes():
