@@ -18,10 +18,10 @@ the tolerance path on the entry lists.
 from __future__ import annotations
 
 import json
+import math
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, count
-from math import isqrt
+from itertools import combinations
 
 from .errors import (
     DimensionMismatchError,
@@ -217,6 +217,14 @@ class FinDimRep:
             out[str(name)] = rows
         if not out:
             raise MalformedInputError("representation has no matrices")
+        floated = [n for n, m in out.items() if any(isinstance(x, float) for r in m for x in r)]
+        if floated and any(
+            isinstance(x, GaussianRational) for m in out.values() for r in m for x in r
+        ):
+            raise MalformedInputError(
+                f"matrix for {floated[0]} has float entries, which do not mix with"
+                " Gaussian-rational entries (write them as strings)"
+            )
         self.matrices = out
 
     @property
@@ -279,6 +287,16 @@ def _entry_abs(x) -> float:
 
 def _max_abs(matrix) -> float:
     return max((_entry_abs(x) for row in matrix for x in row), default=0.0)
+
+
+def _tolerance(tolerance) -> float:
+    """The max-entry tolerance of a float check, 1e-9 by default.  A NaN
+    or negative tolerance would FAIL every pair and an infinite one PASS
+    any, so those are refused."""
+    tol = 1e-9 if tolerance is None else float(tolerance)
+    if not 0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be finite and >= 0, not {tol}")
+    return tol
 
 
 def _vec_str(v) -> str:
@@ -387,7 +405,7 @@ def check_representation(
     Cross-subspace pairs are left unconstrained on purpose.
     """
     exact = rep.is_exact and tolerance is None
-    tol = 1e-9 if tolerance is None else float(tolerance)
+    tol = _tolerance(tolerance)
     names = composite.basis_names
     items = []
     for sub in composite.subspaces:
@@ -435,43 +453,19 @@ def tensor_product(rep1: FinDimRep, rep2: FinDimRep) -> FinDimRep:
     return FinDimRep(rep1.space_dim * rep2.space_dim, matrices)
 
 
-# The first modulus of the commutant certificate: p = 1 (mod 4), so F_p
-# holds a square root of -1 for i to map to, and p < 2**30 keeps every
-# residue a one-digit Python int.
+# The modulus of the commutant certificate: p = 1 (mod 4), so F_p holds
+# a square root of -1 for i to map to (3 is a non-residue mod p), and
+# p < 2**30 keeps every residue a one-digit Python int.
 _COMMUTANT_PRIME = 2**30 - 35
-
-
-def _split_primes():
-    """Primes p = 1 (mod 4) from _COMMUTANT_PRIME upward, each paired with
-    a square root of -1 mod p (c**((p-1)/4) for the least non-residue c)."""
-    for p in count(_COMMUTANT_PRIME, 4):
-        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
-            roots = (pow(c, (p - 1) // 4, p) for c in count(2))
-            yield p, next(r for r in roots if r * r % p == p - 1)
+_COMMUTANT_ROOT = pow(3, (_COMMUTANT_PRIME - 1) // 4, _COMMUTANT_PRIME)
 
 
 def _commutant_rows(matrices):
-    """The linear system [S, T] = 0 for every T in matrices (dense rows
-    of ints), in the m*m entries of S (row-major): one row per entry
-    (i, j) of each T."""
-    rows = []
-    for t in matrices:
-        m = len(t)
-        for i in range(m):
-            for j in range(m):
-                row = [0] * (m * m)
-                for q in range(m):
-                    row[i * m + q] += t[q][j]
-                for k in range(m):
-                    row[k * m + j] -= t[i][k]
-                rows.append(row)
-    return rows
-
-
-def _commutant_rows_exact(matrices):
-    """The same system for ZMatrix matrices, as sparse rows {column:
-    (re, im)} of Gaussian integers.  The system is homogeneous, so each
-    T enters by its numerators alone; rows that vanish are dropped."""
+    """The linear system [S, T] = 0 for every ZMatrix T in matrices, in
+    the m*m entries of S (row-major): one sparse row {column: (re, im)}
+    of Gaussian integers per entry (i, j) of each T.  The system is
+    homogeneous, so each T enters by its numerators alone; rows that
+    vanish are dropped."""
     rows = []
     for t in matrices:
         m = t.ncols
@@ -491,37 +485,28 @@ def _commutant_rows_exact(matrices):
     return rows
 
 
-def _commutant_nullity_mod_p(matrices) -> int:
-    """Nullity of the commutant system of ZMatrix matrices reduced into
-    F_p, at the first split prime p that divides no denominator."""
-    for p, root in _split_primes():
-        try:
-            reduced = [t.residues(p, root) for t in matrices]
-        except ValueError:
-            continue
-        return matrices[0].ncols ** 2 - rank_mod_p(_commutant_rows(reduced), p)
-
-
 def commutant_dimension(rep: FinDimRep) -> int:
     """Dimension of {S : [S, T(v)] = 0 for every basis matrix T(v)}, for
     an exact representation.
 
-    The representation is first reduced into F_p (p = 1 mod 4, with i
-    mapped to a square root of -1).  That reduction is a ring
-    homomorphism on the entries, so the rank of the system cannot rise
-    under it: the mod-p nullity is at least the exact one, which is at
-    least 1 because the identity commutes.  A mod-p nullity of 1 is
-    therefore the exact answer.  Any other mod-p nullity takes one exact
-    rank computation, fraction-free in Z[i].  A float representation is
-    refused, since noise makes the system full rank.  The dimension is
-    insensitive to scalar extension; its interpretation as a Schur
-    irreducibility test is only faithful over algebraically closed
-    scalars."""
+    The system is built once over Z[i] and first reduced into F_p
+    (p = 1 mod 4, with i mapped to a square root of -1).  That reduction
+    is a ring homomorphism, so the rank cannot rise under it, also where
+    p divides a denominator: the mod-p nullity is at least the exact
+    one, which is at least 1 because the identity commutes.  A mod-p
+    nullity of 1 is therefore the exact answer.  Any other mod-p nullity
+    takes one exact rank computation, fraction-free in Z[i].  A float
+    representation is refused, since noise makes the system full rank.
+    The dimension is insensitive to scalar extension; its interpretation
+    as a Schur irreducibility test is only faithful over algebraically
+    closed scalars."""
     if not rep.is_exact:
         raise DomainError("the commutant dimension needs an exact representation")
-    if _commutant_nullity_mod_p(list(rep.exact_matrices.values())) == 1:
+    rows = _commutant_rows(rep.exact_matrices.values())
+    unknowns = rep.space_dim**2
+    if unknowns - rank_mod_p(rows, _COMMUTANT_PRIME, _COMMUTANT_ROOT) == 1:
         return 1
-    return rep.space_dim**2 - rank(_commutant_rows_exact(rep.exact_matrices.values()))
+    return unknowns - rank(rows)
 
 
 def is_irreducible(rep: FinDimRep) -> bool:

@@ -245,19 +245,6 @@ class ZMatrix:
         """All entries times den as one sparse row, row-major."""
         return {k * self.ncols + j: e for k, row in enumerate(self.rows) for j, e in row.items()}
 
-    def residues(self, p: int, root: int):
-        """Dense rows of ints in [0, p): the image in F_p with i mapped to
-        root.  One inverse of den serves every entry; ValueError when p
-        divides den."""
-        inv = pow(self.den, -1, p)
-        out = []
-        for row in self.rows:
-            dense = [0] * self.ncols
-            for j, (r, i) in row.items():
-                dense[j] = (r + root * i) * inv % p
-            out.append(dense)
-        return out
-
 
 # -- matrix helpers: lists of rows, or ZMatrix --------------------------------
 
@@ -395,24 +382,29 @@ def rank(a) -> int:
     return found
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p of a matrix of Python ints (list of rows), by row
-    echelon elimination with every entry kept in [0, p)."""
-    m = [r for r in ([x % p for x in row] for row in rows) if any(r)]
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = pow(m[r][c], -1, p)
-        pivot = [x * inv % p for x in m[r][c:]]
-        for i in range(r + 1, len(m)):
-            factor = m[i][c]
-            if factor:
-                m[i][c:] = [(x - factor * y) % p for x, y in zip(m[i][c:], pivot)]
-        r += 1
-    return r
+def rank_mod_p(rows, p: int, root: int) -> int:
+    """Rank over F_p of sparse rows {column: (re, im)} of Gaussian
+    integers, with i mapped to root (a square root of -1 mod p).  Each
+    row is reduced against the pivot rows kept so far, one per leading
+    column and scaled to lead with 1, entries in [0, p)."""
+    pivots = {}
+    for row in rows:
+        v = {j: x for j, (r, i) in row.items() if (x := (r + root * i) % p)}
+        while v:
+            c = min(v)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(v[c], -1, p)
+                pivots[c] = {j: x * inv % p for j, x in v.items()}
+                break
+            f = v[c]
+            for j, y in pivot.items():
+                x = (v.get(j, 0) - f * y) % p
+                if x:
+                    v[j] = x
+                else:
+                    v.pop(j, None)
+    return len(pivots)
 
 
 def nullspace(a):

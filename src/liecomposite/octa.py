@@ -30,6 +30,7 @@ from .findim import (
     SubspaceAlgebra,
     _entry_abs,
     _max_abs,
+    _tolerance,
     check_representation,
     commutant_dimension,
     format_scalar,
@@ -329,7 +330,7 @@ def extract_so4(
     """
     composite = build_octahedron()
     exact = rep.is_exact and tolerance is None
-    tol = 1e-9 if tolerance is None else float(tolerance)
+    tol = _tolerance(tolerance)
 
     def zeroish(matrix) -> bool:
         return not matrix if exact else _max_abs(matrix) <= tol

@@ -723,7 +723,7 @@ def _probe(polys, h0: Fraction, count: int) -> bool:
     def block(start: int, stop: int) -> float:
         offsets = range(start * stride, stop * stride, stride)
         chunks = (
-            squares(list(map(x0.__add__, offsets[k : k + _PROBE_CHUNK])))
+            squares([x0 + o for o in offsets[k : k + _PROBE_CHUNK]])
             for k in range(0, len(offsets), _PROBE_CHUNK)
         )
         # one sum() over the chained chunks: the terms in the same order

@@ -7,7 +7,7 @@ import pytest
 
 from liecomposite.cli import RunConfig, build_parser, main, run
 from liecomposite.errors import DomainError
-from liecomposite.findim import FinDimRep, save_composite, save_rep
+from liecomposite.findim import FinDimRep, rep_to_data, save_composite, save_rep
 from liecomposite.octa import VERTICES, build_octahedron, so4_composite_rep
 
 
@@ -117,6 +117,35 @@ def test_missing_file_exits_two(tmp_path, capsys):
     code, out, err = invoke(capsys, "composite-check", str(tmp_path / "nope.json"))
     assert code == 2
     assert "error:" in err
+
+
+def test_float_entries_among_gaussian_matrices_exit_two(tmp_path, capsys):
+    cpath = tmp_path / "octa.json"
+    rpath = tmp_path / "mixed.json"
+    save_composite(build_octahedron(), cpath)
+    data = rep_to_data(so4_composite_rep(1, 0))
+    data["matrices"]["A"] = [[0.0, "1/2"], ["-1/2", "0"]]
+    rpath.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = invoke(capsys, "composite-check", str(cpath), "--rep", str(rpath))
+    assert code == 2
+    assert err.startswith("error: matrix for A has float entries")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_tolerance_that_decides_nothing_exits_two(tmp_path, capsys, tolerance):
+    cpath = tmp_path / "octa.json"
+    rpath = tmp_path / "zero.json"
+    save_composite(build_octahedron(), cpath)
+    save_rep(FinDimRep(1, {v: [[Fraction(0)]] for v in VERTICES}), rpath)
+    code, out, err = invoke(
+        capsys, "composite-check", str(cpath), "--rep", str(rpath), "--tolerance", tolerance
+    )
+    assert code == 2
+    assert err.startswith("error: tolerance must be finite and >= 0")
+    assert "Traceback" not in err
+    assert out == ""
 
 
 # -- numeric-weight handling ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Composite structures, axiom checks, representations, commutants, files."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -167,6 +168,18 @@ def test_rep_validation():
         FinDimRep(0, {})
 
 
+def test_rep_refuses_floats_mixed_with_gaussian_entries():
+    half = Fraction(1, 2)
+    gaussian = spin_half_matrices()
+    across = {**gaussian, "y": [[0.0, -half], [half, 0.0]]}
+    within = {"y": [[0.0, G(0, 1)], [F0, F0]]}
+    for mats in (across, within):
+        with pytest.raises(MalformedInputError, match="matrix for y has float entries"):
+            FinDimRep(2, mats)
+    # floats mixed with Fractions stay a float representation
+    assert not FinDimRep(2, {"x": [[0.0, half], [-half, 0.0]]}).is_exact
+
+
 # -- intersections and axioms ------------------------------------------------
 
 
@@ -291,6 +304,9 @@ def test_float_matrices_use_tolerance():
     coarse = FinDimRep(3, {k: [[float(e) + (1e-3 if k == "x" else 0.0) for e in row] for row in v] for k, v in ad.items()})
     assert not check_representation(comp, coarse).passed
     assert check_representation(comp, coarse, tolerance=1.0).passed
+    # tolerance 0 asks for exact agreement on the float path
+    assert not check_representation(comp, coarse, tolerance=0).passed
+    assert check_representation(comp, exact_rep, tolerance=0).passed
 
 
 def test_missing_matrix_raises():
@@ -450,27 +466,31 @@ def test_irreducible_so4_reps_are_decided_mod_p(exact_fallbacks, two_j1, two_j2)
     assert exact_fallbacks == []
 
 
-def test_commutant_moves_past_a_prime_dividing_a_denominator(exact_fallbacks, monkeypatch):
-    p = findim._COMMUTANT_PRIME
-    moduli = []
+def test_commutant_prime_is_a_split_prime_with_its_root():
+    p, root = findim._COMMUTANT_PRIME, findim._COMMUTANT_ROOT
+    assert p % 4 == 1
+    assert all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert root * root % p == p - 1
 
-    def spy(rows, modulus):
-        moduli.append(modulus)
-        return rank_mod_p(rows, modulus)
 
-    monkeypatch.setattr(findim, "rank_mod_p", spy)
+def test_commutant_is_exact_where_the_prime_divides_a_denominator(exact_fallbacks):
+    p, root = findim._COMMUTANT_PRIME, findim._COMMUTANT_ROOT
     # conjugating spin-1/2 by diag(1, p) puts p and 1/p off the diagonal
-    rep = FinDimRep(
-        2,
-        {
-            n: [[t[0][0], t[0][1] * p], [t[1][0] / p, t[1][1]]]
-            for n, t in spin_half_matrices().items()
-        },
-    )
+    conjugated = {
+        n: [[t[0][0], t[0][1] * p], [t[1][0] / p, t[1][1]]]
+        for n, t in spin_half_matrices().items()
+    }
+    # x and y alone still act irreducibly, but their numerators reduce to
+    # strictly lower triangular matrices mod p, whose commutant is 2-dim
+    rep = FinDimRep(2, {n: conjugated[n] for n in "xy"})
     assert rep.matrices["x"][1][0] == G(0, Fraction(-1, 2 * p))
+    rows = findim._commutant_rows(rep.exact_matrices.values())
+    assert 4 - rank_mod_p(rows, p, root) == 2
     assert commutant_dimension(rep) == 1
-    assert exact_fallbacks == []
-    assert len(moduli) == 1 and moduli[0] > p and moduli[0] % 4 == 1
+    assert exact_fallbacks == [len(rows)]
+    # z has denominator 2, and with it the reduction keeps the rank
+    assert commutant_dimension(FinDimRep(2, conjugated)) == 1
+    assert len(exact_fallbacks) == 1
 
 
 def test_float_reps_are_refused():

@@ -5,7 +5,6 @@ matrix type ZMatrix against naive list arithmetic."""
 import random
 from fractions import Fraction as Fr
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecomposite.linalg import (
@@ -82,13 +81,21 @@ def test_rank_of_mixed_fraction_and_gaussian_rows():
     assert rank(rows) == 3
 
 
+_P = 2**30 - 35
+_ROOT = pow(3, (_P - 1) // 4, _P)  # a square root of -1 mod _P
+
+
+def int_rows(rows):
+    """Integer rows as sparse Gaussian-integer rows {column: (re, 0)}."""
+    return [{j: (x, 0) for j, x in enumerate(row) if x} for row in rows]
+
+
 def test_rank_mod_p_matches_rank_over_q_away_from_p():
     rng = random.Random(31)
-    p = 2**30 - 35
     for _ in range(30):
         rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(rng.randint(1, 6))]
         rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])  # a dependent row
-        assert rank_mod_p(rows, p) == rank([[Fr(x) for x in row] for row in rows])
+        assert rank_mod_p(int_rows(rows), _P, _ROOT) == rank([[Fr(x) for x in row] for row in rows])
 
 
 def test_rank_mod_p_can_only_drop():
@@ -96,9 +103,14 @@ def test_rank_mod_p_can_only_drop():
     # to the first
     rows = [[1, 2, 3], [7, 14, 0], [8, 16, 24 + 7]]
     assert rank([[Fr(x) for x in row] for row in rows]) == 2
-    assert rank_mod_p(rows, 7) == 1
-    assert rank_mod_p([], 7) == 0
-    assert rank_mod_p([[0, 7, -14]], 7) == 0
+    assert rank_mod_p(int_rows(rows), 7, 0) == 1
+    assert rank_mod_p([], 7, 0) == 0
+    assert rank_mod_p(int_rows([[0, 7, -14]]), 7, 0) == 0
+    # (1, i) and (-2, 3) are independent over Q(i), but their determinant
+    # 3 + 2i has norm 13 and vanishes with i -> 5 (5 * 5 = -1 mod 13)
+    gaussian = [{0: (1, 0), 1: (0, 1)}, {0: (-2, 0), 1: (3, 0)}]
+    assert rank(gaussian) == 2
+    assert rank_mod_p(gaussian, 13, 5) == 1
 
 
 # -- ZMatrix against a naive reference over Fraction / GaussianRational lists --
@@ -134,11 +146,6 @@ def ref_kron(a, b):
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
 
-def ref_residue(x, p, root):
-    re, im = (x.re, x.im) if isinstance(x, G) else (Fr(x), Fr(0))
-    return (re.numerator * pow(re.denominator, -1, p) + root * im.numerator * pow(im.denominator, -1, p)) % p
-
-
 def ref_rank(a):
     """Gaussian elimination over Q(i) with field division."""
     rows = [list(row) for row in a if any(row)]
@@ -169,17 +176,7 @@ def test_zmatrix_agrees_with_naive_list_arithmetic(pair):
     assert entries_equal(kron(za, zb).to_rows(), ref_kron(a, b))
     assert (not za) == all(not x for row in a for x in row)
     assert (not mat_commutator(za, zb)) == all(not x for row in ref_sub(ref_mul(a, b), ref_mul(b, a)) for x in row)
-    for p, root in ((13, 5), (2**30 - 35, pow(3, (2**30 - 36) // 4, 2**30 - 35))):
-        assert root * root % p == p - 1
-        assert za.residues(p, root) == [[ref_residue(x, p, root) for x in row] for row in a]
+    assert rank_mod_p(za.rows, _P, _ROOT) == ref_rank(a)
     assert rank(a) == ref_rank(a)
     assert rank(za.rows) == ref_rank(a)
     assert rank([za.flat(), zb.flat()]) == ref_rank([[x for row in m for x in row] for m in (a, b)])
-
-
-def test_zmatrix_residue_refuses_a_prime_dividing_the_denominator():
-    z = ZMatrix.from_rows([[Fr(1, 7), G(0, 1)], [Fr(0), Fr(2)]])
-    assert z.den == 7
-    with pytest.raises(ValueError):
-        z.residues(7, 1)
-    assert z.residues(13, 5) == [[2, 5], [0, 2]]

@@ -265,6 +265,12 @@ def test_extraction_float_rep_uses_tolerance():
     assert any("float input" in n for n in notes)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf")])
+def test_extraction_refuses_a_tolerance_that_decides_nothing(tolerance):
+    with pytest.raises(DomainError, match="tolerance must be finite and >= 0"):
+        extract_so4(adjoint_rep(as_float=True), tolerance=tolerance)
+
+
 def test_extraction_serialization_shape_and_determinism():
     ext = extract_so4(so4_composite_rep(1, 1))
     data = ext.to_data()
