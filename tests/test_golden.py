@@ -70,6 +70,9 @@ CASES = {
         "composite-check", "tests/golden/octa.json", "--rep", "tests/golden/so4_1_1.json",
         "--tolerance", "1e-6",
     ],
+    # two subspaces with Gaussian-rational bases whose brackets clash on a
+    # 2-dimensional intersection: the note prints the intersection basis
+    "composite-check-gaussian-clash": ["composite-check", "tests/golden/gaussian_clash.json"],
     "octa-demo-1-1": ["octa-demo", "--two-j1", "1", "--two-j2", "1"],
     # the parameter point of the benchmark's octa workload
     "octa-demo-2-1": ["octa-demo", "--two-j1", "2", "--two-j2", "1"],
@@ -93,6 +96,7 @@ EXIT_CODES = {
     "witt-closed-1-1-literal": 1,
     "witt-closed-1-2-literal": 1,
     "composite-check-octa-so4_1_1-broken": 1,
+    "composite-check-gaussian-clash": 1,
 }
 
 # so4_1_1 conjugated into a real basis: T -> S^-1 T S, with S the columns
