@@ -11,8 +11,11 @@ constrained.
 
 All axiom checks are exact.  Representation matrices may be Fraction,
 Gaussian-rational, or float entries; a tolerance enters only when floats
-are present.  Exact representation checks run on ZMatrix integers, and
-the tolerance path on the entry lists.
+are present or is asked for.  Every exact computation runs on ZMatrix
+integers: subspace bases and structure constants, brackets, spans and
+coordinates, and representation matrices, also under a tolerance, where
+each residual entry is read as the rational it stands for.  Only float
+representations use the entry lists.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 import math
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import (
     DimensionMismatchError,
@@ -32,8 +35,10 @@ from .errors import (
 from .linalg import (
     GaussianRational,
     ZMatrix,
+    _gauss,
+    _transposes,
     column_space_intersection,
-    column_span_contains,
+    coordinates,
     kron,
     mat_add,
     mat_commutator,
@@ -42,7 +47,6 @@ from .linalg import (
     nullspace,  # unused here; findim.nullspace stays a public name
     rank,
     rank_mod_p,
-    solve_columns,
 )
 from .report import FAIL, INFO, PASS, CheckItem, CheckReport
 
@@ -82,6 +86,14 @@ def _exact_vector(values, what: str):
     return vector
 
 
+def _integer(value, what: str) -> int:
+    """value itself if it is an int; a float, string or boolean (JSON
+    true is not 1) is refused rather than truncated or read."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInputError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def _coerce_scalar(v):
     if isinstance(v, bool):
         raise MalformedInputError(f"unsupported scalar {v!r} (a boolean is not a number)")
@@ -98,7 +110,10 @@ class SubspaceAlgebra:
     basis: rows, each an ambient coordinate vector; structure constants
     c[k][i][j] give [b_i, b_j] = sum_k c[k][i][j] b_k.  Scalars are exact
     (floats are refused).  Validates linear independence, antisymmetry,
-    and the Jacobi identity exactly.
+    and the Jacobi identity exactly.  The arithmetic runs on two ZMatrix
+    values: basis_matrix (dim x ambient) and bracket_matrix (dim^2 x dim,
+    row i * dim + j holding the coordinates of [b_i, b_j]), so that the
+    brackets of coordinate rows X are X.kron(Y) @ bracket_matrix.
     """
 
     def __init__(self, name: str, basis, structure_constants):
@@ -112,7 +127,8 @@ class SubspaceAlgebra:
         widths = {len(row) for row in self.basis}
         if len(widths) != 1:
             raise MalformedInputError(f"subspace {name}: ragged basis rows")
-        if rank([list(row) for row in self.basis]) != dim:
+        self.basis_matrix = ZMatrix.from_rows(self.basis)
+        if rank(self.basis_matrix.rows) != dim:
             raise MalformedInputError(f"subspace {name}: basis rows are dependent")
         c = structure_constants
         if len(c) != dim or any(
@@ -125,24 +141,27 @@ class SubspaceAlgebra:
             tuple(_exact_vector(row, f"structure constants of {name}") for row in plane)
             for plane in c
         )
-        for k in range(dim):
-            for i in range(dim):
-                for j in range(dim):
-                    if self.structure_constants[k][i][j] != -self.structure_constants[k][j][i]:
-                        raise MalformedInputError(
-                            f"subspace {name}: c[{k}][{i}][{j}] breaks antisymmetry"
-                        )
+        self.bracket_matrix = ZMatrix.from_rows(
+            [[plane[i][j] for plane in self.structure_constants]
+             for i in range(dim) for j in range(dim)]
+        )
+        rows = self.bracket_matrix.rows
+        for k, i, j in product(range(dim), repeat=3):
+            r, im = rows[j * dim + i].get(k, (0, 0))
+            if rows[i * dim + j].get(k, (0, 0)) != (-r, -im):
+                raise MalformedInputError(
+                    f"subspace {name}: c[{k}][{i}][{j}] breaks antisymmetry"
+                )
         self._check_jacobi()
 
     def _check_jacobi(self):
-        """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] = 0."""
-        eye = mat_identity(self.dim)
-        for i, j, k in combinations(range(self.dim), 3):
-            terms = [
-                self.bracket_coords(self.bracket_coords(eye[a], eye[b]), eye[c])
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
-            ]
-            if any(sum(t) for t in zip(*terms)):
+        """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] = 0:
+        row (i * dim + j) * dim + k of nested holds [[b_i, b_j], b_k]."""
+        d = self.dim
+        nested = self.bracket_matrix.kron(ZMatrix.identity(d)) @ self.bracket_matrix
+        for i, j, k in combinations(range(d), 3):
+            cyclic = {(a * d + b) * d + c: (1, 0) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))}
+            if ZMatrix(1, [cyclic], d**3) @ nested:
                 raise MalformedInputError(f"subspace {self.name}: Jacobi fails at ({i},{j},{k})")
 
     @property
@@ -153,28 +172,21 @@ class SubspaceAlgebra:
     def ambient_dim(self) -> int:
         return len(self.basis[0])
 
-    def columns(self):
-        """Basis vectors as columns of the inclusion matrix."""
-        return [list(row) for row in self.basis]
-
-    def to_ambient(self, coords):
-        terms = [(x, self.basis[p]) for p, x in enumerate(coords) if x]
-        return [sum((x * b[i] for x, b in terms), Fraction(0)) for i in range(self.ambient_dim)]
-
     def bracket_coords(self, x, y):
-        """Bracket of two coordinate vectors, in subspace coordinates; zero
-        coordinates are skipped."""
-        c = self.structure_constants
-        pairs = [(i, j, xi * yj) for i, xi in enumerate(x) if xi for j, yj in enumerate(y) if yj]
-        return [
-            sum((c[k][i][j] * xy for i, j, xy in pairs if c[k][i][j]), Fraction(0))
-            for k in range(self.dim)
-        ]
+        """Bracket of two coordinate vectors, in subspace coordinates."""
+        xy = ZMatrix.from_rows([x]).kron(ZMatrix.from_rows([y]))
+        return (xy @ self.bracket_matrix).to_rows()[0]
+
+    def ambient_brackets(self, vectors: ZMatrix) -> ZMatrix:
+        """Row p * k + q: the bracket of rows p and q of vectors, k ambient
+        vectors of this subspace, in ambient coordinates."""
+        x = coordinates(self.basis_matrix, vectors)
+        return x.kron(x) @ self.bracket_matrix @ self.basis_matrix
 
 
 class FinDimComposite:
     def __init__(self, dimension: int, basis_names, subspaces):
-        self.dimension = int(dimension)
+        self.dimension = _integer(dimension, "dimension")
         self.basis_names = tuple(str(n) for n in basis_names)
         if self.dimension < 1 or len(self.basis_names) != self.dimension:
             raise MalformedInputError("dimension must match the basis name count")
@@ -197,24 +209,29 @@ class FinDimComposite:
 
 
 class FinDimRep:
-    """A matrix for every ambient basis vector, all of one square size."""
+    """A matrix for every ambient basis vector, all of one square size.
+
+    A matrix is given as rows of scalars or as a ZMatrix; matrices holds
+    the rows."""
 
     def __init__(self, space_dim: int, matrices):
-        self.space_dim = int(space_dim)
+        self.space_dim = _integer(space_dim, "space_dim")
         if self.space_dim < 1:
             raise MalformedInputError("representation space must be nonzero")
         out = {}
         for name, matrix in dict(matrices).items():
-            rows = [
-                list(_coerce_vector(row, f"matrix row of {name}")) for row in matrix
-            ]
+            name = str(name)
+            if isinstance(matrix, ZMatrix):
+                rows = matrix.to_rows()
+            else:
+                rows = [list(_coerce_vector(row, f"matrix row of {name}")) for row in matrix]
             if len(rows) != self.space_dim or any(
                 len(row) != self.space_dim for row in rows
             ):
                 raise MalformedInputError(
                     f"matrix for {name} is not {self.space_dim}x{self.space_dim}"
                 )
-            out[str(name)] = rows
+            out[name] = rows
         if not out:
             raise MalformedInputError("representation has no matrices")
         floated = [n for n, m in out.items() if any(isinstance(x, float) for r in m for x in r)]
@@ -226,15 +243,7 @@ class FinDimRep:
                 " Gaussian-rational entries (write them as strings)"
             )
         self.matrices = out
-
-    @property
-    def is_exact(self) -> bool:
-        return all(
-            isinstance(x, _EXACT_TYPES)
-            for m in self.matrices.values()
-            for row in m
-            for x in row
-        )
+        self.is_exact = not floated
 
     @cached_property
     def exact_matrices(self) -> dict:
@@ -247,14 +256,14 @@ class FinDimRep:
         except KeyError:
             raise DimensionMismatchError(f"no matrix for basis vector {name!r}") from None
 
-    def ambient_matrix(self, vector, basis_names, exact: bool = False):
-        """Matrix of T applied to an ambient coordinate vector: a ZMatrix
-        summed over the nonzero coefficients when exact, else a list of
-        rows."""
+    def ambient_matrix(self, vector, basis_names):
+        """Matrix of T applied to an ambient coordinate vector: for an exact
+        representation a ZMatrix summed over the nonzero coefficients,
+        else a list of rows."""
         if len(vector) != len(basis_names):
             raise DimensionMismatchError("coordinate vector has the wrong length")
         matrices = [self.matrix(name) for name in basis_names]
-        if exact:
+        if self.is_exact:
             total = ZMatrix(1, [{} for _ in range(self.space_dim)], self.space_dim)
             for coeff, name in zip(vector, basis_names):
                 if coeff:
@@ -274,19 +283,27 @@ class FinDimRep:
 
 def intersect_subspaces(composite: FinDimComposite, i: int, j: int):
     """Exact basis (list of ambient vectors) of the pairwise intersection."""
-    a = composite.subspaces[i]
-    b = composite.subspaces[j]
-    return column_space_intersection(a.columns(), b.columns())
+    subs = composite.subspaces
+    return column_space_intersection(subs[i].basis, subs[j].basis)
+
+
+def _abs(re: int, im: int, den: int) -> float:
+    """|(re + im i) / den|, rounded as the Fraction or Gaussian rational
+    that _scalar makes of it."""
+    return abs(re / den) if not im else ((re * re + im * im) / (den * den)) ** 0.5
 
 
 def _entry_abs(x) -> float:
-    if isinstance(x, GaussianRational):
-        return float(x.abs2()) ** 0.5
-    return abs(float(x))
+    return abs(x) if isinstance(x, float) else _abs(*_gauss(x))
 
 
 def _max_abs(matrix) -> float:
-    return max((_entry_abs(x) for row in matrix for x in row), default=0.0)
+    """Largest entry modulus of a ZMatrix, or of rows of floats and Fractions."""
+    if isinstance(matrix, ZMatrix):
+        entries = (_abs(r, i, matrix.den) for row in matrix.rows for r, i in row.values())
+    else:
+        entries = (abs(float(x)) for row in matrix for x in row)
+    return max(entries, default=0.0)
 
 
 def _tolerance(tolerance) -> float:
@@ -333,48 +350,33 @@ def check_compatibility(composite: FinDimComposite) -> CheckReport:
                               note="zero intersection, trivially compatible")
                 )
                 continue
-            coords_a = [solve_columns(a.columns(), w) for w in inter]
-            coords_b = [solve_columns(b.columns(), w) for w in inter]
-            witness = None
-            for p in range(len(inter)):
-                for q in range(len(inter)):
-                    br_a = a.to_ambient(a.bracket_coords(coords_a[p], coords_a[q]))
-                    br_b = b.to_ambient(b.bracket_coords(coords_b[p], coords_b[q]))
-                    if not column_span_contains(inter, br_a):
-                        witness = (p, q, f"bracket of {a.name} leaves the intersection")
-                        break
-                    if not column_span_contains(inter, br_b):
-                        witness = (p, q, f"bracket of {b.name} leaves the intersection")
-                        break
-                    if br_a != br_b:
-                        diff = [x - y for x, y in zip(br_a, br_b)]
-                        witness = (p, q, f"induced brackets differ by {_vec_str(diff)}")
-                        break
-                if witness:
-                    break
-            if witness is None:
-                items.append(
-                    CheckItem(
-                        subject=f"{label} intersection dimension {len(inter)}",
-                        verdict=PASS,
-                    )
-                )
+            # row p * k + q of each bracket table: [inter[p], inter[q]]
+            k, basis = len(inter), ZMatrix.from_rows(inter)
+            br_a, br_b = a.ambient_brackets(basis), b.ambient_brackets(basis)
+            diff = br_a.add(br_b, -1)
+            subject = f"{label} intersection dimension {k}"
+            for pq in range(k * k):
+                if rank(basis.rows + [br_a.rows[pq]]) > k:
+                    why = f"bracket of {a.name} leaves the intersection"
+                elif rank(basis.rows + [br_b.rows[pq]]) > k:
+                    why = f"bracket of {b.name} leaves the intersection"
+                elif diff.rows[pq]:
+                    why = f"induced brackets differ by {_vec_str(diff.to_rows()[pq])}"
+                else:
+                    continue
+                p, q = divmod(pq, k)
+                note = f"witness vectors {_vec_str(inter[p])}, {_vec_str(inter[q])}: {why}"
+                items.append(CheckItem(subject=subject, verdict=FAIL, note=note))
+                break
             else:
-                p, q, why = witness
-                items.append(
-                    CheckItem(
-                        subject=f"{label} intersection dimension {len(inter)}",
-                        verdict=FAIL,
-                        note=f"witness vectors {_vec_str(inter[p])}, {_vec_str(inter[q])}: {why}",
-                    )
-                )
+                items.append(CheckItem(subject=subject, verdict=PASS))
     return CheckReport.build(
         "compatibility", {"subspaces": len(subs)}, items
     )
 
 
 def check_dense(composite: FinDimComposite) -> bool:
-    rows = [list(row) for s in composite.subspaces for row in s.basis]
+    rows = [row for s in composite.subspaces for row in s.basis_matrix.rows]
     return rank(rows) == composite.dimension
 
 
@@ -386,9 +388,10 @@ def check_connected(composite: FinDimComposite) -> bool:
     while frontier:
         i = frontier.pop()
         for j in range(n):
-            if j not in seen and column_space_intersection(
-                subs[i].columns(), subs[j].columns()
-            ):
+            # independent bases meet in a nonzero space iff together they drop rank
+            if j not in seen and rank(
+                subs[i].basis_matrix.rows + subs[j].basis_matrix.rows
+            ) < subs[i].dim + subs[j].dim:
                 seen.add(j)
                 frontier.append(j)
     return len(seen) == n
@@ -409,12 +412,12 @@ def check_representation(
     names = composite.basis_names
     items = []
     for sub in composite.subspaces:
-        mats = [rep.ambient_matrix(list(row), names, exact) for row in sub.basis]
+        mats = [rep.ambient_matrix(list(row), names) for row in sub.basis]
+        brackets = (sub.bracket_matrix @ sub.basis_matrix).to_rows()
         for p in range(sub.dim):
             for q in range(p + 1, sub.dim):
                 comm = mat_commutator(mats[p], mats[q])
-                coords = [sub.structure_constants[k][p][q] for k in range(sub.dim)]
-                target = rep.ambient_matrix(sub.to_ambient(coords), names, exact)
+                target = rep.ambient_matrix(brackets[p * sub.dim + q], names)
                 diff = mat_sub(comm, target)
                 if exact:
                     ok = not diff
@@ -441,14 +444,19 @@ def check_representation(
 
 def tensor_product(rep1: FinDimRep, rep2: FinDimRep) -> FinDimRep:
     """Tensor of two representations of the same composite:
-    x maps to T1(x) (x) 1 + 1 (x) T2(x)."""
+    x maps to T1(x) (x) 1 + 1 (x) T2(x), in ZMatrix integers when both
+    are exact."""
     if set(rep1.matrices) != set(rep2.matrices):
         raise DomainError("representations are keyed by different basis names")
-    eye1 = mat_identity(rep1.space_dim)
-    eye2 = mat_identity(rep2.space_dim)
+    n1, n2 = rep1.space_dim, rep2.space_dim
+    if rep1.is_exact and rep2.is_exact:
+        eye1, eye2 = ZMatrix.identity(n1), ZMatrix.identity(n2)
+        mats1, mats2 = rep1.exact_matrices, rep2.exact_matrices
+    else:
+        eye1, eye2 = mat_identity(n1), mat_identity(n2)
+        mats1, mats2 = rep1.matrices, rep2.matrices
     matrices = {
-        name: mat_add(kron(m1, eye2), kron(eye1, rep2.matrices[name]))
-        for name, m1 in rep1.matrices.items()
+        name: mat_add(kron(m1, eye2), kron(eye1, mats2[name])) for name, m1 in mats1.items()
     }
     return FinDimRep(rep1.space_dim * rep2.space_dim, matrices)
 
@@ -463,16 +471,12 @@ _COMMUTANT_ROOT = pow(3, (_COMMUTANT_PRIME - 1) // 4, _COMMUTANT_PRIME)
 def _commutant_rows(matrices):
     """The linear system [S, T] = 0 for every ZMatrix T in matrices, in
     the m*m entries of S (row-major): one sparse row {column: (re, im)}
-    of Gaussian integers per entry (i, j) of each T.  The system is
-    homogeneous, so each T enters by its numerators alone; rows that
-    vanish are dropped."""
+    of Gaussian integers per entry (i, j) of each T, the row (i, j) of
+    1 (x) T^T - T (x) 1.  The system is homogeneous, so each T enters by
+    its numerators alone; rows that vanish are dropped."""
     rows = []
     for t in matrices:
-        m = t.ncols
-        cols = [{} for _ in range(m)]
-        for q, trow in enumerate(t.rows):
-            for j, z in trow.items():
-                cols[j][q] = z
+        m, cols = t.ncols, _transposes(t).rows
         for i, trow in enumerate(t.rows):
             for j in range(m):
                 row = {i * m + q: z for q, z in cols[j].items()}

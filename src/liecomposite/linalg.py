@@ -1,24 +1,30 @@
-"""Exact linear algebra over small fields: Gaussian rationals, the integer
-matrix type ZMatrix, and matrix routines (rref, rank, nullspace, Kronecker
-products, congruence signature).
+"""Exact linear algebra over Q(i): the integer matrix type ZMatrix, one
+fraction-free elimination for every span question (rref, nullspace,
+coordinates, intersections), rank over Q(i) and F_p, Kronecker products
+and the congruence signature.
 
-List-of-lists matrices may hold Fraction, GaussianRational or float
-entries; those routines only use field operations and truthiness for zero
-tests, so the types mix freely.  An exact matrix can instead be a ZMatrix,
-whose arithmetic stays in Python ints; the product, sum, trace and
-Kronecker helpers accept either form.
+Every exact computation runs on sparse Gaussian-integer rows: a ZMatrix
+keeps one positive denominator and rows {column: (re, im)} of Python
+ints.  GaussianRational only parses, prints and compares scalars at the
+boundary; it does no arithmetic.  The list-of-lists routines (rref,
+nullspace, solve_columns, ...) take and return exact scalars (Fraction or
+GaussianRational) and convert at entry and exit.  The mat_* helpers
+accept a ZMatrix, or lists of Fraction and float entries for the
+tolerance path of float representations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError, ParseError
 
 
 class GaussianRational:
-    """Element of Q(i): an exact complex number with rational parts."""
+    """Element of Q(i): an exact complex number with rational parts.  A
+    value type: it parses, prints, compares and hashes, and arithmetic on
+    Q(i) runs on ZMatrix integers instead."""
 
     __slots__ = ("re", "im")
 
@@ -55,72 +61,15 @@ class GaussianRational:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad scalar {text!r}: {exc}") from None
 
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def _coerced(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        d = o.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(o.re / d, -o.im / d)
-
-    def __rtruediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            other = GaussianRational(other)
+        if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
         return hash(self.re) if not self.im else hash((self.re, self.im))
@@ -176,6 +125,10 @@ class ZMatrix:
         ]
         return cls(den, rows, len(a[0]) if a else 0)
 
+    @classmethod
+    def identity(cls, n: int):
+        return cls(1, [{k: (1, 0)} for k in range(n)], n)
+
     def to_rows(self):
         zero = Fraction(0)
         return [
@@ -225,9 +178,11 @@ class ZMatrix:
         ]
         return ZMatrix(self.den * sd, rows, self.ncols)
 
-    def trace(self):
+    def trace(self, divisor: int = 1):
+        """The trace over divisor, from the diagonal numerators over den * divisor."""
         diagonal = [row[k] for k, row in enumerate(self.rows) if k in row]
-        return _scalar(sum(r for r, _ in diagonal), sum(i for _, i in diagonal), self.den)
+        re, im = sum(r for r, _ in diagonal), sum(i for _, i in diagonal)
+        return _scalar(re, im, self.den * divisor)
 
     def kron(self, other):
         rows = [
@@ -257,8 +212,8 @@ def mat_shape(a):
     return rows, cols
 
 
-def mat_identity(n, one=Fraction(1)):
-    zero = one * 0
+def mat_identity(n):
+    one, zero = Fraction(1), Fraction(0)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
@@ -307,9 +262,7 @@ def mat_trace(a):
     rows, cols = mat_shape(a)
     if rows != cols:
         raise DimensionMismatchError("trace of non-square matrix")
-    if rows == 0:
-        return Fraction(0)
-    acc = a[0][0]
+    acc = a[0][0] if rows else Fraction(0)
     for i in range(1, rows):
         acc = acc + a[i][i]
     return acc
@@ -325,30 +278,6 @@ def kron(a, b):
         for i in range(ra)
         for k in range(rb)
     ]
-
-
-def rref(a):
-    """Reduced row echelon form; returns (new matrix, pivot column list)."""
-    rows, cols = mat_shape(a)
-    m = [list(row) for row in a]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [m[i][j] - factor * m[r][j] for j in range(cols)]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
 
 
 def rank(a) -> int:
@@ -407,24 +336,108 @@ def rank_mod_p(rows, p: int, root: int) -> int:
     return len(pivots)
 
 
+# -- span questions on one fraction-free elimination ---------------------------
+
+
+def _content_free(row: dict) -> dict:
+    g = gcd(*(x for entry in row.values() for x in entry))
+    return row if g == 1 else {j: (r // g, i // g) for j, (r, i) in row.items()}
+
+
+def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
+    """d * row - row[c] * pivot_row, with d the integer at pivot_row[c]."""
+    d, (fr, fi) = pivot_row[c][0], row[c]
+    out = {j: (d * r, d * i) for j, (r, i) in row.items()}
+    for j, (pr, pi) in pivot_row.items():
+        r0, i0 = out.pop(j, (0, 0))
+        r, i = r0 - fr * pr + fi * pi, i0 - fr * pi - fi * pr
+        if r or i:
+            out[j] = (r, i)
+    return _content_free(out)
+
+
+def echelon(rows) -> tuple:
+    """Reduced row echelon form of sparse Gaussian-integer rows
+    {column: (re, im)} by fraction-free Gauss-Jordan elimination: returns
+    (rows, pivots), one row per pivot column in increasing order.  A row
+    holds a positive integer d at its pivot, zeros at the other pivots,
+    and integer content 1; divided by d it is the row of the (unique)
+    reduced echelon form over Q(i).  Each new row is reduced by the pivot
+    rows so far, multiplied by the conjugate of its leading entry, and
+    cleared from the earlier pivot rows."""
+    pivots = {}
+    for row in rows:
+        for c in [c for c in row if c in pivots]:
+            row = _eliminate(row, pivots[c], c)
+        if row:
+            c = min(row)
+            pr, pi = row[c]
+            row = _content_free(
+                {j: (r * pr + i * pi, i * pr - r * pi) for j, (r, i) in row.items()}
+            )
+            for k, other in pivots.items():
+                if c in other:
+                    pivots[k] = _eliminate(other, row, c)
+            pivots[c] = row
+    return [pivots[c] for c in sorted(pivots)], sorted(pivots)
+
+
+def _kernel(a: ZMatrix) -> ZMatrix:
+    """Right kernel basis, one row per free column in increasing order: 1
+    there and minus the reduced echelon entry of that column at each
+    pivot."""
+    reduced, pivots = echelon(a.rows)
+    den = lcm(*(row[c][0] for row, c in zip(reduced, pivots)))
+    basis = []
+    for free in sorted(set(range(a.ncols)) - set(pivots)):
+        vector = {free: (den, 0)}
+        for row, c in zip(reduced, pivots):
+            if free in row:
+                f = den // row[c][0]
+                vector[c] = (-row[free][0] * f, -row[free][1] * f)
+        basis.append(vector)
+    return ZMatrix(den, basis, a.ncols)
+
+
+def _transposes(*blocks) -> ZMatrix:
+    """[A^T | B^T | ...] for ZMatrix blocks of rows of one length."""
+    den = lcm(*(block.den for block in blocks))
+    out, offset = [{} for _ in range(blocks[0].ncols)], 0
+    for block in blocks:
+        for k, row in enumerate(block.rows):
+            for i, (r, im) in row.items():
+                out[i][offset + k] = (r * (den // block.den), im * (den // block.den))
+        offset += len(block.rows)
+    return ZMatrix(den, out, offset)
+
+
+def coordinates(basis: ZMatrix, vectors: ZMatrix):
+    """X with X @ basis = vectors, zero at basis rows that depend on
+    earlier ones, or None if a row of vectors is outside the span: the
+    kernel rows of [basis^T | -vectors^T] at the vector columns."""
+    n = len(basis.rows)
+    kernel = _kernel(_transposes(basis, vectors.scale(-1)))
+    x = [row for row in kernel.rows if max(row) >= n]
+    if len(x) < len(vectors.rows):
+        return None
+    return ZMatrix(kernel.den, [{j: e for j, e in row.items() if j < n} for row in x], n)
+
+
+def rref(a):
+    """Reduced row echelon form; returns (new matrix, pivot column list)."""
+    rows, cols = mat_shape(a)
+    reduced, pivots = echelon(ZMatrix.from_rows(a).rows)
+    zero = Fraction(0)
+    m = [
+        [_scalar(*row[j], row[c][0]) if j in row else zero for j in range(cols)]
+        for row, c in zip(reduced, pivots)
+    ]
+    return m + [[zero] * cols for _ in range(rows - len(m))], pivots
+
+
 def nullspace(a):
     """Basis of the right kernel, as a list of column vectors (lists)."""
-    rows, cols = mat_shape(a)
-    if cols == 0:
-        return []
-    r, pivots = rref(a)
-    pivot_set = set(pivots)
-    one = a[0][0] * 0 + 1  # unit of whatever field the entries live in
-    zero = one * 0
-    basis = []
-    free = [c for c in range(cols) if c not in pivot_set]
-    for fc in free:
-        v = [zero] * cols
-        v[fc] = one
-        for prow, pc in enumerate(pivots):
-            v[pc] = -r[prow][fc]
-        basis.append(v)
-    return basis
+    return _kernel(ZMatrix.from_rows(a)).to_rows() if mat_shape(a)[1] else []
 
 
 def column_span_contains(basis_cols, vector) -> bool:
@@ -435,45 +448,27 @@ def column_span_contains(basis_cols, vector) -> bool:
 def independent_columns(cols):
     """Subset of the given column vectors forming a basis of their span:
     the first column of each new direction, in input order."""
-    return [cols[c] for c in rref([list(row) for row in zip(*cols)])[1]]
+    return [cols[c] for c in echelon(_transposes(ZMatrix.from_rows(cols)).rows)[1]]
 
 
 def column_space_intersection(u_cols, v_cols):
-    """Basis of the intersection of two column spans (lists of columns)."""
+    """Basis of the intersection of two column spans (lists of columns):
+    the nonzero U x over a kernel basis (x, y) of [U | -V], thinned to
+    independent vectors."""
     if not u_cols or not v_cols:
         return []
-    dim = len(u_cols[0])
-    stacked = [
-        [u_cols[j][i] for j in range(len(u_cols))]
-        + [-v_cols[j][i] for j in range(len(v_cols))]
-        for i in range(dim)
-    ]
-    vectors = []
-    for null in nullspace(stacked):
-        coeffs = null[: len(u_cols)]
-        w = [sum(coeffs[j] * u_cols[j][i] for j in range(len(u_cols))) for i in range(dim)]
-        if any(w):
-            vectors.append(w)
-    return independent_columns(vectors)
+    u, n = ZMatrix.from_rows(u_cols), len(u_cols)
+    kernel = _kernel(_transposes(u, ZMatrix.from_rows(v_cols).scale(-1)))
+    x = ZMatrix(kernel.den, [{j: e for j, e in row.items() if j < n} for row in kernel.rows], n)
+    return independent_columns([w for w in (x @ u).to_rows() if any(w)])
 
 
 def solve_columns(basis_cols, vector):
     """Coordinates of vector in the span of the given columns, or None."""
     if not basis_cols:
         return [] if all(not x for x in vector) else None
-    dim = len(basis_cols[0])
-    ncols = len(basis_cols)
-    aug = [
-        [basis_cols[j][i] for j in range(ncols)] + [vector[i]] for i in range(dim)
-    ]
-    r, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    zero = basis_cols[0][0] * 0
-    coords = [zero] * ncols
-    for row, col in enumerate(pivots):
-        coords[col] = r[row][ncols]
-    return coords
+    x = coordinates(ZMatrix.from_rows(basis_cols), ZMatrix.from_rows([vector]))
+    return None if x is None else x.to_rows()[0]
 
 
 def symmetric_signature(a):

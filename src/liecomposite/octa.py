@@ -36,9 +36,8 @@ from .findim import (
     format_scalar,
 )
 from .linalg import (
-    GaussianRational,
     ZMatrix,
-    kron,
+    _transposes,
     mat_commutator,
     mat_identity,
     mat_sub,
@@ -92,28 +91,16 @@ class OctahedronLabels:
         return cls()
 
 
-def _cyclic_so3_constants():
-    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-    for k, i, j in [(2, 0, 1), (0, 1, 2), (1, 2, 0)]:
-        c[k][i][j] = Fraction(1)
-        c[k][j][i] = Fraction(-1)
-    return c
-
-
 def build_octahedron() -> FinDimComposite:
     """The 6-dimensional composite with one so(3) per chosen face."""
     labels = OctahedronLabels.standard()
-    index = {v: i for i, v in enumerate(labels.vertices)}
-    subspaces = []
-    for face in labels.faces:
-        basis = []
-        for v in face:
-            row = [Fraction(0)] * 6
-            row[index[v]] = Fraction(1)
-            basis.append(row)
-        subspaces.append(
-            SubspaceAlgebra("".join(face), basis, _cyclic_so3_constants())
+    so3 = _abstract_constants([(0, 1, 2)], range(3))
+    subspaces = [
+        SubspaceAlgebra(
+            "".join(face), [[Fraction(v == w) for w in labels.vertices] for v in face], so3
         )
+        for face in labels.faces
+    ]
     return FinDimComposite(6, list(labels.vertices), subspaces)
 
 
@@ -121,33 +108,27 @@ def build_octahedron() -> FinDimComposite:
 
 
 def so3_irrep(two_j: int):
-    """Triple (X, Y, Z) with [X,Y] = Z, [Y,Z] = X, [Z,X] = Y, exactly.
+    """Triple (X, Y, Z) of ZMatrix values with [X,Y] = Z, [Y,Z] = X,
+    [Z,X] = Y, exactly.
 
     Size (two_j + 1) in the scaled weight basis: with ladder matrices
     E v_r = r(two_j - r + 1) v_{r-1}, F v_r = v_{r+1}, H v_r =
     (two_j - 2r) v_r, the triple is X = (E - F)/2, Y = -i(E + F)/2,
-    Z = -iH/2.  Entries are exact Gaussian rationals.
+    Z = -iH/2, held as Gaussian-integer numerators over the denominator 2.
     """
     if two_j < 0:
         raise DomainError("two_j must be a nonnegative integer")
     size = two_j + 1
-    zero = GaussianRational(0)
-    half = Fraction(1, 2)
-
-    def blank():
-        return [[zero for _ in range(size)] for _ in range(size)]
-
-    x, y, z = blank(), blank(), blank()
+    x, y, z = ([{} for _ in range(size)] for _ in range(3))
     for r in range(size):
         if r > 0:
-            up = Fraction(r * (two_j - r + 1))  # E: v_r -> up * v_{r-1}
-            x[r - 1][r] = x[r - 1][r] + GaussianRational(up * half)
-            y[r - 1][r] = y[r - 1][r] + GaussianRational(0, -up * half)
+            up = r * (two_j - r + 1)  # E: v_r -> up * v_{r-1}
+            x[r - 1][r], y[r - 1][r] = (up, 0), (0, -up)
         if r < two_j:
-            x[r + 1][r] = x[r + 1][r] + GaussianRational(-half)  # F: v_r -> v_{r+1}
-            y[r + 1][r] = y[r + 1][r] + GaussianRational(0, -half)
-        z[r][r] = GaussianRational(0, -(two_j - 2 * r) * half)
-    return x, y, z
+            x[r + 1][r], y[r + 1][r] = (-1, 0), (0, -1)  # F: v_r -> v_{r+1}
+        if two_j != 2 * r:
+            z[r][r] = (0, 2 * r - two_j)
+    return tuple(ZMatrix(2, m, size) for m in (x, y, z))
 
 
 # vertex -> (sign1, index1, sign2, index2): the operator is
@@ -251,12 +232,10 @@ def _search_vertex_assignment():
 
 
 def _rep_from_assignment(two_j1: int, two_j2: int, assignment) -> FinDimRep:
-    t1 = [ZMatrix.from_rows(t) for t in so3_irrep(two_j1)]
-    t2 = [ZMatrix.from_rows(t) for t in so3_irrep(two_j2)]
-    eye1 = ZMatrix.from_rows(mat_identity(two_j1 + 1))
-    eye2 = ZMatrix.from_rows(mat_identity(two_j2 + 1))
+    t1, t2 = so3_irrep(two_j1), so3_irrep(two_j2)
+    eye1, eye2 = ZMatrix.identity(two_j1 + 1), ZMatrix.identity(two_j2 + 1)
     matrices = {
-        vertex: kron(t1[i1], eye2).add(kron(eye1, t2[i2]), s1 * s2).scale(s1).to_rows()
+        vertex: t1[i1].kron(eye2).add(eye1.kron(t2[i2]), s1 * s2).scale(s1)
         for vertex, (s1, i1, s2, i2) in assignment.items()
     }
     return FinDimRep((two_j1 + 1) * (two_j2 + 1), matrices)
@@ -273,13 +252,18 @@ def so4_composite_rep(two_j1: int, two_j2: int) -> FinDimRep:
 # -- the extraction ---------------------------------------------------------
 
 
-def _minus_scalar(matrix, scalar):
-    """matrix - scalar * identity."""
+def _trace_shift(matrix):
+    """(lambda, matrix - lambda * identity) for lambda = trace / size.  A
+    ZMatrix stays in integers: lambda is its trace numerator over
+    den * size."""
     if isinstance(matrix, ZMatrix):
         n = len(matrix.rows)
-        return matrix.add(ZMatrix.from_rows(mat_identity(n, scalar)), -1) if scalar else matrix
-    eye = mat_identity(len(matrix))
-    return [
+        scalar = matrix.trace(n)
+        return scalar, matrix.add(ZMatrix.identity(n).scale(scalar), -1) if scalar else matrix
+    n = len(matrix)
+    scalar = mat_trace(matrix) / Fraction(n)
+    eye = mat_identity(n)
+    return scalar, [
         [x - scalar * e for x, e in zip(row, eye_row)]
         for row, eye_row in zip(matrix, eye)
     ]
@@ -331,6 +315,7 @@ def extract_so4(
     composite = build_octahedron()
     exact = rep.is_exact and tolerance is None
     tol = _tolerance(tolerance)
+    mode = "exact" if exact else f"tolerance {tol:g}"
 
     def zeroish(matrix) -> bool:
         return not matrix if exact else _max_abs(matrix) <= tol
@@ -354,35 +339,34 @@ def extract_so4(
     if not pre.passed:
         verdict = CheckReport.build(
             "so4-extraction",
-            {"space_dim": rep.space_dim, "arithmetic": "exact" if exact else f"tolerance {tol:g}"},
+            {"space_dim": rep.space_dim, "arithmetic": mode},
             items,
             notes=("input rejected before extraction",),
         )
         return So4Extraction({}, rep, {}, verdict, pre)
 
     dim = rep.space_dim
-    # exact input runs on ZMatrix integers, float input on the entry lists
-    mats = {v: rep.exact_matrices[v] if exact else rep.matrix(v) for v in VERTICES}
-    dim_scalar = Fraction(dim)
-
-    lambdas = {v: mat_trace(mats[v]) / dim_scalar for v in VERTICES}
-    shifted_mats = {v: _minus_scalar(mats[v], lambdas[v]) for v in VERTICES}
-    shifted = FinDimRep(
-        dim, {v: m.to_rows() for v, m in shifted_mats.items()} if exact else shifted_mats
-    )
+    # exact input runs on ZMatrix integers, also under a tolerance, and
+    # float input on the entry lists
+    zmat = rep.is_exact
+    mats = {v: rep.exact_matrices[v] if zmat else rep.matrix(v) for v in VERTICES}
+    shifts = {v: _trace_shift(mats[v]) for v in VERTICES}
+    lambdas = {v: lam for v, (lam, _) in shifts.items()}
+    shifted_mats = {v: m for v, (_, m) in shifts.items()}
+    shifted = FinDimRep(dim, shifted_mats)
 
     # each commutator of the shifted family once; a reversed pair negates
     pairs = list(combinations(VERTICES, 2))
     brackets = {(p, q): mat_commutator(shifted_mats[p], shifted_mats[q]) for p, q in pairs}
     for p, q in pairs:
         k = brackets[p, q]
-        brackets[q, p] = k.scale(-1) if exact else [[-x for x in row] for row in k]
+        brackets[q, p] = k.scale(-1) if zmat else [[-x for x in row] for row in k]
 
     centrals = {}
     for p, q in OPPOSITE_PAIRS:
         # scalar shifts leave an exact commutator unchanged, but not a
         # float one, whose residuals are reported digit by digit
-        k = brackets[p, q] if exact else mat_commutator(mats[p], mats[q])
+        k = brackets[p, q] if zmat else mat_commutator(mats[p], mats[q])
         centrals[f"{p},{q}"] = k
         comms = [mat_commutator(k, mats[v]) for v in VERTICES]
         items.append(vanishing_item(f"[T({p}), T({q})] is central", comms))
@@ -400,15 +384,14 @@ def extract_so4(
 
     central_values = {}
     for pair, k in centrals.items():
-        scalar = mat_trace(k) / dim_scalar
+        scalar, residue = _trace_shift(k)
         central_values[pair] = scalar
         if irreducible:
-            scalar_ok = zeroish(_minus_scalar(k, scalar))
-            zero_ok = not scalar if exact else _entry_abs(scalar) <= tol
+            ok = zeroish(residue) and (not scalar if exact else _entry_abs(scalar) <= tol)
             items.append(
                 CheckItem(
                     subject=f"central commutator ({pair}) is the scalar {_scalar_str(scalar)}",
-                    verdict=PASS if (scalar_ok and zero_ok) else FAIL,
+                    verdict=PASS if ok else FAIL,
                     note="traceless and central, hence zero",
                 )
             )
@@ -449,43 +432,24 @@ def extract_so4(
             vanishing_item(f"shifted opposite pair ({p}, {q}) commutes", [brackets[p, q]])
         )
 
-    vectors = [shifted_mats[v].flat() for v in VERTICES] if exact else []
-    if exact and not any(vectors):
-        items.append(
-            CheckItem(
-                subject="semisimplicity evidence",
-                verdict=PASS,
-                note="degenerate zero representation: empty span is trivially closed",
-            )
-        )
-    elif exact:
+    if not exact:
+        evidence = INFO, "span computation skipped for float input"
+    elif not any(shifted_mats.values()):
+        evidence = PASS, "degenerate zero representation: empty span is trivially closed"
+    else:
+        vectors = [shifted_mats[v].flat() for v in VERTICES]
         span_dim = rank(vectors)
         closed = rank(vectors + [brackets[pair].flat() for pair in pairs]) == span_dim
-        items.append(
-            CheckItem(
-                subject="semisimplicity evidence",
-                verdict=PASS if closed else FAIL,
-                note=f"span dimension {span_dim}, bracket-closed: {closed};"
-                " abstract so(3)+so(3) certificate: see killing_certificate",
-            )
+        evidence = PASS if closed else FAIL, (
+            f"span dimension {span_dim}, bracket-closed: {closed};"
+            " abstract so(3)+so(3) certificate: see killing_certificate"
         )
-    else:
-        items.append(
-            CheckItem(
-                subject="semisimplicity evidence",
-                verdict=INFO,
-                note="span computation skipped for float input",
-            )
-        )
+    items.append(
+        CheckItem(subject="semisimplicity evidence", verdict=evidence[0], note=evidence[1])
+    )
 
     verdict = CheckReport.build(
-        "so4-extraction",
-        {
-            "space_dim": dim,
-            "arithmetic": "exact" if exact else f"tolerance {tol:g}",
-            "irreducible": how,
-        },
-        items,
+        "so4-extraction", {"space_dim": dim, "arithmetic": mode, "irreducible": how}, items
     )
     return So4Extraction(lambdas, shifted, central_values, verdict, pre)
 
@@ -493,10 +457,13 @@ def extract_so4(
 # -- static certificate for the abstract 6-dimensional algebra ---------------
 
 
-def _abstract_constants():
-    index = {v: i for i, v in enumerate(VERTICES)}
-    c = [[[Fraction(0)] * 6 for _ in range(6)] for _ in range(6)]
-    for p, q, r in FACES:
+def _abstract_constants(faces=FACES, names=VERTICES):
+    """c[k][i][j] of the brackets [P,Q] = R, [Q,R] = P, [R,P] = Q on each
+    face (P, Q, R); by default those of the 6-dimensional vertex algebra."""
+    index = {v: i for i, v in enumerate(names)}
+    n = len(index)
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for p, q, r in faces:
         for left, mid, right in ((p, q, r), (q, r, p), (r, p, q)):
             c[index[right]][index[left]][index[mid]] = Fraction(1)
             c[index[right]][index[mid]][index[left]] = Fraction(-1)
@@ -516,12 +483,10 @@ def killing_certificate() -> CheckReport:
     so4 = SubspaceAlgebra("so4", mat_identity(6), c)
     items = [CheckItem(subject="bracket table satisfies Jacobi", verdict=PASS)]
 
-    # K[i][j] = tr(ad_i ad_j) = sum over k, l of c[k][i][l] * c[l][j][k]
-    killing = [[Fraction(0)] * 6 for _ in range(6)]
-    for k, i, l in product(range(6), repeat=3):
-        if c[k][i][l]:
-            for j in range(6):
-                killing[i][j] += c[k][i][l] * c[l][j][k]
+    # K[i][j] = tr(ad_i ad_j) = tr(ad_i^T ad_j^T); rows 6i..6i+5 of the
+    # bracket matrix, whose denominator is 1, hold ad_i^T
+    ads = [ZMatrix(1, so4.bracket_matrix.rows[6 * i : 6 * i + 6], 6) for i in range(6)]
+    killing = [[(a @ b).trace() for b in ads] for a in ads]
     r = rank(killing)
     items.append(
         CheckItem(
@@ -539,26 +504,11 @@ def killing_certificate() -> CheckReport:
         )
     )
 
-    index = {v: i for i, v in enumerate(VERTICES)}
-
-    def combo(plus, minus=None):
-        vec = [Fraction(0)] * 6
-        vec[index[plus[0]]] += Fraction(plus[1])
-        if minus:
-            vec[index[minus[0]]] += Fraction(minus[1])
-        return vec
-
-    ideal1 = [combo(("A", 1), ("F", -1)), combo(("B", 1), ("D", 1)), combo(("C", 1), ("E", 1))]
-    ideal2 = [combo(("A", 1), ("F", 1)), combo(("B", 1), ("D", -1)), combo(("C", 1), ("E", -1))]
-    ok_cross = all(
-        all(x == 0 for x in so4.bracket_coords(u, v)) for u in ideal1 for v in ideal2
-    )
-    items.append(
-        CheckItem(
-            subject="the two ideals commute",
-            verdict=PASS if ok_cross else FAIL,
-        )
-    )
+    # the ideals spanned by A - F, B + D, C + E and by A + F, B - D, C - E
+    ideal1 = [[1, 0, 0, 0, 0, -1], [0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 1, 0]]
+    ideal2 = [[1, 0, 0, 0, 0, 1], [0, 1, 0, -1, 0, 0], [0, 0, 1, 0, -1, 0]]
+    ok_cross = not any(any(so4.bracket_coords(u, v)) for u in ideal1 for v in ideal2)
+    items.append(CheckItem(subject="the two ideals commute", verdict=PASS if ok_cross else FAIL))
     for name, ideal in (("first", ideal1), ("second", ideal2)):
         brackets = [so4.bracket_coords(u, v) for u in ideal for v in ideal]
         ideal_dim = rank(ideal)
@@ -570,19 +520,9 @@ def killing_certificate() -> CheckReport:
                 verdict=PASS if (closed and nonabelian and ideal_dim == 3) else FAIL,
             )
         )
-    ortho = all(
-        sum(
-            (u[i] * killing[i][j] * v[j] for i in range(6) for j in range(6)),
-            Fraction(0),
-        )
-        == 0
-        for u in ideal1
-        for v in ideal2
-    )
+    z1, z2 = ZMatrix.from_rows(ideal1), ZMatrix.from_rows(ideal2)
+    ortho = not z1 @ ZMatrix.from_rows(killing) @ _transposes(z2)
     items.append(
-        CheckItem(
-            subject="ideals are Killing-orthogonal",
-            verdict=PASS if ortho else FAIL,
-        )
+        CheckItem(subject="ideals are Killing-orthogonal", verdict=PASS if ortho else FAIL)
     )
     return CheckReport.build("killing-certificate", {"dimension": 6}, items)

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +145,34 @@ def test_tolerance_that_decides_nothing_exits_two(tmp_path, capsys, tolerance):
     )
     assert code == 2
     assert err.startswith("error: tolerance must be finite and >= 0")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dimension", "six"),
+        ("dimension", 6.7),
+        ("dimension", True),
+        ("space_dim", "four"),
+        ("space_dim", 4.9),
+        ("space_dim", True),
+    ],
+)
+def test_non_integer_dimension_exits_two(tmp_path, capsys, field, value):
+    # a string was a traceback with exit 1, a float was truncated to a
+    # PASS, and true was read as 1
+    golden = Path(__file__).resolve().parent / "golden"
+    composite = json.loads((golden / "octa.json").read_text(encoding="utf-8"))
+    rep = json.loads((golden / "so4_1_1.json").read_text(encoding="utf-8"))
+    (composite if field == "dimension" else rep)[field] = value
+    cpath, rpath = tmp_path / "octa.json", tmp_path / "rep.json"
+    cpath.write_text(json.dumps(composite), encoding="utf-8")
+    rpath.write_text(json.dumps(rep), encoding="utf-8")
+    code, out, err = invoke(capsys, "composite-check", str(cpath), "--rep", str(rpath))
+    assert code == 2
+    assert err.startswith(f"error: {field} must be an integer, not {value!r}")
     assert "Traceback" not in err
     assert out == ""
 

@@ -36,7 +36,7 @@ from liecomposite.findim import (
     save_rep,
     tensor_product,
 )
-from liecomposite.linalg import GaussianRational as G, nullspace, rank, rank_mod_p
+from liecomposite.linalg import GaussianRational as G, ZMatrix, nullspace, rank, rank_mod_p
 from liecomposite.octa import VERTICES, _abstract_constants, so4_composite_rep
 from liecomposite.report import FAIL, INFO, PASS
 
@@ -263,7 +263,7 @@ def test_zero_rep_passes_and_has_full_commutant():
 def test_scaled_generator_fails_with_witness():
     comp = so3_composite()
     mats = spin_half_matrices()
-    mats["z"] = [[2 * x for x in row] for row in mats["z"]]
+    mats["z"] = ZMatrix.from_rows(mats["z"]).scale(2)
     rep = FinDimRep(2, mats)
     result = check_representation(comp, rep)
     assert not result.passed
@@ -392,17 +392,20 @@ def test_tensor_rep_property_randomized():
 
 def commutant_system(rep):
     """Entry (i, j) of S T - T S, for every T, as a linear form in the
-    entries of S (row-major): the exact system of the commutant."""
+    entries of S (row-major): the exact system of the commutant, summed
+    in real and imaginary Fraction parts."""
     m = rep.space_dim
     rows = []
     for t in rep.matrices.values():
         for i in range(m):
             for j in range(m):
-                row = [F0] * (m * m)
+                row = [[F0, F0] for _ in range(m * m)]
                 for k in range(m):
-                    row[i * m + k] += t[k][j]
-                    row[k * m + j] -= t[i][k]
-                rows.append(row)
+                    for col, x, sign in ((i * m + k, t[k][j], 1), (k * m + j, t[i][k], -1)):
+                        re, im = (x.re, x.im) if isinstance(x, G) else (x, F0)
+                        row[col][0] += sign * re
+                        row[col][1] += sign * im
+                rows.append([G(re, im) for re, im in row])
     return rows
 
 
@@ -476,10 +479,9 @@ def test_commutant_prime_is_a_split_prime_with_its_root():
 def test_commutant_is_exact_where_the_prime_divides_a_denominator(exact_fallbacks):
     p, root = findim._COMMUTANT_PRIME, findim._COMMUTANT_ROOT
     # conjugating spin-1/2 by diag(1, p) puts p and 1/p off the diagonal
-    conjugated = {
-        n: [[t[0][0], t[0][1] * p], [t[1][0] / p, t[1][1]]]
-        for n, t in spin_half_matrices().items()
-    }
+    d = ZMatrix(1, [{0: (1, 0)}, {1: (p, 0)}], 2)
+    d_inv = ZMatrix(p, [{0: (p, 0)}, {1: (1, 0)}], 2)
+    conjugated = {n: d_inv @ ZMatrix.from_rows(t) @ d for n, t in spin_half_matrices().items()}
     # x and y alone still act irreducibly, but their numerators reduce to
     # strictly lower triangular matrices mod p, whose commutant is 2-dim
     rep = FinDimRep(2, {n: conjugated[n] for n in "xy"})

@@ -134,18 +134,19 @@ def _derived_reps(rep):
     import random
 
     from liecomposite.findim import rep_to_data
-    from liecomposite.linalg import GaussianRational as G, mat_mul
+    from liecomposite.linalg import GaussianRational as G, ZMatrix
 
     s = [[G.parse(x) for x in row] for row in REAL_BASIS]
     # the columns of S are orthogonal with squared norm 2: S^-1 = S^H / 2
     s_inv = [[G(s[j][i].re / 2, -s[j][i].im / 2) for j in range(4)] for i in range(4)]
+    s, s_inv = ZMatrix.from_rows(s), ZMatrix.from_rows(s_inv)
     rng = random.Random(6)
     floats = {"space_dim": 4, "matrices": {}}
-    for name, t in rep.matrices.items():
-        real = mat_mul(mat_mul(s_inv, t), s)
-        assert all(not x.im for row in real for x in row)
+    for name, t in rep.exact_matrices.items():
+        real = (s_inv @ t @ s).to_rows()
+        assert not any(isinstance(x, G) for row in real for x in row)
         floats["matrices"][name] = [
-            [float(x.re) + rng.uniform(-1e-12, 1e-12) for x in row] for row in real
+            [float(x) + rng.uniform(-1e-12, 1e-12) for x in row] for row in real
         ]
     broken = rep_to_data(rep)
     broken["matrices"]["A"][0][1] = "1/3"  # 1/2 in the exact rep

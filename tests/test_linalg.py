@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from liecomposite.linalg import (
     GaussianRational as G,
     ZMatrix,
+    column_space_intersection,
     column_span_contains,
     independent_columns,
     kron,
@@ -113,7 +114,7 @@ def test_rank_mod_p_can_only_drop():
     assert rank_mod_p(gaussian, 13, 5) == 1
 
 
-# -- ZMatrix against a naive reference over Fraction / GaussianRational lists --
+# -- ZMatrix against a naive reference over (re, im) pairs of Fractions --------
 
 _parts = st.builds(Fr, st.integers(-4, 4), st.sampled_from([1, 2, 3, 7]))
 _entry = st.one_of(st.just(Fr(0)), st.just(Fr(0)), _parts, st.builds(G, _parts, _parts))
@@ -133,50 +134,107 @@ def square_pairs(draw):
     return matrix(), matrix()
 
 
+def pair(x):
+    """An exact scalar as its (re, im) pair of Fractions."""
+    return (x.re, x.im) if isinstance(x, G) else (Fr(x), Fr(0))
+
+
+def pairs(a):
+    return [[pair(x) for x in row] for row in a]
+
+
+def c_add(x, y, sign=1):
+    return (x[0] + sign * y[0], x[1] + sign * y[1])
+
+
+def c_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def c_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    return c_mul(x, (y[0] / norm, -y[1] / norm))
+
+
+_ZERO = (Fr(0), Fr(0))
+
+
 def ref_mul(a, b):
     n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fr(0)) for j in range(n)] for i in range(n)]
+    out = [[_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = c_add(out[i][j], c_mul(a[i][k], b[k][j]))
+    return out
 
 
 def ref_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[c_add(x, y, -1) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def ref_kron(a, b):
-    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+    return [[c_mul(x, y) for x in ra for y in rb] for ra in a for rb in b]
 
 
 def ref_rank(a):
     """Gaussian elimination over Q(i) with field division."""
-    rows = [list(row) for row in a if any(row)]
+    rows = [list(row) for row in a if any(x != _ZERO for x in row)]
     found = 0
     while rows:
         top = rows.pop()
-        c = next(j for j, x in enumerate(top) if x)
-        rows = [[x - row[c] / top[c] * y for x, y in zip(row, top)] for row in rows]
-        rows = [row for row in rows if any(row)]
+        c = next(j for j, x in enumerate(top) if x != _ZERO)
+        rows = [
+            [c_add(x, c_mul(c_div(row[c], top[c]), y), -1) for x, y in zip(row, top)]
+            for row in rows
+        ]
+        rows = [row for row in rows if any(x != _ZERO for x in row)]
         found += 1
     return found
 
 
-def entries_equal(a, b):
-    return len(a) == len(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
+def is_zero(a):
+    return all(x == _ZERO for row in a for x in row)
 
 
 @settings(max_examples=150, deadline=None)
 @given(square_pairs())
-def test_zmatrix_agrees_with_naive_list_arithmetic(pair):
-    a, b = pair
+def test_zmatrix_agrees_with_naive_list_arithmetic(pair_of_matrices):
+    a, b = pair_of_matrices
     za, zb = ZMatrix.from_rows(a), ZMatrix.from_rows(b)
-    assert entries_equal(za.to_rows(), a)
-    assert entries_equal(mat_mul(za, zb).to_rows(), ref_mul(a, b))
-    assert entries_equal(mat_commutator(za, zb).to_rows(), ref_sub(ref_mul(a, b), ref_mul(b, a)))
-    assert entries_equal(mat_sub(za, zb).to_rows(), ref_sub(a, b))
-    assert mat_trace(za) == sum((a[i][i] for i in range(len(a))), Fr(0))
-    assert entries_equal(kron(za, zb).to_rows(), ref_kron(a, b))
-    assert (not za) == all(not x for row in a for x in row)
-    assert (not mat_commutator(za, zb)) == all(not x for row in ref_sub(ref_mul(a, b), ref_mul(b, a)) for x in row)
-    assert rank_mod_p(za.rows, _P, _ROOT) == ref_rank(a)
-    assert rank(a) == ref_rank(a)
-    assert rank(za.rows) == ref_rank(a)
-    assert rank([za.flat(), zb.flat()]) == ref_rank([[x for row in m for x in row] for m in (a, b)])
+    pa, pb = pairs(a), pairs(b)
+    commutator = ref_sub(ref_mul(pa, pb), ref_mul(pb, pa))
+    assert pairs(za.to_rows()) == pa
+    assert pairs(mat_mul(za, zb).to_rows()) == ref_mul(pa, pb)
+    assert pairs(mat_commutator(za, zb).to_rows()) == commutator
+    assert pairs(mat_sub(za, zb).to_rows()) == ref_sub(pa, pb)
+    trace = _ZERO
+    for i in range(len(a)):
+        trace = c_add(trace, pa[i][i])
+    assert pair(mat_trace(za)) == trace
+    assert pairs(kron(za, zb).to_rows()) == ref_kron(pa, pb)
+    assert (not za) == is_zero(pa)
+    assert (not mat_commutator(za, zb)) == is_zero(commutator)
+    assert rank_mod_p(za.rows, _P, _ROOT) == ref_rank(pa)
+    assert rank(a) == ref_rank(pa)
+    assert rank(za.rows) == ref_rank(pa)
+    assert rank([za.flat(), zb.flat()]) == ref_rank([[x for row in m for x in row] for m in (pa, pb)])
+
+
+@st.composite
+def column_pairs(draw):
+    """Two lists of Q(i) column vectors of one length; the second may
+    repeat columns of the first, so that the spans meet."""
+    vector = st.lists(_entry, min_size=(dim := draw(st.integers(1, 5))), max_size=dim)
+    u = draw(st.lists(vector, min_size=1, max_size=4))
+    shared = draw(st.lists(st.sampled_from(u), max_size=2))
+    return u, shared + draw(st.lists(vector, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_pairs())
+def test_intersection_lies_in_both_spans_with_the_dimension_of_the_formula(columns):
+    u, v = columns
+    inter = column_space_intersection(u, v)
+    assert all(column_span_contains(u, w) and column_span_contains(v, w) for w in inter)
+    assert rank(inter) == len(inter) == rank(u) + rank(v) - rank(u + v)

@@ -22,9 +22,9 @@ from liecomposite.findim import (
 )
 from liecomposite.linalg import (
     GaussianRational,
+    ZMatrix,
     mat_commutator,
     mat_identity,
-    mat_mul,
     mat_sub,
     mat_trace,
     rref,
@@ -46,10 +46,6 @@ from liecomposite.octa import (
 )
 
 G = GaussianRational
-
-
-def is_zero_exact(m):
-    return all(not x for row in m for x in row)
 
 
 # -- labels -----------------------------------------------------------------
@@ -96,15 +92,15 @@ def test_face_pairs_overlap_in_one_dimension():
 @pytest.mark.parametrize("two_j", [0, 1, 2, 3])
 def test_so3_irrep_brackets(two_j):
     x, y, z = so3_irrep(two_j)
-    assert len(x) == two_j + 1
+    assert len(x.rows) == x.ncols == two_j + 1
     for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
-        assert is_zero_exact(mat_sub(mat_commutator(p, q), r))
+        assert not mat_sub(mat_commutator(p, q), r)
     for m in (x, y, z):
         assert not mat_trace(m)
 
 
 def test_so3_irrep_size_two_matches_known_matrices():
-    x, y, z = so3_irrep(1)
+    x, y, z = (m.to_rows() for m in so3_irrep(1))
     h = Fraction(1, 2)
     assert x == [[G(0), G(h)], [G(-h), G(0)]]
     assert y == [[G(0), G(0, -h)], [G(0, -h), G(0)]]
@@ -112,7 +108,7 @@ def test_so3_irrep_size_two_matches_known_matrices():
 
 
 def test_so3_irrep_trivial_and_invalid():
-    x, y, z = so3_irrep(0)
+    x, y, z = (m.to_rows() for m in so3_irrep(0))
     assert x == [[G(0)]] and y == [[G(0)]] and z == [[G(0)]]
     with pytest.raises(DomainError):
         so3_irrep(-1)
@@ -168,7 +164,7 @@ def test_trivial_composite_rep_is_zero():
 def test_composite_rep_opposite_pairs_commute(two_j1, two_j2):
     rep = so4_composite_rep(two_j1, two_j2)
     for p, q in OPPOSITE_PAIRS:
-        assert is_zero_exact(mat_commutator(rep.matrix(p), rep.matrix(q)))
+        assert not mat_commutator(rep.exact_matrices[p], rep.exact_matrices[q])
 
 
 # -- extraction -------------------------------------------------------------
@@ -205,11 +201,8 @@ def test_extraction_zero_rep_degenerate_pass():
 
 def test_extraction_refuses_broken_precondition():
     rep = so4_composite_rep(1, 1)
-    eye = mat_identity(4)
-    mats = {v: rep.matrix(v) for v in VERTICES}
-    mats["A"] = [
-        [mats["A"][i][j] + 2 * eye[i][j] for j in range(4)] for i in range(4)
-    ]
+    mats = dict(rep.exact_matrices)
+    mats["A"] = mats["A"].add(ZMatrix.identity(4).scale(2))
     ext = extract_so4(FinDimRep(4, mats))
     assert not ext.passed
     assert ext.lambdas == {} and ext.central_values == {}
@@ -320,9 +313,9 @@ def random_conjugator(rng, size, gaussian):
 
 
 def conjugated(rep, rng, gaussian=False):
-    s, s_inv = random_conjugator(rng, rep.space_dim, gaussian)
+    s, s_inv = (ZMatrix.from_rows(m) for m in random_conjugator(rng, rep.space_dim, gaussian))
     return FinDimRep(
-        rep.space_dim, {v: mat_mul(mat_mul(s_inv, t), s) for v, t in rep.matrices.items()}
+        rep.space_dim, {v: s_inv @ t @ s for v, t in rep.exact_matrices.items()}
     )
 
 
