@@ -27,6 +27,7 @@ coefficients as nonzero, i.e. h is generic.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -186,6 +187,17 @@ def _sturm_chain(p: tuple) -> list:
 _ONE = ((1,),)
 _ZERO = ((), _ONE)  # (num, den) of the zero value
 
+# The ladder families' coefficients share a few denominator factors, so the
+# same products, shifts, gcds and exact quotients recur; _bmul, _bdivexact,
+# _bshift and _bgcd keep their most recent results in caches of this size
+# (a larger one costs memory on large runs and gains little).  Results are
+# tuples, so callers cannot alter a cached one.  A cache key compares
+# coefficients with ==, under which 1, 1.0, True and Fraction(1) are one
+# key; the caches are sound only because every coefficient that reaches
+# these kernels is an int.
+_KERNEL_CACHE_SIZE = 256
+_kernel_cache = functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+
 
 def _badd(a: tuple, b: tuple) -> tuple:
     if len(a) < len(b):
@@ -200,6 +212,7 @@ def _bneg(a: tuple) -> tuple:
     return tuple(_pneg(c) for c in a)
 
 
+@_kernel_cache
 def _bmul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
@@ -212,6 +225,7 @@ def _bmul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+@_kernel_cache
 def _bdivexact(a: tuple, b: tuple) -> tuple:
     """a / b in ZZ[h][n]; raises ArithmeticError unless b divides a."""
     if len(b) == 1:
@@ -233,6 +247,7 @@ def _columns(a: tuple) -> list[tuple]:
     return [tuple(c[j] if j < len(c) else 0 for c in a) for j in range(max(map(len, a), default=0))]
 
 
+@_kernel_cache
 def _bshift(a: tuple, k: int) -> tuple:
     """A(h, n) -> A(h, n + k), shifting each h^j coefficient in n."""
     cols = [_pshift_arg(col, k) for col in _columns(a)]
@@ -274,6 +289,7 @@ def _coprime_certificate(a: tuple, b: tuple) -> bool:
     return False
 
 
+@_kernel_cache
 def _bgcd(a: tuple, b: tuple) -> tuple:
     """gcd in ZZ[h][n] of nonzero a, b, with positive leading coefficient.
 

@@ -269,6 +269,11 @@ class FinDimRep:
                 if coeff:
                     total = total.add(self.exact_matrices[name].scale(coeff))
             return total
+        if any(isinstance(coeff, GaussianRational) for coeff in vector):
+            raise MalformedInputError(
+                "a representation with float entries does not mix with"
+                " Gaussian-rational basis vectors or structure constants"
+            )
         total = None
         for coeff, matrix in zip(vector, matrices):
             term = [[coeff * x for x in row] for row in matrix]

@@ -19,6 +19,7 @@ require it to be positive.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -712,6 +713,11 @@ def _probe(polys, h0: Fraction, count: int) -> bool:
         raise DomainError(
             f"the tail probe would evaluate the difference out to n = 2**{far.bit_length()},"
             " beyond the float64 range"
+        )
+    if count * stride > sys.maxsize:
+        raise DomainError(
+            f"the tail probe would sample {count} terms at stride {stride},"
+            " more lattice points than a Python range can index"
         )
     fnum = [float(c) for c in num]
     fden = [float(c) for c in den]

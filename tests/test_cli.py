@@ -134,6 +134,19 @@ def test_float_entries_among_gaussian_matrices_exit_two(tmp_path, capsys):
     assert out == ""
 
 
+def test_float_rep_against_gaussian_composite_exits_two(tmp_path, capsys):
+    # the composite's bases and structure constants hold Gaussian rationals
+    cpath = Path(__file__).parent / "golden" / "gaussian_clash.json"
+    rpath = tmp_path / "float.json"
+    data = {"space_dim": 1, "matrices": {name: [[0.5]] for name in "wxyz"}}
+    rpath.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = invoke(capsys, "composite-check", str(cpath), "--rep", str(rpath))
+    assert code == 2
+    assert err.startswith("error: a representation with float entries does not mix")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
 def test_tolerance_that_decides_nothing_exits_two(tmp_path, capsys, tolerance):
     cpath = tmp_path / "octa.json"
@@ -267,6 +280,17 @@ def test_tail_probe_beyond_float_range_is_input_error(capsys):
     code, out, err = invoke(capsys, "tail-equivalence", "n^80", "0")
     assert code == 2
     assert "float64 range" in err
+    assert out == ""
+
+
+def test_tail_probe_beyond_index_range_is_input_error(capsys):
+    code, out, err = invoke(
+        capsys, "tail-equivalence", "1/n", "0", "--weight", "1/2",
+        "--truncation", str(10**20),
+    )
+    assert code == 2
+    assert err.startswith("error:") and "can index" in err
+    assert "Traceback" not in err
     assert out == ""
 
 

@@ -24,6 +24,8 @@ from liecomposite.exact import (
     var_h_in_n,
     var_n,
 )
+from liecomposite import exact, verma
+from liecomposite.cli import main
 from liecomposite.exact import _bgcd  # canonical-form white-box checks
 
 N = var_n()
@@ -261,3 +263,94 @@ def test_unit_factor_returns_the_other_operand(r):
     units = [1, Fraction(1), qh_const(1) if r.symbol == "h" else qhn_const(1)]
     for product in [r * one for one in units] + [one * r for one in units]:
         assert (product.num, product.den, product.symbol) == (r.num, r.den, r.symbol)
+
+
+# -- the memoized Z[h][n] kernels ----------------------------------------------
+
+_KERNELS = ("_bgcd", "_bmul", "_bshift", "_bdivexact")
+
+_zh = st.lists(st.integers(min_value=-6, max_value=6), max_size=3).map(exact._trim)
+_zhn = st.lists(_zh, max_size=4).map(exact._trim)
+_zhn_nonzero = _zhn.filter(bool)
+
+
+def _cold_and_warm(name, *args):
+    """The cached kernel's result on a cold and then a warm cache, each
+    checked against the undecorated function."""
+    kernel = getattr(exact, name)
+    expected = kernel.__wrapped__(*args)
+    kernel.cache_clear()
+    assert kernel(*args) == expected
+    hits = kernel.cache_info().hits
+    assert kernel(*args) == expected
+    assert kernel.cache_info().hits == hits + 1
+    return expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(_zhn_nonzero, _zhn_nonzero, _zhn_nonzero, st.integers(min_value=-5, max_value=5))
+def test_cached_kernels_match_their_originals(g, p, q, k):
+    # a and b share the factor g, so the gcd takes the PRS path too
+    a = _cold_and_warm("_bmul", g, p)
+    b = _cold_and_warm("_bmul", g, q)
+    gcd = _cold_and_warm("_bgcd", a, b)
+    _cold_and_warm("_bdivexact", a, gcd)
+    assert _cold_and_warm("_bdivexact", a, g) == p
+    _cold_and_warm("_bshift", a, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_zhn, _zh)
+def test_inexact_division_raises_on_every_call(q, c):
+    b = ((2, 2), (1,))  # n + 2h + 2: b * q + r is inexact for a nonzero constant r
+    r = c if any(c) else (1,)
+    a = exact._badd(exact._bmul(q, b), (r,))
+    exact._bdivexact.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ArithmeticError):
+            exact._bdivexact(a, b)
+    assert exact._bdivexact.cache_info().currsize == 0
+    with pytest.raises(ArithmeticError):
+        exact._bdivexact.__wrapped__(a, b)
+
+
+def _ints_only(value) -> bool:
+    """True when every leaf of a nest of tuples is exactly an int."""
+    if isinstance(value, tuple):
+        return all(_ints_only(v) for v in value)
+    return type(value) is int
+
+
+def test_only_int_coefficients_reach_the_cached_kernels(monkeypatch, capsys):
+    # An lru_cache key compares with ==, so 1, 1.0, True and Fraction(1)
+    # would share one entry; the caches are sound only on int coefficients.
+    seen = dict.fromkeys(_KERNELS, 0)
+    bad = []
+
+    def spy(name, kernel):
+        def wrapper(*args):
+            seen[name] += 1
+            if not _ints_only(args):
+                bad.append((name, args))
+            return kernel(*args)
+
+        return wrapper
+
+    for name in _KERNELS:
+        monkeypatch.setattr(exact, name, spy(name, getattr(exact, name)))
+    # operators cached by earlier tests would keep the kernels out of view
+    for value in vars(verma).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    commands = (
+        ["witt-closed", "--depth", "1", "--index-bound", "1"],
+        ["witt-symmetry", "--max-index", "3", "--word-length", "3", "--index-bound", "1"],
+        ["witt-hs", "--index-bound", "3", "--truncation", "50", "--weight", "5/7"],
+        ["tail-equivalence", "(n+1)/(n+2)", "(n+1)/(n+2) + 1/n", "--weight", "1/2",
+         "--truncation", "1000"],
+    )
+    for argv in commands:
+        assert main(argv) in (0, 1)
+    capsys.readouterr()
+    assert all(seen.values()), seen
+    assert bad == []

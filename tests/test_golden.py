@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from liecomposite import exact, verma
 from liecomposite.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,6 +128,31 @@ def test_report_bytes_match_golden(name, fmt):
         encoding="utf-8"
     )
     assert out == expected
+
+
+KERNELS = ("_bgcd", "_bmul", "_bshift", "_bdivexact")
+
+
+def _clear_caches(kernels: bool):
+    """Forget verma's memoized operators, so the next render computes them
+    again, and with kernels=True also the Z[h][n] kernel caches."""
+    for value in vars(verma).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    if kernels:
+        for name in KERNELS:
+            getattr(exact, name).cache_clear()
+
+
+@pytest.mark.parametrize("name", ["witt-closed-1-2-literal", "witt-symmetry-2-3-1"])
+def test_cold_and_warm_kernel_caches_give_the_golden_bytes(name):
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    _clear_caches(kernels=True)
+    assert _render(CASES[name] + ["--format", "json"]) == (EXIT_CODES.get(name, 0), expected)
+    hits = sum(getattr(exact, k).cache_info().hits for k in KERNELS)
+    _clear_caches(kernels=False)
+    assert _render(CASES[name] + ["--format", "json"]) == (EXIT_CODES.get(name, 0), expected)
+    assert sum(getattr(exact, k).cache_info().hits for k in KERNELS) > hits
 
 
 def _derived_reps(rep):
