@@ -78,6 +78,8 @@ CASES = {
     # the parameter point of the benchmark's octa workload
     "octa-demo-2-1": ["octa-demo", "--two-j1", "2", "--two-j2", "1"],
     "octa-demo-2-2": ["octa-demo", "--two-j1", "2", "--two-j2", "2"],
+    # a 16-dimensional rep, where the commutant is the bulk of the work
+    "octa-demo-3-3": ["octa-demo", "--two-j1", "3", "--two-j2", "3"],
     # T(A) = -T(F) here, so the shifted span is 3-dimensional
     "octa-demo-1-0": ["octa-demo", "--two-j1", "1", "--two-j2", "0"],
     "tail-equivalence-readme": [
