@@ -36,6 +36,7 @@ from .linalg import (
     GaussianRational,
     ZMatrix,
     _gauss,
+    _pivot_mod_p,
     _transposes,
     column_space_intersection,
     coordinates,
@@ -494,26 +495,81 @@ def _commutant_rows(matrices):
     return rows
 
 
+def _cyclic_nullity(matrices, m: int):
+    """The commutant dimension of the numerators of matrices mod p, from
+    m unknowns by the MeatAxe spin-up of e_0, or None if e_0 is not cyclic
+    mod p (README "Design notes").  Each basis vector b_k = W_k e_0 keeps
+    its word W_k, W_0 = 1; a new T b_k joins with the word T W_k, and any
+    other gives a relation M = T W_k + sum_l a_l W_l with M e_0 = 0.  A
+    commuting S is fixed by w = S e_0, and it commutes exactly when M w = 0
+    for every M.  w = e_0 solves these rows, so a rank of m - 1 ends them."""
+    p = _COMMUTANT_PRIME
+    gens = [
+        [{j: x for j, (r, i) in row.items() if (x := (r + _COMMUTANT_ROOT * i) % p)}
+         for row in t.rows]
+        for t in matrices
+    ]
+    words, relations = [[[int(i == j) for j in range(m)] for i in range(m)]], []
+
+    def times(row, word):
+        """The row of T W whose row of T is row, not yet reduced mod p."""
+        acc = [0] * m
+        for j, y in row.items():
+            acc = [a + y * b for a, b in zip(acc, word[j])]
+        return acc
+
+    # b_k is a row with 1 at m + k: each pivot row carries its combination
+    # of the b_l at m + l, and each relation its coefficients
+    pivots = {0: {0: 1, m: 1}}
+    for word in words:  # grows while it is read
+        for t in gens:
+            v = {i: x for i, row in enumerate(t)
+                 if (x := sum(y * word[j][0] for j, y in row.items()) % p)}
+            v[m + len(words)] = 1
+            if _pivot_mod_p(v, pivots, p, m):
+                words.append([[x % p for x in times(row, word)] for row in t])
+            else:
+                del v[m + len(words)]
+                relations.append((t, word, v))
+    if len(words) < m:
+        return None
+
+    def equations(t, word, coeffs):
+        for i, row in enumerate(t):
+            acc = times(row, word)
+            for key, a in coeffs.items():
+                acc = [x + a * y for x, y in zip(acc, words[key - m][i])]
+            yield {j: (y, 0) for j, x in enumerate(acc) if (y := x % p)}
+
+    rows = (row for relation in relations for row in equations(*relation))
+    return m - rank_mod_p(rows, p, 0, ceiling=m - 1)
+
+
 def commutant_dimension(rep: FinDimRep) -> int:
     """Dimension of {S : [S, T(v)] = 0 for every basis matrix T(v)}, for
     an exact representation.
 
-    The system is built once over Z[i] and first reduced into F_p
-    (p = 1 mod 4, with i mapped to a square root of -1).  That reduction
-    is a ring homomorphism, so the rank cannot rise under it, also where
-    p divides a denominator: the mod-p nullity is at least the exact
-    one, which is at least 1 because the identity commutes.  A mod-p
-    nullity of 1 is therefore the exact answer.  Any other mod-p nullity
-    takes one exact rank computation, fraction-free in Z[i].  A float
-    representation is refused, since noise makes the system full rank.
-    The dimension is insensitive to scalar extension; its interpretation
-    as a Schur irreducibility test is only faithful over algebraically
-    closed scalars."""
+    It is first found over F_p (p = 1 mod 4, with i mapped to a square
+    root of -1) from the numerators: by _cyclic_nullity if e_0 is cyclic
+    mod p, else from the m*m system.  That reduction is a ring
+    homomorphism, so the rank cannot rise under it, also where p divides
+    a denominator: the mod-p nullity is at least the exact one, which is
+    at least 1 because the identity commutes.  A mod-p nullity of 1 is
+    therefore the exact answer, and a rank of m*m - 1 ends the system's
+    elimination.  Any other mod-p nullity takes one exact rank of the
+    system, fraction-free in Z[i].  A float representation is refused,
+    since noise makes the system full rank.  The dimension is insensitive
+    to scalar extension; its interpretation as a Schur irreducibility test
+    is only faithful over algebraically closed scalars."""
     if not rep.is_exact:
         raise DomainError("the commutant dimension needs an exact representation")
-    rows = _commutant_rows(rep.exact_matrices.values())
-    unknowns = rep.space_dim**2
-    if unknowns - rank_mod_p(rows, _COMMUTANT_PRIME, _COMMUTANT_ROOT) == 1:
+    matrices, unknowns = rep.exact_matrices.values(), rep.space_dim**2
+    nullity = _cyclic_nullity(matrices, rep.space_dim)
+    if nullity == 1:
+        return 1
+    rows = _commutant_rows(matrices)
+    ceiling = unknowns - 1
+    if nullity is None and rank_mod_p(rows, _COMMUTANT_PRIME, _COMMUTANT_ROOT, ceiling) == ceiling:
         return 1
     return unknowns - rank(rows)
 

@@ -16,7 +16,7 @@ tolerance path of float representations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import DimensionMismatchError, ParseError
 
@@ -311,28 +311,34 @@ def rank(a) -> int:
     return found
 
 
-def rank_mod_p(rows, p: int, root: int) -> int:
+def _pivot_mod_p(v: dict, pivots: dict, p: int, width=inf) -> bool:
+    """Reduce the sparse row v {column: residue} in place by the pivot rows
+    {leading column: row leading with 1}; if its leading column is then
+    new and below width, keep v there as a pivot row and return True."""
+    while v and (c := min(v)) < width:
+        if c not in pivots:
+            inv = pow(v[c], -1, p)
+            pivots[c] = {j: x * inv % p for j, x in v.items()}
+            return True
+        f = v[c]
+        for j, y in pivots[c].items():
+            x = (v.get(j, 0) - f * y) % p
+            if x:
+                v[j] = x
+            else:
+                v.pop(j, None)
+    return False
+
+
+def rank_mod_p(rows, p: int, root: int, ceiling=None) -> int:
     """Rank over F_p of sparse rows {column: (re, im)} of Gaussian
     integers, with i mapped to root (a square root of -1 mod p).  Each
     row is reduced against the pivot rows kept so far, one per leading
-    column and scaled to lead with 1, entries in [0, p)."""
-    pivots = {}
-    for row in rows:
-        v = {j: x for j, (r, i) in row.items() if (x := (r + root * i) % p)}
-        while v:
-            c = min(v)
-            pivot = pivots.get(c)
-            if pivot is None:
-                inv = pow(v[c], -1, p)
-                pivots[c] = {j: x * inv % p for j, x in v.items()}
-                break
-            f = v[c]
-            for j, y in pivot.items():
-                x = (v.get(j, 0) - f * y) % p
-                if x:
-                    v[j] = x
-                else:
-                    v.pop(j, None)
+    column and scaled to lead with 1, entries in [0, p).  Once the rank
+    reaches ceiling it is returned, and no further row is read."""
+    pivots, rows = {}, iter(rows)
+    while len(pivots) != ceiling and (row := next(rows, None)) is not None:
+        _pivot_mod_p({j: x for j, (r, i) in row.items() if (x := (r + root * i) % p)}, pivots, p)
     return len(pivots)
 
 

@@ -358,9 +358,13 @@ class ShiftOperator:
         cols = []
         for d, c in self.components:
             # at h0 the coefficient is N/D with N, D in ZZ[n]: integer
-            # Horner values at each n, one exact Fraction per column entry
+            # Horner values at each n, one exact Fraction per column entry;
+            # a band that vanishes at h0 adds nothing to either leg
+            ch = substitute_h(c, h0)
+            if ch.is_zero():
+                continue
             vals = []
-            for n, (nn, dn) in enumerate(integer_values(substitute_h(c, h0), size + 1)):
+            for n, (nn, dn) in enumerate(integer_values(ch, size + 1)):
                 if not dn:
                     raise PoleError(Fraction(n), f"coefficient pole at n={n} with h0={h0}")
                 vals.append(Fraction(nn, dn))

@@ -469,6 +469,50 @@ def test_irreducible_so4_reps_are_decided_mod_p(exact_fallbacks, two_j1, two_j2)
     assert exact_fallbacks == []
 
 
+@settings(max_examples=80, deadline=None)
+@given(exact_reps())
+def test_cyclic_nullity_is_the_mod_p_nullity_of_the_system(rep):
+    p, root = findim._COMMUTANT_PRIME, findim._COMMUTANT_ROOT
+    m, matrices = rep.space_dim, rep.exact_matrices.values()
+    nullity = findim._cyclic_nullity(matrices, m)
+    if nullity is not None:
+        assert nullity == m * m - rank_mod_p(findim._commutant_rows(matrices), p, root)
+
+
+@pytest.fixture
+def system_routes(monkeypatch):
+    """Row counts of every m*m system commutant_dimension builds."""
+    calls, build = [], findim._commutant_rows
+
+    def spy(matrices):
+        rows = build(matrices)
+        calls.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(findim, "_commutant_rows", spy)
+    return calls
+
+
+def test_reps_without_a_cyclic_vector_take_the_system_route(system_routes, exact_fallbacks):
+    # the zero rep and V + V with dim V = 1 spin e_0 up to a line only
+    zero = FinDimRep(2, {"x": [[F0, F0], [F0, F0]]})
+    twice = FinDimRep(
+        2, {"x": [[Fraction(3, 2), F0], [F0, Fraction(3, 2)]], "y": [[G(0, 1), F0], [F0, G(0, 1)]]}
+    )
+    for rep in (zero, twice):
+        assert findim._cyclic_nullity(rep.exact_matrices.values(), 2) is None
+        assert commutant_dimension(rep) == 4
+    assert len(system_routes) == 2
+    assert exact_fallbacks == system_routes
+
+
+@pytest.mark.parametrize("two_j1, two_j2", [(1, 1), (2, 1), (3, 3), (4, 4)])
+def test_so4_reps_are_decided_on_the_cyclic_route(system_routes, exact_fallbacks, two_j1, two_j2):
+    assert commutant_dimension(so4_composite_rep(two_j1, two_j2)) == 1
+    assert system_routes == []
+    assert exact_fallbacks == []
+
+
 def test_commutant_prime_is_a_split_prime_with_its_root():
     p, root = findim._COMMUTANT_PRIME, findim._COMMUTANT_ROOT
     assert p % 4 == 1

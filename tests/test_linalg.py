@@ -114,6 +114,27 @@ def test_rank_mod_p_can_only_drop():
     assert rank_mod_p(gaussian, 13, 5) == 1
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), max_size=7),
+    st.integers(0, 5),
+)
+def test_rank_mod_p_stops_at_its_ceiling(rows, ceiling):
+    full = rank_mod_p(int_rows(rows), _P, _ROOT)
+    read = []
+
+    def lazy():
+        for row in int_rows(rows):
+            read.append(row)
+            yield row
+
+    assert rank_mod_p(lazy(), _P, _ROOT, ceiling=ceiling) == min(full, ceiling)
+    if full >= ceiling:
+        # no row is read after the one that reaches the ceiling
+        assert rank_mod_p(read, _P, _ROOT) == ceiling
+        assert len(read) == 0 or rank_mod_p(read[:-1], _P, _ROOT) < ceiling
+
+
 # -- ZMatrix against a naive reference over (re, im) pairs of Fractions --------
 
 _parts = st.builds(Fr, st.integers(-4, 4), st.sampled_from([1, 2, 3, 7]))

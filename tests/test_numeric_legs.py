@@ -22,12 +22,13 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from liecomposite import verma
+from liecomposite import shiftop, verma
 from liecomposite.cli import main
 from liecomposite.errors import LibError, NegativeExponentError, PoleError
 from liecomposite.exact import (
     evaluate,
     fraction_coeff_tuples,
+    integer_values,
     qhn_const,
     substitute_h,
     var_h_in_n,
@@ -265,6 +266,23 @@ def test_coefficient_pole_is_named_as_by_the_evaluate_route(coeff, h0, n):
     for leg in (op.hs_partial_sums, op.truncate_numeric):
         assert _outcome(leg, n + 3, h0) == want
     assert _outcome(_reference_hs, op, n + 3, h0) == want
+
+
+def test_a_band_that_vanishes_at_the_weight_is_skipped(monkeypatch):
+    # at h0 = 1/2 the shift -2 band is 0; at 5/7 it sends z^0 below exponent 0
+    op = ShiftOperator([(-2, (2 * H - 1) * (N + 3)), (1, (N + 1) / (N + 2))])
+    h0 = Fraction(1, 2)
+    assert _outcome(op.hs_partial_sums, 40, Fraction(5, 7))[0] is NegativeExponentError
+    evaluated = []
+
+    def spy(r, stop):
+        evaluated.append(r)
+        return integer_values(r, stop)
+
+    monkeypatch.setattr(shiftop, "integer_values", spy)
+    assert op.hs_partial_sums(40, h0) == _reference_hs(op, 40, h0)
+    assert op.truncate_numeric(12, h0) == _reference_matrix(op, 12, h0)
+    assert len(evaluated) == 2  # the live band, once per leg
 
 
 def test_ladder_deviation_sums_match_the_evaluate_route():
