@@ -38,6 +38,13 @@ CASES = {
     "witt-hs-4-300-w5_7": [
         "witt-hs", "--index-bound", "4", "--truncation", "300", "--weight", "5/7",
     ],
+    # all 25 deviations at a generic weight, and an integer weight
+    "witt-hs-6-500-w5_7": [
+        "witt-hs", "--index-bound", "6", "--truncation", "500", "--weight", "5/7",
+    ],
+    "witt-hs-4-300-w3": [
+        "witt-hs", "--index-bound", "4", "--truncation", "300", "--weight", "3",
+    ],
     "witt-closed-1-1-bracket": [
         "witt-closed", "--depth", "1", "--index-bound", "1", "--mode", "bracket",
     ],
