@@ -101,6 +101,9 @@ def _coerce_scalar(v):
     if isinstance(v, _EXACT_TYPES):
         return Fraction(v) if isinstance(v, int) else v
     if isinstance(v, float):
+        # JSON's NaN and Infinity would turn every residual into nan
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite float {v!r}")
         return v
     raise MalformedInputError(f"unsupported scalar {v!r}")
 

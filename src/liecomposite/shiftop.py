@@ -8,9 +8,14 @@ commutators and adjoints reduce to rational-function arithmetic, and
 membership in the standard operator classes reduces to an integer growth
 exponent per band.
 
-Numerics are confined to two methods. truncate_numeric emits IEEE-754
-doubles. hs_partial_sums evaluates each squared matrix element exactly as
-a rational, then accumulates the running sums in floating point; the exact
+Numerics are confined to two methods, truncate_numeric and
+hs_partial_sums, and they touch only Python ints until each term's one
+rounding.  At the weight h0, band d has the coefficient N(n)/D(n) and the
+weight ratio w(n+d)/w(n) = P(n)/Q(n), with N, D, P, Q in ZZ[n] evaluated
+by integer Horner.  A squared matrix element is the quotient
+N^2 P / (D^2 Q) and a matrix entry is N/D * sqrt(P/Q); CPython's int / int
+is correctly rounded, so each quotient is the double nearest its exact
+rational.  The running sums are accumulated in floating point; the exact
 sums exist but their denominators grow out of all proportion.
 """
 
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 from enum import IntEnum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -148,20 +154,6 @@ class WeightFunction:
                 out *= Fraction(n - t) * (2 * h0 + n - t - 1)
             out = 1 / out
         return out
-
-    def forward_ratios(self, d: int, h0: Fraction, columns):
-        """forward_ratio(n, d, h0) for each n of the increasing columns:
-        each step of n multiplies by s(n+d)/s(n), s(m) = m * (2h0 + m - 1)."""
-        a, b = h0.numerator, h0.denominator
-        ratio = prev = None
-        for n in columns:
-            if ratio is None:
-                ratio = self.forward_ratio(n, d, h0)
-            else:
-                for m in range(prev + 1, n + 1):
-                    ratio *= Fraction((m + d) * (2 * a + b * (m + d - 1)), m * (2 * a + b * (m - 1)))
-            prev = n
-            yield ratio
 
 
 WEIGHT = WeightFunction()
@@ -349,7 +341,10 @@ class ShiftOperator:
 
     # -- numerics ---------------------------------------------------------
 
-    def _numeric_columns(self, size: int, h0) -> tuple[Fraction, list]:
+    def _numeric_columns(self, size: int, h0) -> list:
+        """(d, coefficient values, weight-ratio values) for every band that
+        is nonzero at h0, each value an integer pair (N(n), D(n)) for
+        n = 0..size; every band's poles are checked before any is used."""
         h0 = Fraction(h0)
         if h0 <= 0:
             raise DomainError("numeric evaluation needs a rational weight h0 > 0")
@@ -357,19 +352,17 @@ class ShiftOperator:
             raise DomainError("truncation size must be nonnegative")
         cols = []
         for d, c in self.components:
-            # at h0 the coefficient is N/D with N, D in ZZ[n]: integer
-            # Horner values at each n, one exact Fraction per column entry;
-            # a band that vanishes at h0 adds nothing to either leg
             ch = substitute_h(c, h0)
             if ch.is_zero():
                 continue
-            vals = []
-            for n, (nn, dn) in enumerate(integer_values(ch, size + 1)):
+            vals = list(integer_values(ch, size + 1))
+            for n, (_, dn) in enumerate(vals):
                 if not dn:
                     raise PoleError(Fraction(n), f"coefficient pole at n={n} with h0={h0}")
-                vals.append(Fraction(nn, dn))
-            cols.append((d, vals))
-        return h0, cols
+            # value(n+d)/value(n) at h0: P(n)/Q(n), Q(n) != 0 wherever n + d >= 0
+            ratios = integer_values(substitute_h(WEIGHT.ratio(d).shift_arg(d), h0), size + 1)
+            cols.append((d, vals, ratios))
+        return cols
 
     def truncate_numeric(self, size: int, h0) -> list[list[float]]:
         """Matrix of the operator in the orthonormal basis e_0..e_size.
@@ -377,37 +370,33 @@ class ShiftOperator:
         Entries are float64: entry(n+d, n) = c(n) * sqrt(w(n+d)/w(n)) at
         the given h0 > 0.  Bands leaving the index window are cut off.
         """
-        h0, cols = self._numeric_columns(size, h0)
+        cols = self._numeric_columns(size, h0)
         mat = [[0.0] * (size + 1) for _ in range(size + 1)]
-        for d, vals in cols:
-            live = [n for n in range(max(0, -d), min(size, size - d) + 1) if vals[n]]
-            for n, ratio in zip(live, WEIGHT.forward_ratios(d, h0, live)):
-                mat[n + d][n] += float(vals[n]) * math.sqrt(ratio)
+        for d, vals, ratios in cols:
+            for n, ((nn, dn), (p, q)) in enumerate(zip(vals, ratios)):
+                if nn and 0 <= n + d <= size:
+                    mat[n + d][n] += nn / dn * math.sqrt(p / q)
         return mat
 
     def hs_partial_sums(self, count: int, h0) -> list[float]:
         """Partial sums S_0..S_count of squared orthonormal matrix elements.
 
         S_k sums |entry|^2 over all bands and columns n <= k (rows are not
-        truncated).  Each term is computed exactly as a rational, then the
-        running sums are accumulated in float64.
+        truncated).  Each term N(n)^2 P(n) / (D(n)^2 Q(n)) is one integer
+        quotient, rounded once; the running sums are accumulated in float64.
         """
-        h0, cols = self._numeric_columns(count, h0)
+        cols = self._numeric_columns(count, h0)
         per_n = [0.0] * (count + 1)
-        for d, vals in cols:
-            live = [n for n in range(count + 1) if vals[n]]
-            if live and live[0] + d < 0:
+        for d, vals, ratios in cols:
+            first = next((n for n, (nn, _) in enumerate(vals) if nn), None)
+            if first is not None and first + d < 0:
                 raise NegativeExponentError(
-                    f"component with shift {d} is not defined at z^{live[0]}"
+                    f"component with shift {d} is not defined at z^{first}"
                 )
-            for n, ratio in zip(live, WEIGHT.forward_ratios(d, h0, live)):
-                per_n[n] += float(vals[n] * vals[n] * ratio)
-        sums = []
-        running = 0.0
-        for x in per_n:
-            running += x
-            sums.append(running)
-        return sums
+            for n, ((nn, dn), (p, q)) in enumerate(zip(vals, ratios)):
+                if nn:
+                    per_n[n] += (nn * nn * p) / (dn * dn * q)
+        return list(accumulate(per_n))
 
     # -- serialization ------------------------------------------------------
 

@@ -147,6 +147,21 @@ def test_float_rep_against_gaussian_composite_exits_two(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_float_entry_exits_two(tmp_path, capsys, literal):
+    golden = Path(__file__).parent / "golden"
+    data = json.loads((golden / "so4_1_1_float.json").read_text(encoding="utf-8"))
+    data["matrices"]["A"][0][1] = float(literal)
+    rpath = tmp_path / "float.json"
+    rpath.write_text(json.dumps(data), encoding="utf-8")
+    assert literal in rpath.read_text(encoding="utf-8")
+    code, out, err = invoke(capsys, "composite-check", str(golden / "octa.json"), "--rep", str(rpath))
+    assert code == 2
+    assert err.startswith(f"error: bad matrix row of A: non-finite float {float(literal)!r}")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
 def test_tolerance_that_decides_nothing_exits_two(tmp_path, capsys, tolerance):
     cpath = tmp_path / "octa.json"

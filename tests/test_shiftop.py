@@ -12,7 +12,17 @@ from liecomposite.errors import (
     NegativeExponentError,
     PoleError,
 )
-from liecomposite.exact import equals, evaluate, parse, qh_const, var_h, var_h_in_n, var_n
+from liecomposite.exact import (
+    equals,
+    evaluate,
+    integer_values,
+    parse,
+    qh_const,
+    substitute_h,
+    var_h,
+    var_h_in_n,
+    var_n,
+)
 from liecomposite.shiftop import (
     WEIGHT,
     OperatorClass,
@@ -131,12 +141,12 @@ def test_weight_ratios():
     w3 = evaluate(WEIGHT.value(3), h0)
     assert WEIGHT.forward_ratio(3, 2, h0) == w5 / w3
     assert WEIGHT.forward_ratio(5, -2, h0) == w3 / w5
-    # carried column to column, across gaps, equal to the direct ratios
+    # the numeric legs' integer ratio P(n)/Q(n), equal to the direct ratios
     for h0 in (Fraction(1, 2), Fraction(5, 7), Fraction(3)):
         for d in range(-3, 4):
             cols = [n for n in range(max(0, -d), 40) if n % 7 not in (2, 3)]
-            carried = list(WEIGHT.forward_ratios(d, h0, cols))
-            assert carried == [WEIGHT.forward_ratio(n, d, h0) for n in cols]
+            pq = list(integer_values(substitute_h(WEIGHT.ratio(d).shift_arg(d), h0), 40))
+            assert [Fraction(*pq[n]) for n in cols] == [WEIGHT.forward_ratio(n, d, h0) for n in cols]
 
 
 def test_adjoint_frozen_examples():
