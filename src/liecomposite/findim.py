@@ -552,38 +552,33 @@ def commutant_dimension(rep: FinDimRep) -> int:
     """Dimension of {S : [S, T(v)] = 0 for every basis matrix T(v)}, for
     an exact representation.
 
-    It is first found over F_p (p = 1 mod 4, with i mapped to a square
-    root of -1) from the numerators: by _cyclic_nullity if e_0 is cyclic
-    mod p, else from the m*m system.  That reduction is a ring
-    homomorphism, so the rank cannot rise under it, also where p divides
-    a denominator: the mod-p nullity is at least the exact one, which is
-    at least 1 because the identity commutes.  A mod-p nullity of 1 is
-    therefore the exact answer, and a rank of m*m - 1 ends the system's
-    elimination.  Any other mod-p nullity takes one exact rank of the
-    system, fraction-free in Z[i].  A float representation is refused,
-    since noise makes the system full rank.  The dimension is insensitive
-    to scalar extension; its interpretation as a Schur irreducibility test
-    is only faithful over algebraically closed scalars."""
+    If e_0 is cyclic mod p (p = 1 mod 4, with i mapped to a square root
+    of -1), _cyclic_nullity finds the dimension over F_p from the
+    numerators.  That reduction is a ring homomorphism, so the rank cannot
+    rise under it, also where p divides a denominator: the mod-p nullity
+    is at least the exact one, which is at least 1 because the identity
+    commutes.  A mod-p nullity of 1 is therefore the exact answer.  Any
+    other nullity, and a rep whose e_0 is not cyclic mod p, takes the
+    exact rank of the m*m system on echelon.  A float representation is
+    refused, since noise makes the system full rank.  The dimension is
+    insensitive to scalar extension; its interpretation as a Schur
+    irreducibility test is only faithful over algebraically closed
+    scalars."""
     if not rep.is_exact:
         raise DomainError("the commutant dimension needs an exact representation")
-    matrices, unknowns = rep.exact_matrices.values(), rep.space_dim**2
-    nullity = _cyclic_nullity(matrices, rep.space_dim)
-    if nullity == 1:
+    matrices = rep.exact_matrices.values()
+    if _cyclic_nullity(matrices, rep.space_dim) == 1:
         return 1
-    rows = _commutant_rows(matrices)
-    ceiling = unknowns - 1
-    if nullity is None and rank_mod_p(rows, _COMMUTANT_PRIME, _COMMUTANT_ROOT, ceiling) == ceiling:
-        return 1
-    return unknowns - rank(rows)
+    return rep.space_dim**2 - rank(_commutant_rows(matrices))
 
 
 def is_irreducible(rep: FinDimRep) -> bool:
     """Schur test: commutant dimension exactly 1; a float representation
-    raises DomainError.  For an irreducible exact representation,
-    commutant_dimension usually proves this with one rank computation
-    mod p.  Over non-closed scalars this is evidence, not proof; callers
-    may override with an asserted flag where the spec of the pipeline
-    allows it."""
+    raises DomainError.  For an irreducible exact representation whose
+    e_0 is cyclic mod p, commutant_dimension proves this with one rank
+    computation mod p in m unknowns.  Over non-closed scalars this is
+    evidence, not proof; callers may override with an asserted flag where
+    the spec of the pipeline allows it."""
     return commutant_dimension(rep) == 1
 
 
@@ -634,7 +629,10 @@ def rep_to_data(rep: FinDimRep) -> dict:
 
 def rep_from_data(data) -> FinDimRep:
     try:
-        return FinDimRep(data["space_dim"], data["matrices"])
+        space_dim, matrices = data["space_dim"], data["matrices"]
+        if not isinstance(matrices, dict):
+            raise MalformedInputError("matrices must be a JSON object")
+        return FinDimRep(space_dim, matrices)
     except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"bad representation data: {exc!r}") from None
 

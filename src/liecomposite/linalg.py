@@ -1,7 +1,7 @@
 """Exact linear algebra over Q(i): the integer matrix type ZMatrix, one
-fraction-free elimination for every span question (rref, nullspace,
-coordinates, intersections), rank over Q(i) and F_p, Kronecker products
-and the congruence signature.
+fraction-free elimination for the rank and every span question (rref,
+nullspace, coordinates, intersections), rank over F_p, Kronecker
+products and the congruence signature.
 
 Every exact computation runs on sparse Gaussian-integer rows: a ZMatrix
 keeps one positive denominator and rows {column: (re, im)} of Python
@@ -280,37 +280,6 @@ def kron(a, b):
     ]
 
 
-def rank(a) -> int:
-    """Rank over Q(i) of a list of rows, each a list of exact scalars or a
-    sparse dict {column: (re, im)} of Gaussian integers (ZMatrix.flat),
-    by fraction-free elimination in Z[i] (Bareiss, Math. Comp. 22, 1968):
-    a step cross-multiplies by the pivot and divides exactly by the one
-    before, so every entry stays a minor of the denominator-free rows."""
-    rows = [row if isinstance(row, dict) else ZMatrix.from_rows([row]).rows[0] for row in a]
-    rows = [row for row in rows if row]
-    pr, pi, found = 1, 0, 0
-    while rows:
-        top = rows.pop()
-        c = min(top)
-        tr, ti = top[c]
-        norm = pr * pr + pi * pi
-        reduced = []
-        for row in rows:
-            fr, fi = row.get(c, (0, 0))
-            new = {}
-            for j in row.keys() | top.keys():
-                xr, xi = row.get(j, (0, 0))
-                yr, yi = top.get(j, (0, 0))
-                zr = tr * xr - ti * xi - fr * yr + fi * yi
-                zi = tr * xi + ti * xr - fr * yi - fi * yr
-                if zr or zi:
-                    new[j] = ((zr * pr + zi * pi) // norm, (zi * pr - zr * pi) // norm)
-            if new:
-                reduced.append(new)
-        rows, pr, pi, found = reduced, tr, ti, found + 1
-    return found
-
-
 def _pivot_mod_p(v: dict, pivots: dict, p: int, width=inf) -> bool:
     """Reduce the sparse row v {column: residue} in place by the pivot rows
     {leading column: row leading with 1}; if its leading column is then
@@ -342,7 +311,7 @@ def rank_mod_p(rows, p: int, root: int, ceiling=None) -> int:
     return len(pivots)
 
 
-# -- span questions on one fraction-free elimination ---------------------------
+# -- rank and span questions on one fraction-free elimination -----------------
 
 
 def _content_free(row: dict) -> dict:
@@ -386,6 +355,14 @@ def echelon(rows) -> tuple:
                     pivots[k] = _eliminate(other, row, c)
             pivots[c] = row
     return [pivots[c] for c in sorted(pivots)], sorted(pivots)
+
+
+def rank(a) -> int:
+    """Rank over Q(i) of a list of rows, each a list of exact scalars or a
+    sparse dict {column: (re, im)} of Gaussian integers (ZMatrix.flat):
+    the number of pivots echelon finds."""
+    rows = [row if isinstance(row, dict) else ZMatrix.from_rows([row]).rows[0] for row in a]
+    return len(echelon(rows)[1])
 
 
 def _kernel(a: ZMatrix) -> ZMatrix:

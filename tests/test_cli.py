@@ -147,6 +147,20 @@ def test_float_rep_against_gaussian_composite_exits_two(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("matrices", ["xy", ["xy"]])
+def test_matrices_that_are_not_an_object_exit_two(tmp_path, capsys, matrices):
+    # a string was a traceback with exit 1, and a list of pairs was read as
+    # a dict and refused for a bad scalar
+    rpath = tmp_path / "rep.json"
+    rpath.write_text(json.dumps({"space_dim": 2, "matrices": matrices}), encoding="utf-8")
+    golden = Path(__file__).parent / "golden"
+    code, out, err = invoke(capsys, "composite-check", str(golden / "octa.json"), "--rep", str(rpath))
+    assert code == 2
+    assert err.startswith("error: matrices must be a JSON object")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_float_entry_exits_two(tmp_path, capsys, literal):
     golden = Path(__file__).parent / "golden"

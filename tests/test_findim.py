@@ -494,16 +494,39 @@ def system_routes(monkeypatch):
 
 
 def test_reps_without_a_cyclic_vector_take_the_system_route(system_routes, exact_fallbacks):
-    # the zero rep and V + V with dim V = 1 spin e_0 up to a line only
+    # the zero rep, V + V with dim V = 1, and T_1 = E_01, T_2 = E_00 spin
+    # e_0 up to a line only; the last has only the scalars as commutant
     zero = FinDimRep(2, {"x": [[F0, F0], [F0, F0]]})
     twice = FinDimRep(
         2, {"x": [[Fraction(3, 2), F0], [F0, Fraction(3, 2)]], "y": [[G(0, 1), F0], [F0, G(0, 1)]]}
     )
-    for rep in (zero, twice):
+    line = FinDimRep(2, {"x": [[F0, F1], [F0, F0]], "y": [[F1, F0], [F0, F0]]})
+    for rep, dimension in ((zero, 4), (twice, 4), (line, 1)):
         assert findim._cyclic_nullity(rep.exact_matrices.values(), 2) is None
-        assert commutant_dimension(rep) == 4
-    assert len(system_routes) == 2
+        assert commutant_dimension(rep) == dimension
+    assert len(system_routes) == 3
     assert exact_fallbacks == system_routes
+
+
+def block_diagonal(a: ZMatrix, b: ZMatrix) -> ZMatrix:
+    den = math.lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    rows = [{j: (r * fa, i * fa) for j, (r, i) in row.items()} for row in a.rows]
+    rows += [{a.ncols + j: (r * fb, i * fb) for j, (r, i) in row.items()} for row in b.rows]
+    return ZMatrix(den, rows, a.ncols + b.ncols)
+
+
+@pytest.mark.parametrize("first, dimension", [((2, 2), 4), ((3, 3), 2)])
+def test_so4_direct_sums_take_one_exact_rank(exact_fallbacks, first, dimension):
+    # (2,2) + (2,2) has m = 18 and isomorphic blocks, (3,3) + (2,2) has
+    # m = 25 and blocks that are not; e_0 spins up to its block only
+    a, b = so4_composite_rep(*first), so4_composite_rep(2, 2)
+    rep = FinDimRep(
+        a.space_dim + b.space_dim,
+        {v: block_diagonal(a.exact_matrices[v], b.exact_matrices[v]) for v in VERTICES},
+    )
+    assert commutant_dimension(rep) == dimension
+    assert len(exact_fallbacks) == 1
 
 
 @pytest.mark.parametrize("two_j1, two_j2", [(1, 1), (2, 1), (3, 3), (4, 4)])
