@@ -93,9 +93,7 @@ def _weight_str(weight: Fraction | None) -> str:
 
 def _require_numeric_weight(config: RunConfig) -> Fraction:
     if config.weight is None:
-        raise DomainError(
-            f"{config.command} needs a numeric weight, e.g. --weight 1/2"
-        )
+        raise DomainError(f"{config.command} needs a numeric weight, e.g. --weight 1/2")
     return config.weight
 
 
@@ -127,13 +125,8 @@ def _cmd_witt_symmetry(config: RunConfig):
             check_absolutely_symmetric(config.word_length, config.index_bound, None)
         )
     else:
-        extra.append(
-            CheckItem(
-                subject="absolute-symmetry word check",
-                verdict=INFO,
-                note="needs the symbolic weight; skipped for a numeric one",
-            )
-        )
+        note = "needs the symbolic weight; skipped for a numeric one"
+        extra.append(CheckItem(subject="absolute-symmetry word check", verdict=INFO, note=note))
     return params, reports, extra
 
 
@@ -163,20 +156,22 @@ def _cmd_witt_closed(config: RunConfig):
     return params, [report], []
 
 
+def _shape_items(composite, prefix: str) -> list:
+    """The density and connectedness items, each subject led by prefix."""
+    return [
+        CheckItem(subject=prefix + subject, verdict=PASS if check(composite) else FAIL)
+        for check, subject in (
+            (check_dense, "subspaces span the whole space"),
+            (check_connected, "intersection graph is connected"),
+        )
+    ]
+
+
 def _cmd_composite_check(config: RunConfig):
     composite = load_composite(config.composite_path)
     params = {"composite": config.composite_path}
     reports = [check_compatibility(composite)]
-    extra = [
-        CheckItem(
-            subject="subspaces span the whole space",
-            verdict=PASS if check_dense(composite) else FAIL,
-        ),
-        CheckItem(
-            subject="intersection graph is connected",
-            verdict=PASS if check_connected(composite) else FAIL,
-        ),
-    ]
+    extra = _shape_items(composite, "")
     if config.rep_path is not None:
         params["rep"] = config.rep_path
         if config.tolerance is not None:
@@ -189,16 +184,7 @@ def _cmd_composite_check(config: RunConfig):
 def _cmd_octa_demo(config: RunConfig):
     params = {"two_j1": config.two_j1, "two_j2": config.two_j2}
     octa = build_octahedron()
-    extra = [
-        CheckItem(
-            subject="octahedron subspaces span the whole space",
-            verdict=PASS if check_dense(octa) else FAIL,
-        ),
-        CheckItem(
-            subject="octahedron intersection graph is connected",
-            verdict=PASS if check_connected(octa) else FAIL,
-        ),
-    ]
+    extra = _shape_items(octa, "octahedron ")
     reports = [check_compatibility(octa), killing_certificate()]
     extraction = extract_so4(so4_composite_rep(config.two_j1, config.two_j2))
     reports += [extraction.precondition, extraction.verdict]
@@ -215,29 +201,65 @@ def _cmd_tail_equivalence(config: RunConfig):
         "truncation": config.truncation,
     }
     report = tail_equivalence_report(
-        parse_expression(first),
-        parse_expression(second),
-        weight,
-        probe_terms=config.truncation,
+        parse_expression(first), parse_expression(second), weight, probe_terms=config.truncation
     )
     return params, [report], []
 
 
-_HANDLERS = {
-    "witt-verify": _cmd_witt_pairs,
-    "witt-extended": _cmd_witt_pairs,
-    "witt-symmetry": _cmd_witt_symmetry,
-    "witt-hs": _cmd_witt_hs,
-    "witt-closed": _cmd_witt_closed,
-    "composite-check": _cmd_composite_check,
-    "octa-demo": _cmd_octa_demo,
-    "tail-equivalence": _cmd_tail_equivalence,
+# The command table: name -> (handler, help, arguments).  Each argument is
+# one (flag, kwargs) pair for add_argument, whose dest is the RunConfig field
+# it fills; build_parser adds the _COMMON arguments to every command.
+
+_MAX_INDEX = ("--max-index", dict(type=int, required=True))
+_WEIGHT_HELP = f'highest weight: a positive rational like "1/2", or "{SYMBOLIC}"'
+_WEIGHT = ("--weight", dict(metavar="H", help=_WEIGHT_HELP))
+_NUMERIC_WEIGHT = ("--weight", dict(metavar="H", default="1/2"))
+
+COMMANDS = {
+    "witt-verify": (_cmd_witt_pairs, "in-half pair deviations vanish", [_MAX_INDEX, _WEIGHT]),
+    "witt-extended": (_cmd_witt_pairs, "both ladder families together", [_MAX_INDEX, _WEIGHT]),
+    "witt-symmetry": (_cmd_witt_symmetry, "adjoint symmetry and word identities", [
+        _MAX_INDEX,
+        ("--word-length", dict(type=int, default=3)),
+        ("--index-bound", dict(type=int, default=2)),
+        _WEIGHT,
+    ]),
+    "witt-hs": (_cmd_witt_hs, "mixed-pair deviation classes and tail sums", [
+        ("--index-bound", dict(type=int, default=6)),
+        ("--truncation", dict(type=int, default=500)),
+        _NUMERIC_WEIGHT,
+    ]),
+    "witt-closed": (_cmd_witt_closed, "iterated brackets stay close to the family", [
+        ("--depth", dict(type=int, default=1)),
+        ("--index-bound", dict(type=int, default=2)),
+        ("--mode", dict(choices=("literal", "bracket"), default="bracket")),
+        _WEIGHT,
+    ]),
+    "composite-check": (_cmd_composite_check, "axioms for a composite file", [
+        ("composite_path", dict(metavar="COMPOSITE_JSON")),
+        ("--rep", dict(dest="rep_path", metavar="REP_JSON")),
+        ("--tolerance", dict(type=float)),
+    ]),
+    "octa-demo": (_cmd_octa_demo, "octahedron pipeline end to end", [
+        ("--two-j1", dict(type=int, default=1)),
+        ("--two-j2", dict(type=int, default=1)),
+    ]),
+    "tail-equivalence": (_cmd_tail_equivalence, "square-summable tail comparison", [
+        ("expressions", dict(metavar="EXPR", nargs=2)),
+        _NUMERIC_WEIGHT,
+        ("--truncation", dict(type=int, default=10000)),
+    ]),
 }
+
+_COMMON = [
+    ("--format", dict(dest="fmt", choices=("text", "json"), default="text")),
+    ("--output", dict(metavar="PATH", help="write the report to a file")),
+]
 
 
 def run(config: RunConfig):
     """Dispatch one config; returns (exit_code, CheckReport, payload dict)."""
-    params, reports, extra_items = _HANDLERS[config.command](config)
+    params, reports, extra_items = COMMANDS[config.command][0](config)
     items = []
     notes = []
     for rep in reports:
@@ -262,84 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact checks for composite operator families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", metavar="PATH", help="write the report to a file")
-
-    def weighted(p):
-        p.add_argument(
-            "--weight",
-            metavar="H",
-            help=f'highest weight: a positive rational like "1/2", or "{SYMBOLIC}"',
-        )
-
-    p = sub.add_parser("witt-verify", help="in-half pair deviations vanish")
-    p.add_argument("--max-index", type=int, required=True)
-    weighted(p)
-    common(p)
-
-    p = sub.add_parser("witt-extended", help="both ladder families together")
-    p.add_argument("--max-index", type=int, required=True)
-    weighted(p)
-    common(p)
-
-    p = sub.add_parser("witt-symmetry", help="adjoint symmetry and word identities")
-    p.add_argument("--max-index", type=int, required=True)
-    p.add_argument("--word-length", type=int, default=3)
-    p.add_argument("--index-bound", type=int, default=2)
-    weighted(p)
-    common(p)
-
-    p = sub.add_parser("witt-hs", help="mixed-pair deviation classes and tail sums")
-    p.add_argument("--index-bound", type=int, default=6)
-    p.add_argument("--truncation", type=int, default=500)
-    p.add_argument("--weight", metavar="H", default="1/2")
-    common(p)
-
-    p = sub.add_parser("witt-closed", help="iterated brackets stay close to the family")
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--index-bound", type=int, default=2)
-    p.add_argument("--mode", choices=("literal", "bracket"), default="bracket")
-    weighted(p)
-    common(p)
-
-    p = sub.add_parser("composite-check", help="axioms for a composite file")
-    p.add_argument("composite", metavar="COMPOSITE_JSON")
-    p.add_argument("--rep", metavar="REP_JSON")
-    p.add_argument("--tolerance", type=float)
-    common(p)
-
-    p = sub.add_parser("octa-demo", help="octahedron pipeline end to end")
-    p.add_argument("--two-j1", type=int, default=1)
-    p.add_argument("--two-j2", type=int, default=1)
-    common(p)
-
-    p = sub.add_parser("tail-equivalence", help="square-summable tail comparison")
-    p.add_argument("expressions", metavar="EXPR", nargs=2)
-    p.add_argument("--weight", metavar="H", default="1/2")
-    p.add_argument("--truncation", type=int, default=10000)
-    common(p)
-
+    for name, (_, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments + _COMMON:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-# argparse dests that are renamed or converted on the way into RunConfig:
-# dest -> (field, converter).  Every other dest is the field of that name.
-_ARG_FIELDS = {
-    "format": ("fmt", None),
-    "weight": ("weight", _parse_weight),
-    "composite": ("composite_path", None),
-    "rep": ("rep_path", None),
-    "expressions": ("expressions", tuple),
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {}
-    for dest, value in vars(args).items():
-        field, convert = _ARG_FIELDS.get(dest, (dest, None))
-        fields[field] = value if convert is None else convert(value)
+    fields = dict(vars(args))
+    fields["weight"] = _parse_weight(fields.get("weight"))
+    fields["expressions"] = tuple(fields.get("expressions", ()))
     return RunConfig(**fields)
 
 
@@ -358,10 +313,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         code, report, payload = run(config)
-    except LibError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LibError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = _render(config, report, payload)

@@ -763,6 +763,11 @@ def parse_rational(text: str) -> Fraction:
         raise ZeroDenominatorError(f"zero denominator in literal: {text!r}") from None
 
 
+# parse refuses a power whose exponent times its base's degree (in n or in h,
+# numerator or denominator, at least 1) exceeds this: powers are expanded
+# term by term, and n^100000 would not finish
+_MAX_POWER_DEGREE = 1000
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([nh])|([()+\-*/^]))")
 
 
@@ -790,7 +795,8 @@ def parse(text: str) -> RationalFunc:
     """Parse an expression in n and h into a level-"n" rational function.
 
     Grammar: integer literals, symbols n and h, + - * / ^ and parentheses;
-    ^ takes a nonnegative integer exponent; * and / associate left.
+    ^ takes a nonnegative integer exponent, and exponent x base degree is
+    at most _MAX_POWER_DEGREE; * and / associate left.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -848,6 +854,14 @@ def parse(text: str) -> RationalFunc:
             kind, val = take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
+            # a level-"n" value holds its n-coefficients, each an h-polynomial
+            parts = (node.num, node.den)
+            degree = max(1, *(len(p) - 1 for p in parts), *(len(c) - 1 for p in parts for c in p))
+            if val * degree > _MAX_POWER_DEGREE:
+                raise ParseError(
+                    f"^{val} exceeds the power bound: exponent x max(1, base degree)"
+                    f" = {val * degree} > {_MAX_POWER_DEGREE}"
+                )
             node = node ** val
         return node
 

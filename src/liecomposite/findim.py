@@ -121,7 +121,9 @@ class SubspaceAlgebra:
     """
 
     def __init__(self, name: str, basis, structure_constants):
-        self.name = str(name)
+        if not isinstance(name, str) or not name:
+            raise MalformedInputError(f"subspace name must be a non-empty string, not {name!r}")
+        self.name = name
         self.basis = tuple(_exact_vector(row, f"basis row of {name}") for row in basis)
         dim = len(self.basis)
         if dim < 2:
@@ -191,7 +193,11 @@ class SubspaceAlgebra:
 class FinDimComposite:
     def __init__(self, dimension: int, basis_names, subspaces):
         self.dimension = _integer(dimension, "dimension")
-        self.basis_names = tuple(str(n) for n in basis_names)
+        if not isinstance(basis_names, (list, tuple)) or not all(
+            isinstance(n, str) for n in basis_names
+        ):
+            raise MalformedInputError(f"basis_names must be a list of strings, not {basis_names!r}")
+        self.basis_names = tuple(basis_names)
         if self.dimension < 1 or len(self.basis_names) != self.dimension:
             raise MalformedInputError("dimension must match the basis name count")
         if len(set(self.basis_names)) != self.dimension:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from liecomposite.cli import RunConfig, build_parser, main, run
+from liecomposite.cli import RunConfig, _config_from_args, build_parser, main, run
 from liecomposite.errors import DomainError
 from liecomposite.findim import FinDimRep, rep_to_data, save_composite, save_rep
 from liecomposite.octa import VERTICES, build_octahedron, so4_composite_rep
@@ -219,6 +219,38 @@ def test_non_integer_dimension_exits_two(tmp_path, capsys, field, value):
     assert out == ""
 
 
+def _golden_composite_with(tmp_path, edit):
+    golden = Path(__file__).resolve().parent / "golden"
+    data = json.loads((golden / "octa.json").read_text(encoding="utf-8"))
+    edit(data)
+    cpath = tmp_path / "octa.json"
+    cpath.write_text(json.dumps(data), encoding="utf-8")
+    return str(cpath)
+
+
+@pytest.mark.parametrize("names", [7, None, "ABCDEF"])
+def test_basis_names_that_are_not_a_list_of_strings_exit_two(tmp_path, capsys, names):
+    # 7 and null were a TypeError traceback with exit 1; "ABCDEF" was read
+    # as six one-letter names and passed
+    cpath = _golden_composite_with(tmp_path, lambda d: d.update(basis_names=names))
+    code, out, err = invoke(capsys, "composite-check", cpath)
+    assert code == 2
+    assert err.startswith(f"error: basis_names must be a list of strings, not {names!r}")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("name", [["x", {"y": 1}], None, 7, True, ""])
+def test_subspace_name_that_is_not_a_string_exits_two(tmp_path, capsys, name):
+    # each was read through str() and printed as a Python repr in a PASS
+    cpath = _golden_composite_with(tmp_path, lambda d: d["subspaces"][0].update(name=name))
+    code, out, err = invoke(capsys, "composite-check", cpath)
+    assert code == 2
+    assert err.startswith(f"error: subspace name must be a non-empty string, not {name!r}")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 # -- numeric-weight handling ---------------------------------------------------
 
 
@@ -337,6 +369,16 @@ def test_malformed_expression_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["n^100000", "(n+1)^5000", "2^100000", "((n+1)^40)^30"])
+def test_power_beyond_the_bound_exits_two(capsys, expr):
+    # n^100000 ran past 30 s before the bound: powers are expanded term by term
+    code, out, err = invoke(capsys, "tail-equivalence", expr, "0")
+    assert code == 2
+    assert err.startswith("error: ") and "exceeds the power bound" in err and "> 1000" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 # -- schema, rendering and determinism ----------------------------------------
 
 
@@ -386,3 +428,25 @@ def test_parser_defaults():
     assert args.weight == "1/2"
     assert args.truncation == 500
     assert args.index_bound == 6
+    # the RunConfig fields each command's minimal argv resolves to
+    half = Fraction(1, 2)
+    expected = {
+        ("witt-verify", "--max-index", "2"): {"max_index": 2, "weight": None},
+        ("witt-extended", "--max-index", "2"): {"max_index": 2, "weight": None},
+        ("witt-symmetry", "--max-index", "2"): {
+            "max_index": 2, "word_length": 3, "index_bound": 2, "weight": None,
+        },
+        ("witt-hs",): {"index_bound": 6, "truncation": 500, "weight": half},
+        ("witt-closed",): {"depth": 1, "index_bound": 2, "mode": "bracket", "weight": None},
+        ("composite-check", "c.json"): {
+            "composite_path": "c.json", "rep_path": None, "tolerance": None,
+        },
+        ("octa-demo",): {"two_j1": 1, "two_j2": 1},
+        ("tail-equivalence", "n", "0"): {
+            "expressions": ("n", "0"), "truncation": 10000, "weight": half,
+        },
+    }
+    for argv, fields in expected.items():
+        config = _config_from_args(build_parser().parse_args(list(argv)))
+        fields = {"command": argv[0], "fmt": "text", "output": None, **fields}
+        assert {name: getattr(config, name) for name in fields} == fields, argv

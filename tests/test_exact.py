@@ -108,6 +108,14 @@ def test_parse_precedence_and_power():
             parse(bad)
 
 
+def test_parse_power_at_the_bound():
+    # exponent x max(1, base degree) may reach 1000 but not pass it
+    assert len(parse("(n+1)^1000").num) == 1001
+    for bad in ("(n+1)^1001", "(h^2)^501", "(1/(n^2+1))^501", "3^1001"):
+        with pytest.raises(ParseError, match="power bound"):
+            parse(bad)
+
+
 def test_substitute_h_clears_removable_coefficient_poles():
     # canonical (monic) form stores 1/(2h-1) coefficients; the value at
     # h = 1/2 is still regular
