@@ -344,7 +344,7 @@ def recorded_cases():
     ]
     for seed, (name, base, gaussian) in enumerate(exact_bases):
         rep = conjugated(base, random.Random(100 + seed), gaussian)
-        cases[f"exact-{name}"] = (rep, {"irreducible_hint": name == "so4-2-0"})
+        cases[f"exact-{name}"] = (rep, {})
     return cases
 
 
