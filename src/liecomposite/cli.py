@@ -121,9 +121,7 @@ def _cmd_witt_symmetry(config: RunConfig):
     reports = [check_symmetric(config.max_index, config.weight)]
     extra = []
     if config.weight is None:
-        reports.append(
-            check_absolutely_symmetric(config.word_length, config.index_bound, None)
-        )
+        reports.append(check_absolutely_symmetric(config.word_length, config.index_bound))
     else:
         note = "needs the symbolic weight; skipped for a numeric one"
         extra.append(CheckItem(subject="absolute-symmetry word check", verdict=INFO, note=note))

@@ -764,9 +764,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 # parse refuses a power whose exponent times its base's degree (in n or in h,
-# numerator or denominator, at least 1) exceeds this: powers are expanded
-# term by term, and n^100000 would not finish
+# numerator or denominator, at least 1) exceeds _MAX_POWER_DEGREE, or whose
+# expansion may hold more than _MAX_POWER_TERMS terms n^a h^b, that is
+# (exponent x n-degree + 1) x (exponent x h-degree + 1): powers are expanded
+# term by term, and neither n^100000 nor (n+h)^1000 would finish in seconds
 _MAX_POWER_DEGREE = 1000
+_MAX_POWER_TERMS = 10_000
+
+# parse refuses parentheses and unary minus signs nested deeper than this,
+# before the recursive descent runs out of Python's recursion limit
+_MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([nh])|([()+\-*/^]))")
 
@@ -795,11 +802,13 @@ def parse(text: str) -> RationalFunc:
     """Parse an expression in n and h into a level-"n" rational function.
 
     Grammar: integer literals, symbols n and h, + - * / ^ and parentheses;
-    ^ takes a nonnegative integer exponent, and exponent x base degree is
-    at most _MAX_POWER_DEGREE; * and / associate left.
+    ^ takes a nonnegative integer exponent, exponent x base degree is at
+    most _MAX_POWER_DEGREE and the expanded terms at most _MAX_POWER_TERMS;
+    * and / associate left; parentheses and unary minus signs nest at most
+    _MAX_NESTING deep.
     """
     tokens = _tokenize(text)
-    pos = 0
+    pos = depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else (None, None)
@@ -809,6 +818,16 @@ def parse(text: str) -> RationalFunc:
         tok = peek()
         pos += 1
         return tok
+
+    def deeper(parse_inner) -> RationalFunc:
+        """parse_inner() one nesting level down."""
+        nonlocal depth
+        if depth == _MAX_NESTING:
+            raise ParseError(f"parentheses and unary minus signs nest deeper than {_MAX_NESTING}")
+        depth += 1
+        node = parse_inner()
+        depth -= 1
+        return node
 
     def expr() -> RationalFunc:
         kind, val = peek()
@@ -843,7 +862,7 @@ def parse(text: str) -> RationalFunc:
         kind, val = peek()
         if kind == "op" and val == "-":
             take()
-            return -unary()
+            return -deeper(unary)
         return power()
 
     def power() -> RationalFunc:
@@ -856,11 +875,19 @@ def parse(text: str) -> RationalFunc:
                 raise ParseError("exponent must be a nonnegative integer")
             # a level-"n" value holds its n-coefficients, each an h-polynomial
             parts = (node.num, node.den)
-            degree = max(1, *(len(p) - 1 for p in parts), *(len(c) - 1 for p in parts for c in p))
+            deg_n = max(len(p) - 1 for p in parts)
+            deg_h = max(len(c) - 1 for p in parts for c in p)
+            degree = max(1, deg_n, deg_h)
             if val * degree > _MAX_POWER_DEGREE:
                 raise ParseError(
                     f"^{val} exceeds the power bound: exponent x max(1, base degree)"
                     f" = {val * degree} > {_MAX_POWER_DEGREE}"
+                )
+            terms = (val * deg_n + 1) * (val * deg_h + 1)
+            if terms > _MAX_POWER_TERMS:
+                raise ParseError(
+                    f"^{val} exceeds the power bound: (exponent x n-degree + 1)"
+                    f" x (exponent x h-degree + 1) = {terms} > {_MAX_POWER_TERMS} terms"
                 )
             node = node ** val
         return node
@@ -872,7 +899,7 @@ def parse(text: str) -> RationalFunc:
         if kind == "sym":
             return var_n() if val == "n" else var_h_in_n()
         if kind == "op" and val == "(":
-            node = expr()
+            node = deeper(expr)
             kind, val = take()
             if (kind, val) != ("op", ")"):
                 raise ParseError(f"expected ')' in {text!r}")

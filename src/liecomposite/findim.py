@@ -35,7 +35,6 @@ from .errors import (
 from .linalg import (
     GaussianRational,
     ZMatrix,
-    _gauss,
     _pivot_mod_p,
     _transposes,
     column_space_intersection,
@@ -69,7 +68,16 @@ def format_scalar(x) -> str:
     return str(Fraction(x))
 
 
+def _sequence(value, what: str):
+    """value itself if it is a list or tuple: a JSON string or object would
+    otherwise be read as its characters or its keys."""
+    if not isinstance(value, (list, tuple)):
+        raise MalformedInputError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
 def _coerce_vector(values, what: str):
+    _sequence(values, what)
     try:
         return tuple(
             parse_scalar(v) if isinstance(v, str) else _coerce_scalar(v)
@@ -124,7 +132,8 @@ class SubspaceAlgebra:
         if not isinstance(name, str) or not name:
             raise MalformedInputError(f"subspace name must be a non-empty string, not {name!r}")
         self.name = name
-        self.basis = tuple(_exact_vector(row, f"basis row of {name}") for row in basis)
+        rows = _sequence(basis, f"basis of {name}")
+        self.basis = tuple(_exact_vector(row, f"basis row of {name}") for row in rows)
         dim = len(self.basis)
         if dim < 2:
             raise MalformedInputError(
@@ -136,17 +145,17 @@ class SubspaceAlgebra:
         self.basis_matrix = ZMatrix.from_rows(self.basis)
         if rank(self.basis_matrix.rows) != dim:
             raise MalformedInputError(f"subspace {name}: basis rows are dependent")
-        c = structure_constants
+        what = f"structure constants of {name}"
+        c = self.structure_constants = tuple(
+            tuple(_exact_vector(row, what) for row in _sequence(plane, what))
+            for plane in _sequence(structure_constants, what)
+        )
         if len(c) != dim or any(
             len(plane) != dim or any(len(row) != dim for row in plane) for plane in c
         ):
             raise MalformedInputError(
                 f"subspace {name}: structure constants must be {dim}x{dim}x{dim}"
             )
-        self.structure_constants = tuple(
-            tuple(_exact_vector(row, f"structure constants of {name}") for row in plane)
-            for plane in c
-        )
         self.bracket_matrix = ZMatrix.from_rows(
             [[plane[i][j] for plane in self.structure_constants]
              for i in range(dim) for j in range(dim)]
@@ -234,7 +243,10 @@ class FinDimRep:
             if isinstance(matrix, ZMatrix):
                 rows = matrix.to_rows()
             else:
-                rows = [list(_coerce_vector(row, f"matrix row of {name}")) for row in matrix]
+                rows = [
+                    list(_coerce_vector(row, f"matrix row of {name}"))
+                    for row in _sequence(matrix, f"matrix for {name}")
+                ]
             if len(rows) != self.space_dim or any(
                 len(row) != self.space_dim for row in rows
             ):
@@ -306,10 +318,6 @@ def _abs(re: int, im: int, den: int) -> float:
     """|(re + im i) / den|, rounded as the Fraction or Gaussian rational
     that _scalar makes of it."""
     return abs(re / den) if not im else ((re * re + im * im) / (den * den)) ** 0.5
-
-
-def _entry_abs(x) -> float:
-    return abs(x) if isinstance(x, float) else _abs(*_gauss(x))
 
 
 def _max_abs(matrix) -> float:
@@ -583,8 +591,7 @@ def is_irreducible(rep: FinDimRep) -> bool:
     raises DomainError.  For an irreducible exact representation whose
     e_0 is cyclic mod p, commutant_dimension proves this with one rank
     computation mod p in m unknowns.  Over non-closed scalars this is
-    evidence, not proof; callers may override with an asserted flag where
-    the spec of the pipeline allows it."""
+    evidence, not proof."""
     return commutant_dimension(rep) == 1
 
 

@@ -6,8 +6,8 @@ every edge of the octahedron lies in exactly one chosen face, so the
 brackets never conflict.  Composite representations are assembled from a
 pair of so(3) irreducibles: each vertex acts as a signed combination
 P (x) 1 +/- 1 (x) Q, with the sign/index table fixed once (a finite
-search over the face constraints re-derives it).  From any composite
-representation, extract_so4 verifies the central opposite-pair
+search over the face constraints re-derives it).  From any exact
+composite representation, extract_so4 verifies the central opposite-pair
 commutators, removes the trace parts, and certifies the full so(4)
 bracket table plus semisimplicity evidence.
 
@@ -23,14 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import DomainError, MalformedInputError, SearchFailureError
+from .errors import DomainError, SearchFailureError
 from .findim import (
     FinDimComposite,
     FinDimRep,
     SubspaceAlgebra,
-    _entry_abs,
-    _max_abs,
-    _tolerance,
     check_representation,
     commutant_dimension,
     format_scalar,
@@ -41,7 +38,6 @@ from .linalg import (
     mat_commutator,
     mat_identity,
     mat_sub,
-    mat_trace,
     rank,
     symmetric_signature,
 )
@@ -52,56 +48,14 @@ FACES = (("A", "B", "C"), ("A", "D", "E"), ("C", "D", "F"), ("E", "B", "F"))
 OPPOSITE_PAIRS = (("A", "F"), ("B", "D"), ("C", "E"))
 
 
-@dataclass(frozen=True)
-class OctahedronLabels:
-    """Vertex labels, oriented faces, and opposite pairs, with the
-    edge-coverage invariants checked at construction."""
-
-    vertices: tuple = VERTICES
-    faces: tuple = FACES
-    opposite_pairs: tuple = OPPOSITE_PAIRS
-
-    def __post_init__(self):
-        if len(set(self.vertices)) != 6:
-            raise MalformedInputError("need six distinct vertices")
-        opposite = {frozenset(p) for p in self.opposite_pairs}
-        if len(opposite) != 3 or any(len(p) != 2 for p in opposite):
-            raise MalformedInputError("need three disjoint opposite pairs")
-        edges = [
-            frozenset((face[i], face[(i + 1) % 3]))
-            for face in self.faces
-            for i in range(3)
-        ]
-        if len(self.faces) != 4 or len(set(edges)) != 12:
-            raise MalformedInputError("faces must cover twelve distinct edges")
-        if any(edge in opposite for edge in edges):
-            raise MalformedInputError("a face uses an opposite pair as an edge")
-        for v in self.vertices:
-            if sum(v in face for face in self.faces) != 2:
-                raise MalformedInputError(f"vertex {v} must lie in exactly two faces")
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if len(set(self.faces[i]) & set(self.faces[j])) != 1:
-                    raise MalformedInputError(
-                        "chosen faces must pairwise share exactly one vertex"
-                    )
-
-    @classmethod
-    def standard(cls) -> "OctahedronLabels":
-        return cls()
-
-
 def build_octahedron() -> FinDimComposite:
     """The 6-dimensional composite with one so(3) per chosen face."""
-    labels = OctahedronLabels.standard()
     so3 = _abstract_constants([(0, 1, 2)], range(3))
     subspaces = [
-        SubspaceAlgebra(
-            "".join(face), [[Fraction(v == w) for w in labels.vertices] for v in face], so3
-        )
-        for face in labels.faces
+        SubspaceAlgebra("".join(face), [[Fraction(v == w) for w in VERTICES] for v in face], so3)
+        for face in FACES
     ]
-    return FinDimComposite(6, list(labels.vertices), subspaces)
+    return FinDimComposite(6, list(VERTICES), subspaces)
 
 
 # -- so(3) irreducibles over the Gaussian rationals --------------------------
@@ -231,48 +185,27 @@ def _search_vertex_assignment():
     raise SearchFailureError("no sign/index table satisfies the four faces")
 
 
-def _rep_from_assignment(two_j1: int, two_j2: int, assignment) -> FinDimRep:
+def so4_composite_rep(two_j1: int, two_j2: int) -> FinDimRep:
+    """Composite representation on the tensor product of two so(3)
+    irreducibles, using the fixed vertex table."""
     t1, t2 = so3_irrep(two_j1), so3_irrep(two_j2)
     eye1, eye2 = ZMatrix.identity(two_j1 + 1), ZMatrix.identity(two_j2 + 1)
     matrices = {
         vertex: t1[i1].kron(eye2).add(eye1.kron(t2[i2]), s1 * s2).scale(s1)
-        for vertex, (s1, i1, s2, i2) in assignment.items()
+        for vertex, (s1, i1, s2, i2) in VERTEX_TABLE.items()
     }
     return FinDimRep((two_j1 + 1) * (two_j2 + 1), matrices)
-
-
-def so4_composite_rep(two_j1: int, two_j2: int) -> FinDimRep:
-    """Composite representation on the tensor product of two so(3)
-    irreducibles, using the fixed vertex table."""
-    if not _verify_assignment(VERTEX_TABLE):
-        raise SearchFailureError("the shipped vertex table fails its face checks")
-    return _rep_from_assignment(two_j1, two_j2, VERTEX_TABLE)
 
 
 # -- the extraction ---------------------------------------------------------
 
 
-def _trace_shift(matrix):
-    """(lambda, matrix - lambda * identity) for lambda = trace / size.  A
-    ZMatrix stays in integers: lambda is its trace numerator over
-    den * size."""
-    if isinstance(matrix, ZMatrix):
-        n = len(matrix.rows)
-        scalar = matrix.trace(n)
-        return scalar, matrix.add(ZMatrix.identity(n).scale(scalar), -1) if scalar else matrix
-    n = len(matrix)
-    scalar = mat_trace(matrix) / Fraction(n)
-    eye = mat_identity(n)
-    return scalar, [
-        [x - scalar * e for x, e in zip(row, eye_row)]
-        for row, eye_row in zip(matrix, eye)
-    ]
-
-
-def _scalar_str(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return format_scalar(x)
+def _trace_shift(matrix: ZMatrix):
+    """(lambda, matrix - lambda * identity) for lambda = trace / size, in
+    integers: lambda is the trace numerator over den * size."""
+    n = len(matrix.rows)
+    scalar = matrix.trace(n)
+    return scalar, matrix.add(ZMatrix.identity(n).scale(scalar), -1) if scalar else matrix
 
 
 @dataclass(frozen=True)
@@ -289,44 +222,37 @@ class So4Extraction:
 
     def to_data(self) -> dict:
         return {
-            "lambdas": {v: _scalar_str(x) for v, x in self.lambdas.items()},
+            "lambdas": {v: format_scalar(x) for v, x in self.lambdas.items()},
             "central_values": {
-                pair: _scalar_str(x) for pair, x in self.central_values.items()
+                pair: format_scalar(x) for pair, x in self.central_values.items()
             },
             "pass": self.verdict.passed,
             "details": self.verdict.to_dict(),
         }
 
 
-def extract_so4(
-    rep: FinDimRep, irreducible_hint: bool = False, tolerance=None
-) -> So4Extraction:
-    """Recover an so(4) representation from a composite representation.
+def _vanishing_item(subject, matrices) -> CheckItem:
+    return CheckItem(subject=subject, verdict=FAIL if any(matrices) else PASS)
+
+
+def extract_so4(rep: FinDimRep) -> So4Extraction:
+    """Recover an so(4) representation from an exact composite
+    representation.
 
     Steps, each contributing report items: (1) precondition: the input
     restricts to a representation on every face; (2) opposite-pair
-    commutators are central; (3) under established irreducibility they
+    commutators are central; (3) when the commutant dimension is 1 they
     are scalar, and being traceless, zero; (4) scalar shifts by
     lambda_V = trace/dim make every operator traceless and the shifted
     family satisfies the full so(4) table; (5) semisimplicity evidence:
     the span of the shifted operators is bracket-closed (the abstract
     6-dimensional table is certified separately by killing_certificate).
+    A float representation raises DomainError, as commutant_dimension
+    does: every step is an exact identity.
     """
-    composite = build_octahedron()
-    exact = rep.is_exact and tolerance is None
-    tol = _tolerance(tolerance)
-    mode = "exact" if exact else f"tolerance {tol:g}"
-
-    def zeroish(matrix) -> bool:
-        return not matrix if exact else _max_abs(matrix) <= tol
-
-    def vanishing_item(subject, matrices) -> CheckItem:
-        """PASS when every matrix is zeroish; floats also report the worst residual."""
-        ok = all(map(zeroish, matrices))
-        residual = None if exact else f"{max(map(_max_abs, matrices)):.3e}"
-        return CheckItem(subject=subject, verdict=PASS if ok else FAIL, residual=residual)
-
-    pre = check_representation(composite, rep, tolerance)
+    if not rep.is_exact:
+        raise DomainError("the so(4) extraction needs an exact representation")
+    pre = check_representation(build_octahedron(), rep)
     items = [
         CheckItem(
             subject="precondition: composite representation",
@@ -339,17 +265,14 @@ def extract_so4(
     if not pre.passed:
         verdict = CheckReport.build(
             "so4-extraction",
-            {"space_dim": rep.space_dim, "arithmetic": mode},
+            {"space_dim": rep.space_dim, "arithmetic": "exact"},
             items,
             notes=("input rejected before extraction",),
         )
         return So4Extraction({}, rep, {}, verdict, pre)
 
     dim = rep.space_dim
-    # exact input runs on ZMatrix integers, also under a tolerance, and
-    # float input on the entry lists
-    zmat = rep.is_exact
-    mats = {v: rep.exact_matrices[v] if zmat else rep.matrix(v) for v in VERTICES}
+    mats = rep.exact_matrices
     shifts = {v: _trace_shift(mats[v]) for v in VERTICES}
     lambdas = {v: lam for v, (lam, _) in shifts.items()}
     shifted_mats = {v: m for v, (_, m) in shifts.items()}
@@ -359,39 +282,28 @@ def extract_so4(
     pairs = list(combinations(VERTICES, 2))
     brackets = {(p, q): mat_commutator(shifted_mats[p], shifted_mats[q]) for p, q in pairs}
     for p, q in pairs:
-        k = brackets[p, q]
-        brackets[q, p] = k.scale(-1) if zmat else [[-x for x in row] for row in k]
+        brackets[q, p] = brackets[p, q].scale(-1)
 
     centrals = {}
     for p, q in OPPOSITE_PAIRS:
-        # scalar shifts leave an exact commutator unchanged, but not a
-        # float one, whose residuals are reported digit by digit
-        k = brackets[p, q] if zmat else mat_commutator(mats[p], mats[q])
-        centrals[f"{p},{q}"] = k
+        # scalar shifts leave a commutator unchanged
+        k = centrals[f"{p},{q}"] = brackets[p, q]
         comms = [mat_commutator(k, mats[v]) for v in VERTICES]
-        items.append(vanishing_item(f"[T({p}), T({q})] is central", comms))
+        items.append(_vanishing_item(f"[T({p}), T({q})] is central", comms))
 
-    if irreducible_hint:
-        irreducible, how = True, "asserted by caller"
-    elif exact:
-        irreducible = commutant_dimension(rep) == 1
-        how = "commutant dimension 1" if irreducible else "commutant dimension > 1"
-    else:
-        irreducible, how = False, "not established for float input (pass irreducible_hint)"
-    items.append(
-        CheckItem(subject="irreducibility", verdict=INFO, note=how)
-    )
+    irreducible = commutant_dimension(rep) == 1
+    how = "commutant dimension 1" if irreducible else "commutant dimension > 1"
+    items.append(CheckItem(subject="irreducibility", verdict=INFO, note=how))
 
     central_values = {}
     for pair, k in centrals.items():
         scalar, residue = _trace_shift(k)
         central_values[pair] = scalar
         if irreducible:
-            ok = zeroish(residue) and (not scalar if exact else _entry_abs(scalar) <= tol)
             items.append(
                 CheckItem(
-                    subject=f"central commutator ({pair}) is the scalar {_scalar_str(scalar)}",
-                    verdict=PASS if ok else FAIL,
+                    subject=f"central commutator ({pair}) is the scalar {format_scalar(scalar)}",
+                    verdict=FAIL if residue or scalar else PASS,
                     note="traceless and central, hence zero",
                 )
             )
@@ -404,18 +316,14 @@ def extract_so4(
                 )
             )
 
-    all_zero = all(
-        (not x) if not isinstance(x, float) else abs(x) <= tol
-        for x in lambdas.values()
-    )
     items.append(
         CheckItem(
             subject="scalar shifts lambda_V = trace/dim",
             verdict=INFO,
             note="all shifts vanish"
-            if all_zero
+            if not any(lambdas.values())
             else "nonzero shifts: "
-            + ", ".join(f"{v}={_scalar_str(x)}" for v, x in lambdas.items() if x),
+            + ", ".join(f"{v}={format_scalar(x)}" for v, x in lambdas.items() if x),
         )
     )
 
@@ -425,16 +333,14 @@ def extract_so4(
             for left, mid, right in ((p, q, r), (q, r, p), (r, p, q))
         ]
         items.append(
-            vanishing_item(f"face ({p}{q}{r}) so(3) relations on shifted operators", diffs)
+            _vanishing_item(f"face ({p}{q}{r}) so(3) relations on shifted operators", diffs)
         )
     for p, q in OPPOSITE_PAIRS:
         items.append(
-            vanishing_item(f"shifted opposite pair ({p}, {q}) commutes", [brackets[p, q]])
+            _vanishing_item(f"shifted opposite pair ({p}, {q}) commutes", [brackets[p, q]])
         )
 
-    if not exact:
-        evidence = INFO, "span computation skipped for float input"
-    elif not any(shifted_mats.values()):
+    if not any(shifted_mats.values()):
         evidence = PASS, "degenerate zero representation: empty span is trivially closed"
     else:
         vectors = [shifted_mats[v].flat() for v in VERTICES]
@@ -449,7 +355,7 @@ def extract_so4(
     )
 
     verdict = CheckReport.build(
-        "so4-extraction", {"space_dim": dim, "arithmetic": mode, "irreducible": how}, items
+        "so4-extraction", {"space_dim": dim, "arithmetic": "exact", "irreducible": how}, items
     )
     return So4Extraction(lambdas, shifted, central_values, verdict, pre)
 

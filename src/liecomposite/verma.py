@@ -381,7 +381,7 @@ def _word_coefficients(max_len: int, index_bound: int):
     return walk((), qhn_const(1), 0)
 
 
-def check_absolutely_symmetric(max_len: int, index_bound: int, h=None) -> CheckReport:
+def check_absolutely_symmetric(max_len: int, index_bound: int) -> CheckReport:
     """Every zero-graded word acts as a self-adjoint operator.
 
     Words are tuples over both families, graded by index sum; every word
@@ -395,8 +395,6 @@ def check_absolutely_symmetric(max_len: int, index_bound: int, h=None) -> CheckR
         raise DomainError("word length bound must be at least 2")
     if index_bound < 0:
         raise DomainError("index bound must be nonnegative")
-    if _weight(h) is not None:
-        raise DomainError("the word-symmetry check runs at the formal weight")
     items: list[CheckItem] = []
     for word, total, acc in _word_coefficients(max_len, index_bound):
         if total:
@@ -534,18 +532,20 @@ def check_absolutely_closed(
     )
 
 
+# check_hs_deviations passes a deviation whose last count/2 columns add
+# less than this share of its squared-element sum
+_TAIL_FRACTION = Fraction(1, 100)
+
+
 def check_hs_deviations(
-    index_bound: int = 6,
-    h0=Fraction(1, 2),
-    count: int = 500,
-    tail_fraction=Fraction(1, 100),
+    index_bound: int = 6, h0=Fraction(1, 2), count: int = 500
 ) -> CheckReport:
     """Cross-half deviations are small: symbolic class plus numeric tails.
 
     For i in [2, index_bound] and j in [-index_bound, -2], the deviation
     of (e_i, e_j) must classify as zero, trace-class or hilbert-schmidt,
     and the squared-element partial sums at the numeric weight must have
-    S_count - S_{count/2} below tail_fraction of S_count.
+    S_count - S_{count/2} below _TAIL_FRACTION of S_count.
     """
     if index_bound < 2:
         raise DomainError("index bound must be at least 2")
@@ -564,7 +564,7 @@ def check_hs_deviations(
                 num_ok, frac_txt = True, "0"
             else:
                 frac = (total - half) / total
-                num_ok = frac < float(tail_fraction)
+                num_ok = frac < float(_TAIL_FRACTION)
                 frac_txt = f"{frac:.3e}"
             items.append(
                 CheckItem(
@@ -580,7 +580,7 @@ def check_hs_deviations(
             "index_bound": index_bound,
             "h0": str(h0),
             "count": count,
-            "tail_fraction": str(Fraction(tail_fraction)),
+            "tail_fraction": str(_TAIL_FRACTION),
         },
         items,
         notes=("partial sums: terms exact, running sums accumulated in float64",),

@@ -1,6 +1,7 @@
 """Exit codes, report schema and determinism of the batch front end."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -157,6 +158,41 @@ def test_matrices_that_are_not_an_object_exit_two(tmp_path, capsys, matrices):
     code, out, err = invoke(capsys, "composite-check", str(golden / "octa.json"), "--rep", str(rpath))
     assert code == 2
     assert err.startswith("error: matrices must be a JSON object")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+_ABC_ROWS = ["100000", "010000", "001000"]  # the basis of face ABC in octa.json
+
+
+@pytest.mark.parametrize(
+    "basis, matrix, expected",
+    [
+        (_ABC_ROWS, None, "basis row of ABC must be a list, not str"),
+        (dict.fromkeys(_ABC_ROWS, 0), None, "basis of ABC must be a list, not dict"),
+        (None, "0", "matrix for A must be a list, not str"),
+        (None, {"0": 1}, "matrix for A must be a list, not dict"),
+    ],
+    ids=["basis-rows-as-strings", "basis-rows-as-keys", "matrix-as-string", "matrix-as-object"],
+)
+def test_strings_and_objects_for_lists_exit_two(tmp_path, capsys, basis, matrix, expected):
+    # each was read element by element, a string as its characters and an
+    # object as its keys, and the check passed with exit 0
+    golden = Path(__file__).parent / "golden"
+    argv = [str(golden / "octa.json")]
+    if basis is not None:
+        data = json.loads((golden / "octa.json").read_text(encoding="utf-8"))
+        data["subspaces"][0]["basis"] = basis
+        argv[0] = str(tmp_path / "octa.json")
+        Path(argv[0]).write_text(json.dumps(data), encoding="utf-8")
+    if matrix is not None:
+        rpath = tmp_path / "rep.json"
+        rep = {"space_dim": 1, "matrices": {v: matrix for v in VERTICES}}
+        rpath.write_text(json.dumps(rep), encoding="utf-8")
+        argv += ["--rep", str(rpath)]
+    code, out, err = invoke(capsys, "composite-check", *argv)
+    assert code == 2
+    assert err.startswith(f"error: {expected}")
     assert "Traceback" not in err
     assert out == ""
 
@@ -375,6 +411,31 @@ def test_power_beyond_the_bound_exits_two(capsys, expr):
     code, out, err = invoke(capsys, "tail-equivalence", expr, "0")
     assert code == 2
     assert err.startswith("error: ") and "exceeds the power bound" in err and "> 1000" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("expr", ["(n+h)^1000", "(n/(n+h^2))^500"])
+def test_power_with_too_many_terms_exits_two(capsys, expr):
+    # these took 44 s and 8.4 s to expand: each is inside exponent x degree
+    # <= 1000, but not inside the bound on the expanded term count
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "tail-equivalence", expr, "0")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.startswith("error: ") and "exceeds the power bound" in err and "> 10000 terms" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "expr", ["(" * 200 + "n" + ")" * 200, "-" * 1500 + "n"], ids=["parentheses", "minus-signs"]
+)
+def test_deep_nesting_exits_two(capsys, expr):
+    # each ended in a RecursionError traceback with exit 1
+    code, out, err = invoke(capsys, "tail-equivalence", "--", expr, "0")
+    assert code == 2
+    assert err.startswith("error: parentheses and unary minus signs nest deeper than 100")
     assert "Traceback" not in err
     assert out == ""
 

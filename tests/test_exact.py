@@ -116,6 +116,22 @@ def test_parse_power_at_the_bound():
             parse(bad)
 
 
+def test_parse_power_term_bound():
+    # (exponent x n-degree + 1) x (exponent x h-degree + 1) may reach 10000
+    assert len(parse("(n+h)^99").num) == 100
+    for bad in ("(n+h)^100", "(n/(n+h^2))^500"):
+        with pytest.raises(ParseError, match="> 10000 terms"):
+            parse(bad)
+
+
+def test_parse_nesting_bound():
+    assert equals(parse("(" * 100 + "n" + ")" * 100), N)
+    assert equals(parse("-" * 101 + "n"), -N)
+    for bad in ("(" * 101 + "n" + ")" * 101, "-" * 102 + "n", "(--" * 51 + "n" + ")" * 51):
+        with pytest.raises(ParseError, match="nest deeper than 100"):
+            parse(bad)
+
+
 def test_substitute_h_clears_removable_coefficient_poles():
     # canonical (monic) form stores 1/(2h-1) coefficients; the value at
     # h = 1/2 is still regular

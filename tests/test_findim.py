@@ -309,6 +309,13 @@ def test_float_matrices_use_tolerance():
     assert check_representation(comp, exact_rep, tolerance=0).passed
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf")])
+def test_check_representation_refuses_a_tolerance_that_decides_nothing(tolerance):
+    rep = FinDimRep(3, {k: [[0.0] * 3 for _ in range(3)] for k in "xyz"})
+    with pytest.raises(DomainError, match="tolerance must be finite and >= 0"):
+        check_representation(so3_composite(), rep, tolerance=tolerance)
+
+
 def test_missing_matrix_raises():
     comp = so3_composite()
     rep = FinDimRep(2, {"x": [[F0, F0], [F0, F0]], "y": [[F0, F0], [F0, F0]]})

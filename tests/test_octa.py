@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecomposite.errors import DomainError, MalformedInputError
+from liecomposite.errors import DomainError
 from liecomposite.findim import (
     FinDimRep,
     check_compatibility,
@@ -34,7 +34,6 @@ from liecomposite.octa import (
     OPPOSITE_PAIRS,
     VERTEX_TABLE,
     VERTICES,
-    OctahedronLabels,
     _abstract_constants,
     _search_vertex_assignment,
     _verify_assignment,
@@ -48,26 +47,6 @@ from liecomposite.octa import (
 G = GaussianRational
 
 
-# -- labels -----------------------------------------------------------------
-
-
-def test_standard_labels_satisfy_invariants():
-    labels = OctahedronLabels.standard()
-    assert labels.vertices == VERTICES
-    assert len(labels.faces) == 4
-
-
-def test_labels_reject_face_on_opposite_pair():
-    # (ABF) runs along the diagonal (A, F), which is not an edge
-    with pytest.raises(MalformedInputError):
-        OctahedronLabels(faces=(("A", "B", "F"), ("A", "D", "E"), ("C", "D", "F"), ("E", "B", "C")))
-
-
-def test_labels_reject_unbalanced_vertex_coverage():
-    with pytest.raises(MalformedInputError):
-        OctahedronLabels(faces=(("A", "B", "C"), ("A", "B", "D"), ("C", "D", "F"), ("E", "B", "F")))
-
-
 # -- the composite ----------------------------------------------------------
 
 
@@ -77,6 +56,16 @@ def test_octahedron_axioms():
     assert check_compatibility(octa).passed
     assert check_dense(octa)
     assert check_connected(octa)
+
+
+def test_faces_cover_the_twelve_edges_once():
+    # the three opposite pairs split the six vertices, each other vertex
+    # pair is an edge of exactly one face, and each vertex lies in two faces
+    opposite = {frozenset(pair) for pair in OPPOSITE_PAIRS}
+    assert len(opposite) == 3 and frozenset().union(*opposite) == set(VERTICES)
+    edges = [frozenset((face[i], face[(i + 1) % 3])) for face in FACES for i in range(3)]
+    assert len(set(edges)) == 12 and not opposite & set(edges)
+    assert all(sum(v in face for face in FACES) == 2 for v in VERTICES)
 
 
 def test_face_pairs_overlap_in_one_dimension():
@@ -219,13 +208,6 @@ def test_extraction_tensor_product_centrality():
     assert all(i.verdict == "pass" for i in central_items)
 
 
-def test_extraction_with_irreducibility_hint_skips_commutant():
-    ext = extract_so4(so4_composite_rep(2, 2), irreducible_hint=True)
-    assert ext.passed
-    hows = [i.note for i in ext.verdict.items if i.subject == "irreducibility"]
-    assert hows == ["asserted by caller"]
-
-
 def adjoint_rep(as_float=False):
     # the abstract algebra acting on itself; reducible (two ideals) and real
     c = _abstract_constants()
@@ -250,18 +232,12 @@ def test_extraction_reducible_rep_skips_scalar_step():
     assert all(not x for x in ext.central_values.values())
 
 
-def test_extraction_float_rep_uses_tolerance():
-    ext = extract_so4(adjoint_rep(as_float=True))
-    assert ext.passed
-    assert dict(ext.verdict.parameters)["arithmetic"] == "tolerance 1e-09"
-    notes = [i.note for i in ext.verdict.items if i.note]
-    assert any("float input" in n for n in notes)
-
-
-@pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf")])
-def test_extraction_refuses_a_tolerance_that_decides_nothing(tolerance):
-    with pytest.raises(DomainError, match="tolerance must be finite and >= 0"):
-        extract_so4(adjoint_rep(as_float=True), tolerance=tolerance)
+def test_extraction_refuses_a_float_rep():
+    # the face brackets still hold within the default tolerance
+    rep = adjoint_rep(as_float=True)
+    assert check_representation(build_octahedron(), rep).passed
+    with pytest.raises(DomainError, match="needs an exact representation"):
+        extract_so4(rep)
 
 
 def test_extraction_serialization_shape_and_determinism():
@@ -320,20 +296,7 @@ def conjugated(rep, rng, gaussian=False):
 
 
 def recorded_cases():
-    """Name -> (rep, extract_so4 keyword arguments): ten noisy float reps
-    and six rationally conjugated exact ones."""
-    cases = {}
-    for seed in range(10):
-        rng = random.Random(seed)
-        base = vector_rep() if seed % 2 == 0 else adjoint_rep()
-        exact = conjugated(base, rng)
-        noise = 10.0 ** -rng.randint(6, 13)
-        rep = FinDimRep(exact.space_dim, {
-            v: [[float(x) + rng.uniform(-noise, noise) for x in row] for row in t]
-            for v, t in exact.matrices.items()
-        })
-        kwargs = {"irreducible_hint": seed % 3 == 0, "tolerance": 1e-6 if seed % 4 == 1 else None}
-        cases[f"float-{seed}"] = (rep, kwargs)
+    """Name -> rep: six rationally conjugated exact reps."""
     exact_bases = [
         ("so4-1-0", so4_composite_rep(1, 0), True),
         ("so4-0-1", so4_composite_rep(0, 1), False),
@@ -342,23 +305,22 @@ def recorded_cases():
         ("vector", vector_rep(), True),
         ("adjoint", adjoint_rep(), False),
     ]
-    for seed, (name, base, gaussian) in enumerate(exact_bases):
-        rep = conjugated(base, random.Random(100 + seed), gaussian)
-        cases[f"exact-{name}"] = (rep, {})
-    return cases
+    return {
+        f"exact-{name}": conjugated(base, random.Random(100 + seed), gaussian)
+        for seed, (name, base, gaussian) in enumerate(exact_bases)
+    }
 
 
 def test_recorded_extractions_cover_every_case():
     cases = recorded_cases()
     assert sorted(cases) == sorted(json.loads(EXTRACTIONS.read_text(encoding="utf-8")))
-    assert sum(rep.is_exact for rep, _ in cases.values()) == 6
+    assert len(cases) == 6
 
 
 @pytest.mark.parametrize("name", sorted(recorded_cases()))
 def test_extraction_matches_recorded_data(name):
-    rep, kwargs = recorded_cases()[name]
     expected = json.loads(EXTRACTIONS.read_text(encoding="utf-8"))[name]
-    assert extract_so4(rep, **kwargs).to_data() == expected
+    assert extract_so4(recorded_cases()[name]).to_data() == expected
 
 
 # -- static certificate -----------------------------------------------------
@@ -376,7 +338,7 @@ def test_killing_certificate_passes():
 
 
 def _record_extractions():
-    data = {name: extract_so4(rep, **kwargs).to_data() for name, (rep, kwargs) in recorded_cases().items()}
+    data = {name: extract_so4(rep).to_data() for name, rep in recorded_cases().items()}
     with open(EXTRACTIONS, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

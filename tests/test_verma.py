@@ -264,8 +264,6 @@ def test_check_absolutely_symmetric_counts():
     assert len(wider.items) == 174
     with pytest.raises(DomainError):
         check_absolutely_symmetric(1, 3)
-    with pytest.raises(DomainError):
-        check_absolutely_symmetric(3, 2, Fraction(1, 2))
 
 
 def test_word_coefficients_match_composed_products():
