@@ -23,7 +23,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import DomainError, PoleError
@@ -674,20 +674,35 @@ def tail_square_equivalence(r1: RationalFunc, r2: RationalFunc, h0) -> bool:
     return polys is None or asymptotic_degree(d) <= -1
 
 
-# Sample points per list pass of the tail probe.
+# Sample points per call of the tail probe's kernel.
 _PROBE_CHUNK = 2048
 
 
-def _horner_lists(coeffs: list, xs: list):
-    """The float polynomial coeffs at every x of xs, one list pass per
-    step of _peval and in its order; a constant takes no pass."""
-    *low, top = coeffs
-    if not low:
-        return repeat(top, len(xs))
-    vals = [top * x + low[-1] for x in xs]
-    for c in reversed(low[:-1]):
-        vals = [v * x + c for v, x in zip(vals, xs)]
-    return vals
+def _horner_source(coeffs: list, name: str) -> str:
+    """Source of _peval's Horner steps, in its order, over the names
+    name0, name1, ... of coeffs (low to high degree).  It multiplies by
+    no leading 1.0 and adds no 0.0: each of these could change only the
+    sign of a zero."""
+    d = len(coeffs) - 1
+    src = f"{name}{d}"
+    for i in reversed(range(d)):
+        src = "x" if i == d - 1 and coeffs[d] == 1.0 else f"({src}) * x"
+        if coeffs[i]:
+            src += f" + {name}{i}"
+    return src
+
+
+def _probe_kernel(fnum: list, fden: list, x0: float):
+    """A function from a range of offsets o to the list of squared float
+    differences at x0 + o: one comprehension, whose source holds only
+    names; the coefficients and x0 are bound in its namespace."""
+    names = {f"a{i}": c for i, c in enumerate(fnum)}
+    names.update({f"b{i}": c for i, c in enumerate(fden)}, x0=x0)
+    return eval(
+        f"lambda offsets: [(({_horner_source(fnum, 'a')}) / ({_horner_source(fden, 'b')})) ** 2"
+        " for o in map(float, offsets) for x in (x0 + o,)]",
+        names,
+    )
 
 
 def _probe(polys, h0: Fraction, count: int) -> bool:
@@ -719,28 +734,31 @@ def _probe(polys, h0: Fraction, count: int) -> bool:
             f"the tail probe would sample {count} terms at stride {stride},"
             " more lattice points than a Python range can index"
         )
-    fnum = [float(c) for c in num]
-    fden = [float(c) for c in den]
-    x0 = float(h0)
-
-    def squares(xs: list) -> list:
-        return [(a / b) ** 2 for a, b in zip(_horner_lists(fnum, xs), _horner_lists(fden, xs))]
+    squares = _probe_kernel([float(c) for c in num], [float(c) for c in den], float(h0))
 
     def block(start: int, stop: int) -> float:
         offsets = range(start * stride, stop * stride, stride)
         chunks = (
-            squares([x0 + o for o in offsets[k : k + _PROBE_CHUNK]])
-            for k in range(0, len(offsets), _PROBE_CHUNK)
+            squares(offsets[k : k + _PROBE_CHUNK]) for k in range(0, len(offsets), _PROBE_CHUNK)
         )
         # one sum() over the chained chunks: the terms in the same order
         # as one at a time, so also under Python 3.12's compensated sum
         # the same float, in memory bounded by the chunk length
         return sum(chain.from_iterable(chunks))
 
-    b1 = block(q, 2 * q)
-    b2 = block(2 * q, count)
-    if b1 == 0.0 and b2 == 0.0:
-        return True
+    # Past its roots every term is nonzero, so a block sum that is 0,
+    # subnormal, infinite or NaN, or a square that overflows, has left
+    # float64 and cannot decide anything.
+    try:
+        b1 = block(q, 2 * q)
+        b2 = block(2 * q, count)
+    except OverflowError:
+        b1 = b2 = math.inf
+    if not all(sys.float_info.min <= b < math.inf for b in (b1, b2)):
+        raise DomainError(
+            f"the tail probe's squared terms out to n = 2**{far.bit_length()}"
+            " leave the float64 range"
+        )
     return b2 < b1
 
 
@@ -749,11 +767,11 @@ def tail_square_probe(r1: RationalFunc, r2: RationalFunc, h0, count: int = 10000
 
     Sums |difference|^2 in float64 at the lattice points h0 + j*stride and
     calls the series convergent iff the block j in [count/2, count)
-    strictly undercuts the block j in [count/4, count/2) (or all sampled
-    terms vanish).  The stride is 1 unless the roots of the difference's
-    numerator and denominator, or h0 itself, lie too far out for count
-    terms: it then places the window past them.  Refuses with a domain
-    error when float64 cannot hold the terms out there.
+    strictly undercuts the block j in [count/4, count/2).  The stride is
+    1 unless the roots of the difference's numerator and denominator, or
+    h0 itself, lie too far out for count terms: it then places the window
+    past them.  Refuses with a domain error when float64 cannot hold the
+    terms or their block sums out there.
     """
     h0 = Fraction(h0)
     _, polys = _difference_polys(r1, r2, h0)

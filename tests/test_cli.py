@@ -380,6 +380,27 @@ def test_tail_probe_beyond_float_range_is_input_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("expr", ["n^39", "10^160", "10^157/n", "1/10^200"])
+def test_tail_probe_terms_outside_float_range_are_input_errors(capsys, expr):
+    # n^39 and 10^160 overflowed a squared term (an OverflowError traceback);
+    # 10^157/n overflowed both block sums and 1/10^200 underflowed every
+    # term, each a false FAIL with exit 1
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "tail-equivalence", expr, "0", "--weight", "1/2")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.startswith("error: ") and "float64 range" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("expr", ["n^38", "10^154/n"])
+def test_tail_probe_terms_inside_float_range_are_decided(capsys, expr):
+    code, out, err = invoke(capsys, "tail-equivalence", expr, "0", "--weight", "1/2")
+    assert code == 0
+    assert "[  ok] numeric probe agreement" in out
+
+
 def test_tail_probe_beyond_index_range_is_input_error(capsys):
     code, out, err = invoke(
         capsys, "tail-equivalence", "1/n", "0", "--weight", "1/2",

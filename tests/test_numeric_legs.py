@@ -173,6 +173,33 @@ def test_probe_block_sums_are_bit_identical_across_chunks(num_degree, den_degree
     assert verdict == (want[1] < want[0])
 
 
+@pytest.mark.parametrize(
+    "num, den, h0, count",
+    [
+        # the ladder-batch difference: a constant over a monic linear
+        ([-1], [0, 1], Fraction(1, 2), 10**6),
+        # a leading 1 with zero lower coefficients, in each place
+        ([1], [1, 0, 0, 1], Fraction(1, 2), 4000),
+        ([1, 0, 0, 1], [2, 1], Fraction(5, 7), 4000),
+        # interior zero coefficients in both
+        ([3, 0, -2, 0, 5], [7, 0, 0, 1, 0, 2], Fraction(-3, 2), 5000),
+        # a constant numerator, and a constant denominator
+        ([4], [2, -3, 5], Fraction(5, 7), 4000),
+        ([-2, 0, 3], [3], Fraction(5, 7), 4000),
+        # offsets beyond 2**53, the stride about 6.5e16
+        ([1], [0, 1], 2**55 + Fraction(1, 3), 40),
+    ],
+    ids=["ladder-batch", "monic-den", "unit-num", "interior-zeros", "const-num", "const-den", "past-2**53"],
+)
+def test_probe_kernel_edge_cases_are_bit_identical(num, den, h0, count):
+    r = _poly(num) / _poly(den)
+    want = _reference_blocks(r, h0, count)
+    with _recorded_sums() as got:
+        verdict = tail_square_probe(r, qhn_const(0), h0, count)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert verdict == (want[1] < want[0])
+
+
 # -- Hilbert-Schmidt sums and the numeric matrix --------------------------------
 
 
