@@ -188,13 +188,13 @@ _ONE = ((1,),)
 _ZERO = ((), _ONE)  # (num, den) of the zero value
 
 # The ladder families' coefficients share a few denominator factors, so the
-# same products, shifts, gcds and exact quotients recur; _bmul, _bdivexact,
-# _bshift and _bgcd keep their most recent results in caches of this size
-# (a larger one costs memory on large runs and gains little).  Results are
-# tuples, so callers cannot alter a cached one.  A cache key compares
-# coefficients with ==, under which 1, 1.0, True and Fraction(1) are one
-# key; the caches are sound only because every coefficient that reaches
-# these kernels is an int.
+# same products, shifts, gcds, factorizations and exact quotients recur;
+# _bmul, _bdivexact, _bshift, _bgcd and _linear_factors keep their most
+# recent results in caches of this size (a larger one costs memory on large
+# runs and gains little).  Results are tuples, so callers cannot alter a
+# cached one.  A cache key compares coefficients with ==, under which 1,
+# 1.0, True and Fraction(1) are one key; the caches are sound only because
+# every coefficient that reaches these kernels is an int.
 _KERNEL_CACHE_SIZE = 256
 _kernel_cache = functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 
@@ -214,15 +214,19 @@ def _bneg(a: tuple) -> tuple:
 
 @_kernel_cache
 def _bmul(a: tuple, b: tuple) -> tuple:
+    """a * b, summed into one int row per power of n."""
     if not a or not b:
         return ()
-    out: list = [()] * (len(a) + len(b) - 1)
+    width = max(map(len, a)) + max(map(len, b)) - 1
+    rows = [[0] * width for _ in range(len(a) + len(b) - 1)]
     for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = _padd(out[i + j], _pmul(ca, cb))
-    return tuple(out)
+        for k, x in enumerate(ca):
+            if x:
+                for j, cb in enumerate(b):
+                    row = rows[i + j]
+                    for l, y in enumerate(cb, k):
+                        row[l] += x * y
+    return tuple(map(_trim, rows))
 
 
 @_kernel_cache
@@ -269,21 +273,57 @@ def _bprimitive(a: tuple, content: tuple | None = None) -> tuple:
     return tuple(_pdivexact(c, content) for c in a)
 
 
-_SAMPLE_POINTS = (19, 29, 37)
+def _bdivlinear(a: tuple, root: tuple) -> tuple | None:
+    """a / (n - root) for root in ZZ[h] by synthetic division, or None."""
+    acc, quot = (), []
+    for c in reversed(a):
+        acc = _padd(c, _pmul(root, acc))
+        quot.append(acc)
+    return None if quot.pop() else tuple(reversed(quot))
+
+
+def _strip(a: tuple, root: tuple, most: int) -> tuple[tuple, int]:
+    """(a / (n - root)^k, k) for the largest k <= most that divides a; one
+    synthetic division per factor, so quadratic in k."""
+    k = 0
+    while k < most and (q := _bdivlinear(a, root)) is not None:
+        a, k = q, k + 1
+    return a, k
+
+
+@_kernel_cache
+def _linear_factors(b: tuple) -> tuple | None:
+    """(c, ((root, multiplicity), ...)) with b = c * prod (n - root)^m, c > 0
+    an int and each root -2h - j or -j (the ladder families' factors
+    n + 2h + j and n + j); None when b has no such form."""
+    c = b[-1][0] if len(b[-1]) == 1 else 0
+    p = [col[0] if col else 0 for col in b]  # b(0, n) = c * prod (n + j)
+    if c <= 0 or any(v % c for v in p):
+        return None
+    *_, c2, c1, _ = [0, 0] + [v // c for v in p]  # n^d + c1 n^(d-1) + c2 n^(d-2) ...
+    square_sum = c1 * c1 - 2 * c2  # of the roots of b(0, n)
+    if not 0 <= square_sum <= 10**6:  # a wider search is left to the PRS
+        return None
+    bound, low, roots = math.isqrt(square_sum), next(v for v in p if v), []
+    for r in range(-bound, bound + 1):
+        if not p[0] if r == 0 else not low % r and not _peval(p, r):
+            for root in ((r, -2), (r,) if r else ()):
+                b, m = _strip(b, root, len(b))
+                if m:
+                    roots.append((root, m))
+    return (c, tuple(roots)) if b == ((c,),) else None
 
 
 def _coprime_certificate(a: tuple, b: tuple) -> bool:
     """True certifies that gcd(a, b) has n-degree 0; False is inconclusive.
 
-    A cheap test for the common coprime case: specialize h at an integer
-    sample h0 and take the gcd in ZZ[n].  It is sound when lc_n(a) or
-    lc_n(b) does not vanish at h0: a common factor G of positive n-degree
-    has lc_n(G) dividing that coefficient, so G(h0, n) keeps its degree and
-    divides both specializations.
+    Specialize h at an integer h0 and take the gcd in ZZ[n].  It is sound
+    when lc_n(a) or lc_n(b) does not vanish at h0: a common factor G of
+    positive n-degree has lc_n(G) dividing that coefficient, so G(h0, n)
+    keeps its degree and divides both specializations.
     """
-    for h0 in _SAMPLE_POINTS:
-        sa = [_peval(c, h0) for c in a]
-        sb = [_peval(c, h0) for c in b]
+    for h0 in (19, 29, 37):
+        sa, sb = ([_peval(c, h0) for c in x] for x in (a, b))
         if sa[-1] or sb[-1]:
             return len(_pgcd(_trim(sa), _trim(sb))) == 1
     return False
@@ -293,13 +333,26 @@ def _coprime_certificate(a: tuple, b: tuple) -> bool:
 def _bgcd(a: tuple, b: tuple) -> tuple:
     """gcd in ZZ[h][n] of nonzero a, b, with positive leading coefficient.
 
-    gcd(a, b) = gcd(cont a, cont b) * gcd(pp a, pp b) over the h-contents and
-    primitive parts.  The second factor is 1 when either side has n-degree 0
-    or the certificate holds; otherwise the primitive PRS over ZZ[h] gives it.
+    With n-degree 0 on either side it is the h-content gcd.  When one side
+    is c * prod (n - root)^m, it is gcd(c, the other's integer content)
+    times each factor to its lesser multiplicity.  Otherwise it is
+    gcd(cont a, cont b) * gcd(pp a, pp b), where the second factor is 1
+    when the certificate holds and comes from the primitive PRS if not.
     """
     if a == _ONE or b == _ONE:
         return _ONE
-    if len(a) == 1 or len(b) == 1 or _coprime_certificate(a, b):
+    if len(a) == 1 or len(b) == 1:
+        return (_content(a + b),)
+    for x, y in ((a, b), (b, a)):
+        if split := _linear_factors(y):
+            c, roots = split
+            g = ((math.gcd(c, *(v for col in x for v in col)),),)
+            for root, m in roots:
+                x, k = _strip(x, root, m)
+                for _ in range(k):
+                    g = _bmul(g, (_pneg(root), (1,)))
+            return g
+    if _coprime_certificate(a, b):
         return (_content(a + b),)
     ca, cb = _content(a), _content(b)
     a = _prs(_bprimitive(a, ca), _bprimitive(b, cb), _pmul, _psub, _bprimitive)
@@ -490,12 +543,17 @@ class RationalFunc:
         return self._apply(_quotient, other, reflected=True)
 
     def __pow__(self, exponent: int):
-        """Coprime powers stay coprime, so num and den are raised apart."""
+        """Coprime powers stay coprime, so num and den are raised apart, by
+        repeated squaring."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer exponents")
-        num = den = _ONE
-        for _ in range(exponent):
-            num, den = _bmul(num, self.num), _bmul(den, self.den)
+        num, den, base_num, base_den = _ONE, _ONE, self.num, self.den
+        while exponent:
+            if exponent & 1:
+                num, den = _bmul(num, base_num), _bmul(den, base_den)
+            exponent >>= 1
+            if exponent:
+                base_num, base_den = _bmul(base_num, base_num), _bmul(base_den, base_den)
         return RationalFunc(num, den, self.symbol, _trust=True)
 
     # -- structure ----------------------------------------------------------
@@ -767,9 +825,40 @@ def parse_rational(text: str) -> Fraction:
 # numerator or denominator, at least 1) exceeds _MAX_POWER_DEGREE, or whose
 # expansion may hold more than _MAX_POWER_TERMS terms n^a h^b, that is
 # (exponent x n-degree + 1) x (exponent x h-degree + 1): powers are expanded
-# term by term, and neither n^100000 nor (n+h)^1000 would finish in seconds
+# term by term, and neither n^100000 nor (n+h)^1000 would finish in seconds.
+# It refuses a sum, difference, product or quotient whose numerator or
+# denominator before cancellation passes the same bounds.
 _MAX_POWER_DEGREE = 1000
 _MAX_POWER_TERMS = 10_000
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _degrees(p: tuple) -> tuple[int, int]:
+    """(n-degree, h-degree) of a ZZ[h][n] polynomial, -1 for zero."""
+    return len(p) - 1, max(map(len, p), default=0) - 1
+
+
+def _refuse_large(what: str, degree: int, deg_n: int, deg_h: int) -> None:
+    if degree > _MAX_POWER_DEGREE:
+        raise ParseError(f"{what} exceeds the power bound: degree {degree} > {_MAX_POWER_DEGREE}")
+    if (terms := (deg_n + 1) * (deg_h + 1)) > _MAX_POWER_TERMS:
+        raise ParseError(f"{what} exceeds the power bound: {terms} > {_MAX_POWER_TERMS} terms")
+
+
+def _combine(op: str, a: RationalFunc, b: RationalFunc) -> RationalFunc:
+    """a op b, refused first when a part it multiplies out before
+    cancellation passes the bounds; a sum over one denominator multiplies
+    nothing."""
+    if op in "+-" and a.den == b.den:
+        return _BINARY[op](a, b)
+    an, ad, bn, bd = map(_degrees, (a.num, a.den, b.num, b.den))
+    pairs = {"*": ((an, bn), (ad, bd)), "/": ((an, bd), (ad, bn))}
+    deg_n, deg_h = (max(p[k] + q[k] for p, q in pairs.get(op, ((an, bd), (bn, ad), (ad, bd))))
+                    for k in (0, 1))
+    _refuse_large(f"the result of '{op}'", max(deg_n, deg_h), deg_n, deg_h)
+    return _BINARY[op](a, b)
+
 
 # parse refuses parentheses and unary minus signs nested deeper than this,
 # before the recursive descent runs out of Python's recursion limit
@@ -803,7 +892,9 @@ def parse(text: str) -> RationalFunc:
 
     Grammar: integer literals, symbols n and h, + - * / ^ and parentheses;
     ^ takes a nonnegative integer exponent, exponent x base degree is at
-    most _MAX_POWER_DEGREE and the expanded terms at most _MAX_POWER_TERMS;
+    most _MAX_POWER_DEGREE and the expanded terms at most _MAX_POWER_TERMS,
+    and so are the degree and terms of each + - * / result before
+    cancellation;
     * and / associate left; parentheses and unary minus signs nest at most
     _MAX_NESTING deep.
     """
@@ -842,8 +933,7 @@ def parse(text: str) -> RationalFunc:
             kind, val = peek()
             if kind == "op" and val in "+-":
                 take()
-                rhs = term()
-                node = node - rhs if val == "-" else node + rhs
+                node = _combine(val, node, term())
             else:
                 return node
 
@@ -853,8 +943,7 @@ def parse(text: str) -> RationalFunc:
             kind, val = peek()
             if kind == "op" and val in "*/":
                 take()
-                rhs = unary()
-                node = node * rhs if val == "*" else node / rhs
+                node = _combine(val, node, unary())
             else:
                 return node
 
@@ -873,22 +962,8 @@ def parse(text: str) -> RationalFunc:
             kind, val = take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
-            # a level-"n" value holds its n-coefficients, each an h-polynomial
-            parts = (node.num, node.den)
-            deg_n = max(len(p) - 1 for p in parts)
-            deg_h = max(len(c) - 1 for p in parts for c in p)
-            degree = max(1, deg_n, deg_h)
-            if val * degree > _MAX_POWER_DEGREE:
-                raise ParseError(
-                    f"^{val} exceeds the power bound: exponent x max(1, base degree)"
-                    f" = {val * degree} > {_MAX_POWER_DEGREE}"
-                )
-            terms = (val * deg_n + 1) * (val * deg_h + 1)
-            if terms > _MAX_POWER_TERMS:
-                raise ParseError(
-                    f"^{val} exceeds the power bound: (exponent x n-degree + 1)"
-                    f" x (exponent x h-degree + 1) = {terms} > {_MAX_POWER_TERMS} terms"
-                )
+            deg_n, deg_h = map(max, zip(_degrees(node.num), _degrees(node.den)))
+            _refuse_large(f"^{val}", val * max(1, deg_n, deg_h), val * deg_n, val * deg_h)
             node = node ** val
         return node
 

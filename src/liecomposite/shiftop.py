@@ -159,6 +159,16 @@ class WeightFunction:
 WEIGHT = WeightFunction()
 
 
+def _merge(merged: dict, terms, subtract: bool = False) -> dict:
+    """Add (or subtract) each (shift, coefficient) term into merged."""
+    for d, c in terms:
+        if d in merged:
+            merged[d] = merged[d] - c if subtract else merged[d] + c
+        else:
+            merged[d] = -c if subtract else c
+    return merged
+
+
 class ShiftOperator:
     """Immutable finite sum of shift components.
 
@@ -172,22 +182,20 @@ class ShiftOperator:
     components: tuple[ShiftComponent, ...]
 
     def __init__(self, components: Iterable = ()):
-        merged: dict[int, RationalFunc] = {}
-        for item in components:
-            d, c = item
+        checked = []
+        for d, c in components:
             if not isinstance(d, int) or isinstance(d, bool):
                 raise TypeError("component shift must be an integer")
-            c = qhn_const(c)
-            merged[d] = merged[d] + c if d in merged else c
-        object.__setattr__(
-            self,
-            "components",
-            tuple(
-                ShiftComponent(d, merged[d])
-                for d in sorted(merged)
-                if not merged[d].is_zero()
-            ),
-        )
+            checked.append((d, qhn_const(c)))
+        self._build(_merge({}, checked), self)
+
+    @classmethod
+    def _build(cls, merged: dict, op=None) -> "ShiftOperator":
+        """op (a new instance by default) set to merged {shift: coeff}."""
+        op = object.__new__(cls) if op is None else op
+        components = tuple(ShiftComponent(d, merged[d]) for d in sorted(merged) if merged[d])
+        object.__setattr__(op, "components", components)
+        return op
 
     def __setattr__(self, name, value):
         raise AttributeError("ShiftOperator is immutable")
@@ -234,7 +242,7 @@ class ShiftOperator:
 
     def __add__(self, other):
         if isinstance(other, ShiftOperator):
-            return ShiftOperator(self.components + other.components)
+            return self._build(_merge(dict(self.components), other.components))
         if isinstance(other, int) and other == 0:  # sum() support
             return self
         return NotImplemented
@@ -242,16 +250,16 @@ class ShiftOperator:
     __radd__ = __add__
 
     def __neg__(self) -> "ShiftOperator":
-        return ShiftOperator((d, -c) for d, c in self.components)
+        return self._build({d: -c for d, c in self.components})
 
     def __sub__(self, other):
         if not isinstance(other, ShiftOperator):
             return NotImplemented
-        return self + (-other)
+        return self._build(_merge(dict(self.components), other.components, subtract=True))
 
     def scale(self, s) -> "ShiftOperator":
         s = _as_scalar(s)
-        return ShiftOperator((d, c * s) for d, c in self.components)
+        return self._build({d: c * s for d, c in self.components})
 
     def __mul__(self, s):
         if isinstance(s, ShiftOperator):
@@ -271,11 +279,13 @@ class ShiftOperator:
         tied to generic h guarantee that, while an h-free integer pole could
         cancel against a zero and shift isolated matrix elements.
         """
-        out = []
+        return self._build(_merge({}, self._products(other)))
+
+    def _products(self, other: "ShiftOperator"):
+        """The (shift, coefficient) terms of self after other, unmerged."""
         for da, ca in self.components:
             for db, cb in other.components:
-                out.append((da + db, ca.shift_arg(db) * cb))
-        return ShiftOperator(out)
+                yield da + db, ca.shift_arg(db) * cb
 
     def __matmul__(self, other):
         if not isinstance(other, ShiftOperator):
@@ -283,7 +293,8 @@ class ShiftOperator:
         return self.compose(other)
 
     def commutator(self, other: "ShiftOperator") -> "ShiftOperator":
-        return self.compose(other) - other.compose(self)
+        both = _merge({}, self._products(other))
+        return self._build(_merge(both, other._products(self), subtract=True))
 
     # -- action on the module ------------------------------------------------
 
@@ -319,9 +330,7 @@ class ShiftOperator:
         keeps coefficients rational because the weight ratio is a finite
         product of linear factors.
         """
-        return ShiftOperator(
-            (-d, c.shift_arg(-d) * WEIGHT.ratio(d)) for d, c in self.components
-        )
+        return self._build({-d: c.shift_arg(-d) * WEIGHT.ratio(d) for d, c in self.components})
 
     def classify(self) -> OperatorClass:
         """Least operator class containing this operator (h generic)."""

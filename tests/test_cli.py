@@ -450,6 +450,22 @@ def test_power_with_too_many_terms_exits_two(capsys, expr):
 
 
 @pytest.mark.parametrize(
+    "expr",
+    ["(n+1)^1000*(n+1)^1000", "(n+1)^500*(n+1)^500*(n+1)^500*(n+1)^500", "(n+h)^99*(n+h)^99*(n+h)^99"],
+)
+def test_product_of_powers_beyond_the_bound_exits_two(capsys, expr):
+    # these took 7.1 s, 5.3 s and 0.74 s with every power inside its own
+    # bound, before the bounds applied to each product and sum as well
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "tail-equivalence", expr, "0")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.startswith("error: the result of '*' exceeds the power bound")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "expr", ["(" * 200 + "n" + ")" * 200, "-" * 1500 + "n"], ids=["parentheses", "minus-signs"]
 )
 def test_deep_nesting_exits_two(capsys, expr):

@@ -1,10 +1,11 @@
 """Exact arithmetic layer: canonical forms, tower coercion, parsing, growth."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liecomposite.errors import ParseError, PoleError, ZeroDenominatorError
 from liecomposite.exact import (
@@ -121,6 +122,27 @@ def test_parse_power_term_bound():
     assert len(parse("(n+h)^99").num) == 100
     for bad in ("(n+h)^100", "(n/(n+h^2))^500"):
         with pytest.raises(ParseError, match="> 10000 terms"):
+            parse(bad)
+
+
+def test_parse_bounds_each_sum_and_product():
+    # the numerator and denominator a + - * / forms before cancellation obey
+    # the power bounds: degree 1000, and 10000 terms n^a h^b
+    assert len(parse("(n+1)^500*(n+1)^500").num) == 1001
+    assert len(parse("n + (n+1)^1000").num) == 1001
+    assert parse("(n+1)^1000/(n+1)^1000").is_one()
+    assert len(parse("(n+h)^49*(n+h)^50").num) == 100
+    # a sum over one denominator multiplies nothing out, so it is not refused
+    assert parse("(n+h)^99/(n+1) - 1/(n+1)").den == ((1,), (1,))
+    for bad, message in (
+        ("(n+1)^1000*(n+1)", "'*' exceeds the power bound: degree 1001 > 1000"),
+        ("(n+1)^1000/(1/n)", "'/' exceeds the power bound: degree 1001 > 1000"),
+        ("(n+1)^1000 + 1/n", "'+' exceeds the power bound: degree 1001 > 1000"),
+        ("1/n - (n+1)^1000", "'-' exceeds the power bound: degree 1001 > 1000"),
+        ("(n+h)^50*(n+h)^50", "'*' exceeds the power bound: 10201 > 10000 terms"),
+        ("(n+h)^99/(n+1) + 1/(n+2)", "'+' exceeds the power bound: 10100 > 10000 terms"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(message)):
             parse(bad)
 
 
@@ -291,7 +313,7 @@ def test_unit_factor_returns_the_other_operand(r):
 
 # -- the memoized Z[h][n] kernels ----------------------------------------------
 
-_KERNELS = ("_bgcd", "_bmul", "_bshift", "_bdivexact")
+_KERNELS = ("_bgcd", "_bmul", "_bshift", "_bdivexact", "_linear_factors")
 
 _zh = st.lists(st.integers(min_value=-6, max_value=6), max_size=3).map(exact._trim)
 _zhn = st.lists(_zh, max_size=4).map(exact._trim)
@@ -321,6 +343,91 @@ def test_cached_kernels_match_their_originals(g, p, q, k):
     _cold_and_warm("_bdivexact", a, gcd)
     assert _cold_and_warm("_bdivexact", a, g) == p
     _cold_and_warm("_bshift", a, k)
+    _cold_and_warm("_linear_factors", a)
+
+
+def _schoolbook(a, b):
+    """a * b in ZZ[h][n] from nested ZZ[h] products and sums."""
+    out = [()] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = exact._padd(out[i + j], exact._pmul(ca, cb))
+    return exact._trim(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_zhn, _zhn)
+@example(((), (0, 0, 3), (), (1,)), ((5,), (), (), (0, -2)))
+def test_flat_multiply_matches_the_nested_schoolbook_product(a, b):
+    # ragged rows, zero coefficients and zero rows inside each operand
+    assert exact._bmul.__wrapped__(a, b) == _schoolbook(a, b)
+
+
+def _prs_gcd(a, b):
+    """gcd in ZZ[h][n] by contents and the primitive PRS alone."""
+    if len(a) == 1 or len(b) == 1:
+        return (exact._content(a + b),)
+    ca, cb = exact._content(a), exact._content(b)
+    pp = [exact._bprimitive(x, c) for x, c in ((a, ca), (b, cb))]
+    g = exact._prs(*pp, exact._pmul, exact._psub, exact._bprimitive)
+    content = exact._pgcd(ca, cb)
+    if len(g) == 1:
+        return (content,)
+    return tuple(exact._pmul(c, content) for c in (g if g[-1][-1] > 0 else exact._bneg(g)))
+
+
+def _factor(shifted, j):
+    """n + 2h + j, or n + j, as a ZZ[h][n] tuple."""
+    return (exact._trim((j, 2 if shifted else 0)), (1,))
+
+
+def _product(factors, c=1):
+    out = ((c,),)
+    for f in factors:
+        out = exact._bmul(out, f)
+    return out
+
+
+_linear = st.tuples(st.booleans(), st.integers(min_value=-6, max_value=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_linear, st.integers(min_value=1, max_value=3)), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=36),
+    st.lists(st.integers(min_value=0, max_value=4), min_size=4, max_size=4),
+    st.integers(min_value=-36, max_value=36).filter(bool),
+    _zhn_nonzero,
+)
+def test_linear_factor_gcd_matches_the_prs(factors, c, shared, d, cofactor):
+    # b = c * prod (n + 2h + j)^m * prod (n + j)^k; a holds each of those
+    # factors to a random power (possibly past b's), an integer d and a
+    # random cofactor, which may add linear factors of its own
+    b = _product([_factor(*f) for f, m in factors for _ in range(m)], c)
+    split = exact._linear_factors(b)
+    assert split is not None and split[0] == c
+    assert _product([(exact._pneg(root), (1,)) for root, m in split[1] for _ in range(m)], c) == b
+    a = exact._bmul(_product([_factor(*f) for (f, _), k in zip(factors, shared) for _ in range(k)], d),
+                    cofactor)
+    want = _prs_gcd(a, b)
+    assert exact._bgcd.__wrapped__(a, b) == want
+    assert exact._bgcd.__wrapped__(b, a) == want
+
+
+def test_gcd_without_a_linear_side_takes_the_certificate_or_prs():
+    g = ((0, 1), (), (1,))  # n^2 + h
+    a = exact._bmul(g, ((3, 1), (0, 2)))  # 2n + h + 3
+    b = exact._bmul(g, ((1,), (1,), (0, 1)))  # h n^2 + n + 1
+    assert exact._linear_factors(a) is None and exact._linear_factors(b) is None
+    assert exact._bgcd.__wrapped__(a, b) == exact._bgcd.__wrapped__(b, a) == _prs_gcd(a, b) == g
+    # a coprime pair without a linear side, which the certificate settles
+    q = ((1,), (1,), (0, 1))
+    assert exact._coprime_certificate(g, q) and exact._bgcd.__wrapped__(g, q) == _prs_gcd(g, q) == ((1,),)
+    # a root past the trial bound |r| <= 1000 is also left to the PRS
+    assert exact._linear_factors(_factor(False, 1000)) == (1, (((-1000,), 1),))
+    far = _product([_factor(False, 1001), _factor(False, -1)])
+    assert exact._linear_factors(far) is None
+    assert exact._bgcd.__wrapped__(far, _factor(False, -1)) == _factor(False, -1)
 
 
 @settings(max_examples=40, deadline=None)

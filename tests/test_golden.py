@@ -139,7 +139,7 @@ def test_report_bytes_match_golden(name, fmt):
     assert out == expected
 
 
-KERNELS = ("_bgcd", "_bmul", "_bshift", "_bdivexact")
+KERNELS = ("_bgcd", "_bmul", "_bshift", "_bdivexact", "_linear_factors")
 
 
 def _clear_caches(kernels: bool):
