@@ -229,6 +229,18 @@ def _bmul(a: tuple, b: tuple) -> tuple:
     return tuple(map(_trim, rows))
 
 
+def _bpow(a: tuple, exponent: int) -> tuple:
+    """a ** exponent by repeated squaring."""
+    out = _ONE
+    while exponent:
+        if exponent & 1:
+            out = _bmul(out, a)
+        exponent >>= 1
+        if exponent:
+            a = _bmul(a, a)
+    return out
+
+
 @_kernel_cache
 def _bdivexact(a: tuple, b: tuple) -> tuple:
     """a / b in ZZ[h][n]; raises ArithmeticError unless b divides a."""
@@ -276,18 +288,51 @@ def _bprimitive(a: tuple, content: tuple | None = None) -> tuple:
 def _bdivlinear(a: tuple, root: tuple) -> tuple | None:
     """a / (n - root) for root in ZZ[h] by synthetic division, or None."""
     acc, quot = (), []
+    room = max(map(len, a)) - max(len(root), 1) + 1  # the h-length of an exact quotient
     for c in reversed(a):
         acc = _padd(c, _pmul(root, acc))
+        if len(acc) > room:
+            return None
         quot.append(acc)
     return None if quot.pop() else tuple(reversed(quot))
 
 
+def _bdivmonic(a: tuple, b: tuple) -> tuple | None:
+    """a / b for a in ZZ[h][n] and b monic in ZZ[n], or None when b does
+    not divide a: b divides each h^j column of a on its own."""
+    try:
+        cols = [_pdivexact(col, b) for col in _columns(a)]
+    except ArithmeticError:
+        return None
+    return tuple(_trim(col[i] for col in cols) for i in range(len(a) - len(b) + 1))
+
+
 def _strip(a: tuple, root: tuple, most: int) -> tuple[tuple, int]:
-    """(a / (n - root)^k, k) for the largest k <= most that divides a; one
-    synthetic division per factor, so quadratic in k."""
+    """(a / (n - root)^k, k) for the largest k <= most that divides a.
+
+    Up to 4 factors come off one synthetic division each (the ladder
+    families' multiplicities are a few).  Past that, for a root free of h,
+    it divides by (n - root)^2, ^4, ... while they divide, then tries each
+    lower power once, highest first: O(log k) divisions in all.  A root
+    with an h term keeps one division per factor, as a power of n + 2h - r
+    is dense in n and h and dividing by it costs more than it saves."""
     k = 0
     while k < most and (q := _bdivlinear(a, root)) is not None:
         a, k = q, k + 1
+        if k == 4 and len(root) < 2:
+            break
+    else:
+        return a, k
+    powers = [(-root[0] if root else 0, 1)]  # (n - root)^(2^i) in ZZ[n]
+    while k + (step := 2 ** len(powers)) <= most and step < len(a):
+        powers.append(_pmul(powers[-1], powers[-1]))
+        if (q := _bdivmonic(a, powers[-1])) is None:
+            powers.pop()
+            break
+        a, k = q, k + step
+    for i in reversed(range(len(powers))):
+        if k + 2**i <= most and (q := _bdivmonic(a, powers[i])) is not None:
+            a, k = q, k + 2**i
     return a, k
 
 
@@ -349,8 +394,8 @@ def _bgcd(a: tuple, b: tuple) -> tuple:
             g = ((math.gcd(c, *(v for col in x for v in col)),),)
             for root, m in roots:
                 x, k = _strip(x, root, m)
-                for _ in range(k):
-                    g = _bmul(g, (_pneg(root), (1,)))
+                if k:
+                    g = _bmul(g, _bpow((_pneg(root), (1,)), k))
             return g
     if _coprime_certificate(a, b):
         return (_content(a + b),)
@@ -547,14 +592,7 @@ class RationalFunc:
         repeated squaring."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer exponents")
-        num, den, base_num, base_den = _ONE, _ONE, self.num, self.den
-        while exponent:
-            if exponent & 1:
-                num, den = _bmul(num, base_num), _bmul(den, base_den)
-            exponent >>= 1
-            if exponent:
-                base_num, base_den = _bmul(base_num, base_num), _bmul(base_den, base_den)
-        return RationalFunc(num, den, self.symbol, _trust=True)
+        return RationalFunc(_bpow(self.num, exponent), _bpow(self.den, exponent), self.symbol, _trust=True)
 
     # -- structure ----------------------------------------------------------
 

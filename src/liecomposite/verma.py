@@ -678,31 +678,35 @@ def tail_square_equivalence(r1: RationalFunc, r2: RationalFunc, h0) -> bool:
 _PROBE_CHUNK = 2048
 
 
-def _horner_source(coeffs: list, name: str) -> str:
+def _horner_source(coeffs: list, name: str, x: str) -> str:
     """Source of _peval's Horner steps, in its order, over the names
-    name0, name1, ... of coeffs (low to high degree).  It multiplies by
-    no leading 1.0 and adds no 0.0: each of these could change only the
-    sign of a zero."""
+    name0, name1, ... of coeffs (low to high degree) at the point x.  It
+    multiplies by no leading 1.0 and adds no 0.0: each of these could
+    change only the sign of a zero."""
     d = len(coeffs) - 1
     src = f"{name}{d}"
     for i in reversed(range(d)):
-        src = "x" if i == d - 1 and coeffs[d] == 1.0 else f"({src}) * x"
+        src = x if i == d - 1 and coeffs[d] == 1.0 else f"({src}) * {x}"
         if coeffs[i]:
             src += f" + {name}{i}"
     return src
 
 
 def _probe_kernel(fnum: list, fden: list, x0: float):
-    """A function from a range of offsets o to the list of squared float
-    differences at x0 + o: one comprehension, whose source holds only
-    names; the coefficients and x0 are bound in its namespace."""
+    """A function from a range of int offsets o to the list of squared
+    float differences at x0 + o: one comprehension, whose source holds
+    only names; the coefficients and x0 are bound in its namespace.
+
+    The float add rounds the int o as float(o) would, and each square is
+    the correctly rounded product v * v (libm's pow is not).  A point the
+    Horner steps use once is inlined, else bound once to x."""
     names = {f"a{i}": c for i, c in enumerate(fnum)}
     names.update({f"b{i}": c for i, c in enumerate(fden)}, x0=x0)
-    return eval(
-        f"lambda offsets: [(({_horner_source(fnum, 'a')}) / ({_horner_source(fden, 'b')})) ** 2"
-        " for o in map(float, offsets) for x in (x0 + o,)]",
-        names,
-    )
+    uses = len(fnum) + len(fden) - 2
+    x = "(x0 + o)" if uses == 1 else "x"
+    bind = " for x in (x0 + o,)" if uses > 1 else ""
+    quotient = f"({_horner_source(fnum, 'a', x)}) / ({_horner_source(fden, 'b', x)})"
+    return eval(f"lambda offsets: [v * v for o in offsets{bind} for v in ({quotient},)]", names)
 
 
 def _probe(polys, h0: Fraction, count: int) -> bool:
@@ -747,13 +751,10 @@ def _probe(polys, h0: Fraction, count: int) -> bool:
         return sum(chain.from_iterable(chunks))
 
     # Past its roots every term is nonzero, so a block sum that is 0,
-    # subnormal, infinite or NaN, or a square that overflows, has left
-    # float64 and cannot decide anything.
-    try:
-        b1 = block(q, 2 * q)
-        b2 = block(2 * q, count)
-    except OverflowError:
-        b1 = b2 = math.inf
+    # subnormal, infinite or NaN (a square that overflows is inf) has
+    # left float64 and cannot decide anything.
+    b1 = block(q, 2 * q)
+    b2 = block(2 * q, count)
     if not all(sys.float_info.min <= b < math.inf for b in (b1, b2)):
         raise DomainError(
             f"the tail probe's squared terms out to n = 2**{far.bit_length()}"

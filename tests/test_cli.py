@@ -382,9 +382,9 @@ def test_tail_probe_beyond_float_range_is_input_error(capsys):
 
 @pytest.mark.parametrize("expr", ["n^39", "10^160", "10^157/n", "1/10^200"])
 def test_tail_probe_terms_outside_float_range_are_input_errors(capsys, expr):
-    # n^39 and 10^160 overflowed a squared term (an OverflowError traceback);
-    # 10^157/n overflowed both block sums and 1/10^200 underflowed every
-    # term, each a false FAIL with exit 1
+    # n^39 and 10^160 square a term past float64, to inf, which the
+    # block-sum range check refuses; 10^157/n overflows both block sums
+    # and 1/10^200 underflows every term (each once a false FAIL, exit 1)
     start = time.perf_counter()
     code, out, err = invoke(capsys, "tail-equivalence", expr, "0", "--weight", "1/2")
     assert time.perf_counter() - start < 1

@@ -430,6 +430,55 @@ def test_gcd_without_a_linear_side_takes_the_certificate_or_prs():
     assert exact._bgcd.__wrapped__(far, _factor(False, -1)) == _factor(False, -1)
 
 
+def _strip_one_at_a_time(a, root, most):
+    k = 0
+    while k < most and (q := exact._bdivlinear(a, root)) is not None:
+        a, k = q, k + 1
+    return a, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _linear,
+    st.integers(min_value=0, max_value=40),
+    _zhn_nonzero,
+    st.integers(min_value=0, max_value=45),
+)
+def test_strip_matches_one_division_per_factor(factor, m, cofactor, most):
+    a = exact._bmul(cofactor, _product([_factor(*factor)] * m))
+    root = exact._pneg(_factor(*factor)[0])
+    assert exact._strip(a, root, most) == _strip_one_at_a_time(a, root, most)
+
+
+def _counted_strip(monkeypatch, a, root, most):
+    """_strip's result and the names of the divisions it made, in order."""
+    calls = []
+    for name in ("_bdivlinear", "_bdivmonic"):
+
+        def spy(*args, _name=name, _div=getattr(exact, name)):
+            calls.append(_name)
+            return _div(*args)
+
+        monkeypatch.setattr(exact, name, spy)
+    return exact._strip(a, root, most), calls
+
+
+def test_strip_divides_by_powers_past_a_few_factors(monkeypatch):
+    # multiplicity 3: one synthetic division per factor and one that fails
+    cube = _product([_factor(False, 1)] * 3)
+    for most, calls in ((4, 4), (3, 3)):
+        got, spied = _counted_strip(monkeypatch, cube, (-1,), most)
+        assert got == (((1,),), 3) and spied == ["_bdivlinear"] * calls
+    # multiplicity 1000: a few dozen divisions, not one per factor
+    a = exact._bpow(_factor(False, 2), 1000)
+    got, spied = _counted_strip(monkeypatch, a, (-2,), len(a))
+    assert got == (((1,),), 1000) and len(spied) <= 30
+    # n + 2h + 2 keeps one synthetic division per factor
+    a = exact._bpow(_factor(True, 2), 6)
+    got, spied = _counted_strip(monkeypatch, a, (-2, -2), len(a))
+    assert got == (((1,),), 6) and spied == ["_bdivlinear"] * 7
+
+
 @settings(max_examples=40, deadline=None)
 @given(_zhn, _zh)
 def test_inexact_division_raises_on_every_call(q, c):

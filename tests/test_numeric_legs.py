@@ -88,11 +88,12 @@ def _reference_blocks(r, h0, count):
     fden = [float(c) for c in den]
     x0 = float(h0)
 
+    def term(x):
+        v = _horner(fnum, x) / _horner(fden, x)
+        return v * v
+
     def block(start, stop):
-        return sum(
-            (_horner(fnum, x0 + offset) / _horner(fden, x0 + offset)) ** 2
-            for offset in range(start * stride, stop * stride, stride)
-        )
+        return sum(term(x0 + offset) for offset in range(start * stride, stop * stride, stride))
 
     return [block(q, 2 * q), block(2 * q, count)]
 
@@ -198,6 +199,35 @@ def test_probe_kernel_edge_cases_are_bit_identical(num, den, h0, count):
         verdict = tail_square_probe(r, qhn_const(0), h0, count)
     assert [x.hex() for x in got] == [x.hex() for x in want]
     assert verdict == (want[1] < want[0])
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        # libm's pow rounds each of these squares 1 ulp away from the exact one
+        float.fromhex("0x1.0a49432c36700p+111"),
+        float.fromhex("0x1.db65ad4386593p+4"),
+        float.fromhex("0x1.4913f79cfe926p+53"),
+        float.fromhex("-0x1.759aaef0d9d82p-117"),
+        3.0,
+        0.1,
+        -(2.0**-500),
+    ],
+    ids=float.hex,
+)
+def test_probe_kernel_squares_are_correctly_rounded(v):
+    # a constant quotient v / 1.0 == v at every offset
+    squares = verma._probe_kernel([v], [1.0], 0.5)
+    assert [s.hex() for s in squares(range(0, 12, 4))] == [float(Fraction(v) ** 2).hex()] * 3
+
+
+@given(st.floats(min_value=-(2.0**511), max_value=2.0**511))
+def test_probe_kernel_squares_match_exact_rounding(v):
+    assert verma._probe_kernel([v], [1.0], 0.0)(range(1)) == [float(Fraction(v) ** 2)]
+
+
+def test_probe_kernel_square_overflows_to_inf():
+    assert verma._probe_kernel([1e200], [1.0], 0.0)(range(2)) == [math.inf, math.inf]
 
 
 # -- Hilbert-Schmidt sums and the numeric matrix --------------------------------
