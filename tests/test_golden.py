@@ -7,6 +7,7 @@ change with ``PYTHONPATH=src python3 tests/test_golden.py``.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 from pathlib import Path
@@ -137,6 +138,36 @@ def test_report_bytes_match_golden(name, fmt):
         encoding="utf-8"
     )
     assert out == expected
+
+
+# Reports too large to keep as files, pinned by the sha256 of their JSON
+# bytes: the closed check at a larger index bound, and at the weights 3
+# and 3/2, where witt-hs still refuses index bound 6 (ROADMAP item 5a)
+DIGESTS = {
+    "witt-closed-1-3": (
+        ["witt-closed", "--depth", "1", "--index-bound", "3"],
+        0,
+        "e39e19c9fe6a63e2e28cdb61cb85925e6e537aaa650598fefa303c1d390b3ee1",
+    ),
+    "witt-closed-2-1-w3": (
+        ["witt-closed", "--depth", "2", "--index-bound", "1", "--weight", "3"],
+        0,
+        "79f4e4cf22f864d8d5abae99d9438f38d7e4d9fbfbbee5b3c1e4dfbc50cac501",
+    ),
+    "witt-closed-1-2-w3_2-literal": (
+        ["witt-closed", "--depth", "1", "--index-bound", "2", "--weight", "3/2", "--mode", "literal"],
+        1,
+        "6607bd572c60dbb38de901502f1f1689f6174cc8cba9470a1c52aee4eaf53eb0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_report_digests(name):
+    argv, exit_code, digest = DIGESTS[name]
+    code, out = _render(argv + ["--format", "json"])
+    assert code == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 KERNELS = ("_bgcd", "_bmul", "_bshift", "_bdivexact", "_linear_factors")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from liecomposite.errors import DomainError, PoleError
 from liecomposite.exact import (
+    asymptotic_degree,
     parse_rational,
     qh_const,
     qhn_const,
@@ -19,8 +20,9 @@ from liecomposite.exact import (
 )
 from liecomposite import verma
 from liecomposite.report import FAIL, INFO, PASS, CheckItem
-from liecomposite.shiftop import OperatorClass, ShiftOperator
+from liecomposite.shiftop import WEIGHT, OperatorClass, ShiftOperator
 from liecomposite.verma import (
+    GeneratorId,
     bracket,
     bracket_combo,
     check_absolutely_closed,
@@ -373,10 +375,13 @@ def test_root_pairs_are_antisymmetric(h0):
                 }
 
 
+_WEIGHTS = st.sampled_from([None, Fraction(1, 2), Fraction(5, 7), Fraction(3)])
+
+
 @st.composite
-def _operators(draw):
+def _formal_operators(draw):
     """Sums of bands whose coefficients are small polynomials in n and h
-    over products of linear factors, at the formal or a numeric weight."""
+    over products of linear factors, at the formal weight."""
     comps = []
     for _ in range(draw(st.integers(0, 3))):
         top = sum(
@@ -387,9 +392,13 @@ def _operators(draw):
         for _ in range(draw(st.integers(0, 2))):
             bottom = bottom * (N + draw(st.integers(1, 3)) * H + draw(st.integers(0, 4)))
         comps.append((draw(st.integers(-3, 3)), top / bottom))
-    op = ShiftOperator(comps)
-    h0 = draw(st.sampled_from([None, Fraction(1, 2), Fraction(5, 7), Fraction(3)]))
-    return op if h0 is None else verma._at_weight(op, h0)
+    return ShiftOperator(comps)
+
+
+@st.composite
+def _operators(draw):
+    """The operators of _formal_operators at the formal or a numeric weight."""
+    return verma._at_weight(draw(_formal_operators()), draw(_WEIGHTS))
 
 
 @settings(max_examples=80, deadline=None)
@@ -397,6 +406,64 @@ def _operators(draw):
 def test_classify_ignores_sign(op):
     assert (-op).classify() == op.classify()
     assert (-op).is_zero() == op.is_zero()
+
+
+# -- the adjoint mirror of the closed check --------------------------------
+
+
+@pytest.mark.parametrize("h0", [None, Fraction(1, 2), Fraction(5, 7), Fraction(3)])
+def test_weight_ratio_raises_the_degree_by_twice_the_shift(h0):
+    # every factor of WEIGHT.ratio(d) is monic of degree 1 in n, also once
+    # a numeric weight is substituted
+    for d in range(-8, 9):
+        ratio = WEIGHT.ratio(d)
+        if h0 is not None:
+            ratio = substitute_h(ratio, h0)
+        assert asymptotic_degree(ratio) == 2 * d
+
+
+@settings(max_examples=80, deadline=None)
+@given(_formal_operators(), _WEIGHTS)
+def test_adjoint_keeps_the_class(op, h0):
+    # the band (d, c) becomes (-d, c(n - d) * w(n)/w(n - d)): its degree
+    # rises by 2d and its shift falls by 2d, so deg + shift is kept
+    assert verma._at_weight(op.adjoint(), h0).classify() == verma._at_weight(op, h0).classify()
+
+
+def _mirror(x):
+    return GeneratorId(x.family, -x.index)
+
+
+@pytest.mark.parametrize("depth, index_bound", [(1, 2), (2, 1)])
+def test_index_negation_is_the_adjoint_up_to_sign(depth, index_bound):
+    # T(x)* = T(x mirrored) and (AB)* = B*A* give, for a tuple t of k
+    # letters, N(t mirrored) = (-1)^(k-1) N(t)*; the table bracket and the
+    # defect N - T(phi) follow the same rule
+    letters = verma._letters(index_bound)
+    formed = {}
+
+    def visit(t, op, phi):
+        if len(t) >= 2:
+            formed[t] = op, phi
+        if len(t) == depth + 2:
+            return
+        for z in letters:
+            if t:
+                visit(t + (z,), op.commutator(represent(z)), bracket_combo(phi, {z: Fraction(1)}))
+            else:
+                visit((z,), represent(z), {z: Fraction(1)})
+
+    visit((), None, None)
+    checked = 0
+    for t, (op, phi) in formed.items():
+        sign = (-1) ** (len(t) - 1)
+        op_bar, phi_bar = formed[tuple(_mirror(x) for x in t)]
+        assert op_bar == op.adjoint().scale(sign), t
+        assert phi_bar == {_mirror(g): sign * c for g, c in phi.items()}, t
+        defect_bar = op_bar - represent_combo(phi_bar)
+        assert defect_bar == (op - represent_combo(phi)).adjoint().scale(sign), t
+        checked += len(t) >= 3
+    assert checked == sum((4 * index_bound + 2) ** (m + 2) for m in range(1, depth + 1))
 
 
 def _closed_items_reference(depth, index_bound, h0):
@@ -441,8 +508,8 @@ def _closed_items_reference(depth, index_bound, h0):
     return tuple(items), tuple(plain), nonzero_phi
 
 
-@pytest.mark.parametrize("h0", [None, Fraction(1, 2), Fraction(5, 7)])
-@pytest.mark.parametrize("depth, index_bound", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("h0", [None, Fraction(1, 2), Fraction(5, 7), Fraction(3)])
+@pytest.mark.parametrize("depth, index_bound", [(1, 2), (2, 1), (1, 3)])
 def test_closed_items_match_the_reference_traversal(depth, index_bound, h0):
     # the items carry the bracket-mode verdicts and both classes, and
     # literal mode re-gates them on the plain classes: equal triples give
