@@ -432,28 +432,35 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
     table brackets.  Literal mode re-gates the same items, so the last
     traversal is kept for it; it holds report items, no operators.
 
-    Swapping the root pair negates a whole subtree (README, "Design
-    notes"), so its reversed copy, visited later, reuses the classes."""
+    Swapping the root pair negates a whole subtree, and negating every
+    index takes each operator to its adjoint up to sign, which keeps its
+    class (README, "Design notes").  So operators are formed only under
+    the first-visited root pair of each swap-and-negation orbit; the
+    others read its classes by their tails, negated for the mirrored
+    members."""
     letters = _letters(index_bound)
+    position = {x: i for i, x in enumerate(letters)}
+    mirror = {x: GeneratorId(x.family, -x.index) for x in letters}
     items, plain = [], []
     nonzero_phi = 0
-    twins = {}  # (x, y) in letter order -> the subtree's classes in pre-order
+    orbits = {}  # first root pair -> [members still to read, {tail: classes}]
 
-    def visit(tail_letters, acc_op, acc_combo: Combo, classes):
+    def visit(tail_letters, acc_op, acc_combo: Combo, classes, key):
         # tuples of length 3 .. depth + 2 (nesting level 1 .. depth); the
         # length-2 case is the plain pair deviation covered elsewhere.  A
-        # reversed subtree has no acc_op and reads its twin's classes.
+        # subtree without acc_op reads its classes at key(tail).
         nonlocal nonzero_phi
         if len(tail_letters) >= 3:
+            tail = key(tail_letters[2:])
             if acc_op is None:
-                bracket_cls, literal_cls = next(classes)
+                bracket_cls, literal_cls = classes[tail]
             else:
                 # substitute first, so the numeric table bracket is
                 # subtracted from a numeric operator
                 op_at = _at_weight(acc_op, h0)
                 bracket_cls = (op_at - represent_combo(acc_combo, h0)).classify()
                 literal_cls = op_at.classify()
-                classes.append((bracket_cls, literal_cls))
+                classes[tail] = bracket_cls, literal_cls
             if acc_combo:
                 nonzero_phi += 1
             items.append(
@@ -477,14 +484,27 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
                 None if acc_op is None else acc_op.commutator(represent(letter)),
                 bracket_combo(acc_combo, {letter: Fraction(1)}),
                 classes,
+                key,
             )
 
-    for i, x in enumerate(letters):
-        for y in letters[:i]:
-            visit((x, y), None, bracket(x, y), iter(twins.pop((y, x))))
-        for y in letters[i:]:
-            twins[x, y] = []
-            visit((x, y), represent(x).commutator(represent(y)), bracket(x, y), twins[x, y])
+    def mirrored(tail):
+        return tuple(mirror[z] for z in tail)
+
+    for x in letters:
+        for y in letters:
+            orbit = {(x, y), (y, x), (mirror[x], mirror[y]), (mirror[y], mirror[x])}
+            first = min(orbit, key=lambda pair: (position[pair[0]], position[pair[1]]))
+            if first == (x, y):
+                orbits[first] = entry = [len(orbit), {}]
+                op = represent(x).commutator(represent(y))
+                visit((x, y), op, bracket(x, y), entry[1], tuple)
+            else:
+                entry = orbits[first]
+                key = tuple if (y, x) == first else mirrored
+                visit((x, y), None, bracket(x, y), entry[1], key)
+            entry[0] -= 1
+            if not entry[0]:
+                del orbits[first]
     return tuple(items), tuple(plain), nonzero_phi
 
 

@@ -519,6 +519,23 @@ def test_closed_items_match_the_reference_traversal(depth, index_bound, h0):
     assert len(got[0]) == sum((4 * index_bound + 2) ** (m + 2) for m in range(1, depth + 1))
 
 
+def test_closed_items_form_one_subtree_per_orbit(monkeypatch):
+    # at index bound 2, 31 of the 100 root pairs are the first of their
+    # swap-and-negation orbit; each forms its root commutator and one
+    # nested commutator per letter, 31 * 11 in all
+    calls = []
+    original = ShiftOperator.commutator
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(ShiftOperator, "commutator", counted)
+    verma._closed_items.cache_clear()
+    verma._closed_items(1, 2, None)
+    assert len(calls) == 341
+
+
 def test_check_hs_deviations_smoke():
     report = check_hs_deviations(3, Fraction(1, 2), 200)
     assert report.passed
