@@ -12,8 +12,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, LibError
 from .exact import parse as parse_expression
@@ -48,10 +48,7 @@ SCHEMA_VERSION = 1
 SYMBOLIC = "symbolic"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: the command plus every knob it may read."""
-
+class _RunFields(NamedTuple):
     command: str
     max_index: int = 1
     weight: Fraction | None = None  # None = keep the weight symbolic
@@ -69,7 +66,14 @@ class RunConfig:
     two_j2: int = 1
     expressions: tuple = ()
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    """One resolved invocation: the command plus every knob it may read."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # max index and depth are range-checked by the checkers themselves
         if self.truncation < 1:
             raise DomainError("truncation must be at least 1")
@@ -79,6 +83,7 @@ class RunConfig:
             raise DomainError("index bound must be at least 1")
         if self.weight is not None and self.weight <= 0:
             raise DomainError("numeric weight must be positive")
+        return self
 
 
 def _parse_weight(text: str | None) -> Fraction | None:

@@ -19,9 +19,9 @@ structure constants themselves stay rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .errors import DomainError, SearchFailureError
 from .findim import (
@@ -208,8 +208,7 @@ def _trace_shift(matrix: ZMatrix):
     return scalar, matrix.add(ZMatrix.identity(n).scale(scalar), -1) if scalar else matrix
 
 
-@dataclass(frozen=True)
-class So4Extraction:
+class So4Extraction(NamedTuple):
     lambdas: dict
     shifted: FinDimRep
     central_values: dict

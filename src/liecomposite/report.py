@@ -7,15 +7,14 @@ so that identical inputs yield byte-identical JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
 INFO = "info"
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     subject: str
     verdict: str  # PASS, FAIL or INFO
     operator_class: str | None = None
@@ -33,8 +32,7 @@ class CheckItem:
         return out
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     parameters: tuple[tuple[str, object], ...]
     items: tuple[CheckItem, ...]

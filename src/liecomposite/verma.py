@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -531,7 +530,7 @@ def check_absolutely_closed(
     items, plain, nonzero_phi = _closed_items(depth, index_bound, h0)
     if mode == "literal":
         items = [
-            replace(item, verdict=_gated(cls), operator_class=cls.label)
+            item._replace(verdict=_gated(cls), operator_class=cls.label)
             for item, cls in zip(items, plain)
         ]
     if h0 is None:
