@@ -15,7 +15,6 @@ from .errors import (
     NegativeExponentError,
     ParseError,
     PoleError,
-    SearchFailureError,
     ZeroDenominatorError,
 )
 from .exact import RationalFunc, parse, qh_const, qhn_const, var_h, var_h_in_n, var_n
@@ -77,7 +76,6 @@ __all__ = [
     "ParseError",
     "PoleError",
     "RationalFunc",
-    "SearchFailureError",
     "ShiftOperator",
     "So4Extraction",
     "SubspaceAlgebra",

@@ -37,7 +37,3 @@ class DimensionMismatchError(LibError):
 
 class MalformedInputError(LibError):
     """A structured input (file, table) violates its declared invariants."""
-
-
-class SearchFailureError(LibError):
-    """An exhaustive finite search found no admissible assignment."""

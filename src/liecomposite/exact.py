@@ -759,16 +759,6 @@ def var_h_in_n() -> RationalFunc:
     return qhn_const(var_h())
 
 
-def normalize(r: RationalFunc) -> RationalFunc:
-    """Re-canonicalize; the identity on values already in canonical form.
-
-    Also serves as the validated constructor for raw numerator/denominator
-    data via ``RationalFunc.make``; a zero denominator raises
-    ZeroDenominatorError.
-    """
-    return RationalFunc.make(r.num, r.den, r.symbol)
-
-
 def equals(r1, r2) -> bool:
     """Mathematical equality; accepts int/Fraction and values of either symbol."""
     a, b = (_const(r, "h") if isinstance(r, (int, Fraction)) else r for r in (r1, r2))

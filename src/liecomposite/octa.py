@@ -5,8 +5,8 @@ each carry a cyclic so(3) bracket ([P,Q] = R, [Q,R] = P, [R,P] = Q), and
 every edge of the octahedron lies in exactly one chosen face, so the
 brackets never conflict.  Composite representations are assembled from a
 pair of so(3) irreducibles: each vertex acts as a signed combination
-P (x) 1 +/- 1 (x) Q, with the sign/index table fixed once (a finite
-search over the face constraints re-derives it).  From any exact
+P (x) 1 +/- 1 (x) Q, with the sign/index table fixed once
+(tests/test_octa.py re-derives it by finite search).  From any exact
 composite representation, extract_so4 verifies the central opposite-pair
 commutators, removes the trace parts, and certifies the full so(4)
 bracket table plus semisimplicity evidence.
@@ -20,10 +20,10 @@ structure constants themselves stay rational.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple
 
-from .errors import DomainError, SearchFailureError
+from .errors import DomainError
 from .findim import (
     FinDimComposite,
     FinDimRep,
@@ -95,94 +95,6 @@ VERTEX_TABLE = {
     "E": (1, 2, -1, 2),
     "F": (-1, 0, 1, 0),
 }
-
-
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _vertex_vectors(option):
-    """The two tensor legs of a table entry as signed unit 3-vectors."""
-    s1, i1, s2, i2 = option
-    a = [0, 0, 0]
-    b = [0, 0, 0]
-    a[i1] = s1
-    b[i2] = s2
-    return tuple(a), tuple(b)
-
-
-def _verify_assignment(assignment) -> bool:
-    """Abstract check of the table against all faces and opposite pairs:
-    both tensor legs must satisfy the cross-product brackets."""
-    vec = {vertex: _vertex_vectors(option) for vertex, option in assignment.items()}
-    for p, q, r in FACES:
-        for left, mid, right in ((p, q, r), (q, r, p), (r, p, q)):
-            if _cross(vec[left][0], vec[mid][0]) != vec[right][0]:
-                return False
-            if _cross(vec[left][1], vec[mid][1]) != vec[right][1]:
-                return False
-    for p, q in OPPOSITE_PAIRS:
-        if any(_cross(vec[p][leg], vec[q][leg]) != (0, 0, 0) for leg in (0, 1)):
-            return False
-    return True
-
-
-def _search_vertex_assignment():
-    """Re-derive the table by finite search: choose A, B, D freely over
-    signed generator pairs; C, E, F are forced by the faces.  The six
-    operators must be linearly independent (the constraints alone admit
-    degenerate solutions whose image is a diagonal so(3))."""
-    options = [
-        (s1, i1, s2, i2)
-        for s1 in (1, -1)
-        for i1 in range(3)
-        for s2 in (1, -1)
-        for i2 in range(3)
-    ]
-
-    def forced(u, v):
-        a = _cross(u[0], v[0])
-        b = _cross(u[1], v[1])
-        nz_a = [i for i, c in enumerate(a) if c]
-        nz_b = [i for i, c in enumerate(b) if c]
-        if len(nz_a) != 1 or len(nz_b) != 1:
-            return None
-        if abs(a[nz_a[0]]) != 1 or abs(b[nz_b[0]]) != 1:
-            return None
-        return (a[nz_a[0]], nz_a[0], b[nz_b[0]], nz_b[0])
-
-    for opt_a, opt_b, opt_d in product(options, repeat=3):
-        va, vb, vd = _vertex_vectors(opt_a), _vertex_vectors(opt_b), _vertex_vectors(opt_d)
-        opt_c = forced(va, vb)  # face (A, B, C)
-        if opt_c is None:
-            continue
-        opt_e = forced(va, vd)  # face (A, D, E)
-        if opt_e is None:
-            continue
-        opt_f = forced(_vertex_vectors(opt_c), vd)  # face (C, D, F)
-        if opt_f is None:
-            continue
-        candidate = {
-            "A": opt_a,
-            "B": opt_b,
-            "C": opt_c,
-            "D": opt_d,
-            "E": opt_e,
-            "F": opt_f,
-        }
-        if not _verify_assignment(candidate):
-            continue
-        rows = [
-            [Fraction(x) for leg in _vertex_vectors(candidate[v]) for x in leg]
-            for v in VERTICES
-        ]
-        if rank(rows) == 6:
-            return candidate
-    raise SearchFailureError("no sign/index table satisfies the four faces")
 
 
 def so4_composite_rep(two_j1: int, two_j2: int) -> FinDimRep:

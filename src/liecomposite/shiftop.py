@@ -27,19 +27,12 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, NamedTuple
 
-from .errors import (
-    DomainError,
-    MalformedInputError,
-    NegativeExponentError,
-    ParseError,
-    PoleError,
-)
+from .errors import DomainError, NegativeExponentError, PoleError
 from .exact import (
     RationalFunc,
     asymptotic_degree,
     evaluate,
     integer_values,
-    parse,
     qh_const,
     qhn_const,
     var_h,
@@ -69,13 +62,6 @@ class OperatorClass(IntEnum):
     @property
     def label(self) -> str:
         return _CLASS_LABELS[self]
-
-    @classmethod
-    def from_label(cls, label: str) -> "OperatorClass":
-        for member, name in _CLASS_LABELS.items():
-            if name == label:
-                return member
-        raise ValueError(f"unknown operator class label: {label!r}")
 
 
 _CLASS_LABELS = {
@@ -140,20 +126,6 @@ class WeightFunction:
             r = 1 / r
         self._ratios[d] = r
         return r
-
-    def forward_ratio(self, n: int, d: int, h0: Fraction) -> Fraction:
-        """value(n+d)/value(n) at numeric h0 > 0, as an exact rational."""
-        if n < 0 or n + d < 0:
-            raise DomainError("weight ratio needs n >= 0 and n + d >= 0")
-        out = Fraction(1)
-        if d >= 0:
-            for t in range(1, d + 1):
-                out *= Fraction(n + t) * (2 * h0 + n + t - 1)
-        else:
-            for t in range(0, -d):
-                out *= Fraction(n - t) * (2 * h0 + n - t - 1)
-            out = 1 / out
-        return out
 
 
 WEIGHT = WeightFunction()
@@ -406,32 +378,3 @@ class ShiftOperator:
                 if nn:
                     per_n[n] += (nn * nn * p) / (dn * dn * q)
         return list(accumulate(per_n))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_data(self) -> list[dict]:
-        """JSON-ready form: list of {shift, coeff} with expression strings."""
-        return [{"shift": d, "coeff": str(c)} for d, c in self.components]
-
-    @classmethod
-    def from_data(cls, data) -> "ShiftOperator":
-        if not isinstance(data, list):
-            raise MalformedInputError("operator data must be a list of components")
-        comps = []
-        for entry in data:
-            if not isinstance(entry, dict) or set(entry) != {"shift", "coeff"}:
-                raise MalformedInputError(
-                    "each component must be an object with exactly"
-                    " the keys 'shift' and 'coeff'"
-                )
-            shift = entry["shift"]
-            if not isinstance(shift, int) or isinstance(shift, bool):
-                raise MalformedInputError("component shift must be an integer")
-            if not isinstance(entry["coeff"], str):
-                raise MalformedInputError("component coeff must be a string")
-            try:
-                coeff = parse(entry["coeff"])
-            except ParseError as exc:
-                raise MalformedInputError(f"bad coefficient expression: {exc}") from None
-            comps.append((shift, coeff))
-        return cls(comps)

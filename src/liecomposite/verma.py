@@ -175,13 +175,6 @@ def _combo_str(combo: Combo) -> str:
 # -- weights and deviations ---------------------------------------------------
 
 
-def shapovalov_weight(n: int, h=None):
-    """Squared norm of z^n: an element of Q(h), or a Fraction at numeric h."""
-    w = WEIGHT.value(n)
-    h0 = _weight(h)
-    return w if h0 is None else evaluate(w, h0)
-
-
 @lru_cache(maxsize=None)
 def _deviation_sym(x: GeneratorId, y: GeneratorId) -> ShiftOperator:
     lhs = represent(x).commutator(represent(y))
@@ -609,21 +602,6 @@ def check_hs_deviations(
 # -- lattice tail-square equivalence ------------------------------------------
 
 
-def _univariate_difference(r1: RationalFunc, r2: RationalFunc) -> RationalFunc:
-    if not isinstance(r1, RationalFunc) or not isinstance(r2, RationalFunc):
-        raise DomainError("expected rational-function operands")
-    return r1 - r2
-
-
-def _as_fraction_polys(d: RationalFunc):
-    try:
-        return fraction_coeff_tuples(d)
-    except ValueError:
-        raise DomainError(
-            "the difference must be univariate; it depends on both symbols"
-        ) from None
-
-
 def _cauchy_bound(poly) -> Fraction:
     """A bound above the modulus of every complex root of poly
     (coefficients from low to high degree); 0 for a constant."""
@@ -673,11 +651,18 @@ def _refuse_lattice_poles(den, h0: Fraction):
 
 def _difference_polys(r1: RationalFunc, r2: RationalFunc, h0: Fraction):
     """The difference r1 - r2 and its (num, den) Fraction tuples, or None
-    for them when it vanishes; refuses a pole on the lattice h0 + j."""
-    d = _univariate_difference(r1, r2)
+    for them when it vanishes; refuses operands that are not rational
+    functions, a difference that depends on h, and a pole on the lattice
+    h0 + j."""
+    if not isinstance(r1, RationalFunc) or not isinstance(r2, RationalFunc):
+        raise DomainError("expected rational-function operands")
+    d = r1 - r2
     if d.is_zero():
         return d, None
-    polys = _as_fraction_polys(d)
+    try:
+        polys = fraction_coeff_tuples(d)
+    except ValueError:
+        raise DomainError("the difference must be a function of n alone; it depends on h") from None
     _refuse_lattice_poles(polys[1], h0)
     return d, polys
 

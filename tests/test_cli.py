@@ -421,6 +421,14 @@ def test_tail_equivalence_pole_is_input_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("first", ["h", "1/(n-h)"])
+def test_tail_equivalence_difference_in_h_exits_two(capsys, first):
+    code, out, err = invoke(capsys, "tail-equivalence", first, "0")
+    assert code == 2
+    assert err == "error: the difference must be a function of n alone; it depends on h\n"
+    assert out == ""
+
+
 def test_malformed_expression_exits_two(capsys):
     code, out, err = invoke(capsys, "tail-equivalence", "n +", "0")
     assert code == 2

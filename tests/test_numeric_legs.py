@@ -8,7 +8,8 @@ and asserts exact equality (never approx) with the package's leg:
 - the tail probe's two block sums against a generator that evaluates the
   float difference by plain Horner at every sampled lattice point;
 - hs_partial_sums and truncate_numeric against columns built from
-  RationalFunc.evaluate, including the pole error's point and message;
+  RationalFunc.evaluate and an exact weight ratio (forward_ratio below),
+  including the pole error's point and message;
 - the lattice-pole refusal against a scan of every lattice point up to
   the Cauchy bound of the denominator.
 """
@@ -233,6 +234,29 @@ def test_probe_kernel_square_overflows_to_inf():
 # -- Hilbert-Schmidt sums and the numeric matrix --------------------------------
 
 
+def forward_ratio(n, d, h0):
+    """w(n+d)/w(n) at the weight h0 as an exact rational, from the
+    recurrence w(m) = m (2 h0 + m - 1) w(m - 1)."""
+    assert n >= 0 and n + d >= 0
+    out = Fraction(1)
+    if d >= 0:
+        for t in range(1, d + 1):
+            out *= Fraction(n + t) * (2 * h0 + n + t - 1)
+    else:
+        for t in range(0, -d):
+            out *= Fraction(n - t) * (2 * h0 + n - t - 1)
+        out = 1 / out
+    return out
+
+
+def test_forward_ratio_matches_the_weight_values():
+    for h0 in (Fraction(1, 2), Fraction(5, 7), Fraction(3)):
+        w = [evaluate(WEIGHT.value(n), h0) for n in range(12)]
+        for n in range(9):
+            for d in range(-min(n, 3), 4):
+                assert forward_ratio(n, d, h0) == w[n + d] / w[n]
+
+
 def _reference_columns(op, size, h0):
     """Every band's coefficient at n = 0..size through RationalFunc.evaluate."""
     h0 = Fraction(h0)
@@ -259,7 +283,7 @@ def _reference_hs(op, count, h0):
                 continue
             if n + d < 0:
                 raise NegativeExponentError(f"component with shift {d} is not defined at z^{n}")
-            per_n[n] += float(v * v * WEIGHT.forward_ratio(n, d, h0))
+            per_n[n] += float(v * v * forward_ratio(n, d, h0))
     sums, running = [], 0.0
     for x in per_n:
         running += x
@@ -275,7 +299,7 @@ def _reference_matrix(op, size, h0):
             row = n + d
             if row < 0 or row > size or not vals[n]:
                 continue
-            mat[row][n] += float(vals[n]) * math.sqrt(WEIGHT.forward_ratio(n, d, h0))
+            mat[row][n] += float(vals[n]) * math.sqrt(forward_ratio(n, d, h0))
     return mat
 
 

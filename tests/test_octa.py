@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from liecomposite.linalg import (
     mat_identity,
     mat_sub,
     mat_trace,
+    rank,
     rref,
 )
 from liecomposite.octa import (
@@ -35,8 +37,6 @@ from liecomposite.octa import (
     VERTEX_TABLE,
     VERTICES,
     _abstract_constants,
-    _search_vertex_assignment,
-    _verify_assignment,
     build_octahedron,
     extract_so4,
     killing_certificate,
@@ -111,6 +111,98 @@ def test_so3_irrep_is_irreducible(two_j):
 
 
 # -- vertex table and its derivation ----------------------------------------
+#
+# An independent derivation of VERTEX_TABLE: each entry is read as a pair of
+# signed unit 3-vectors, one per tensor leg, and the face brackets become
+# cross products.
+
+
+def _cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _vertex_vectors(option):
+    """The two tensor legs of a table entry as signed unit 3-vectors."""
+    s1, i1, s2, i2 = option
+    a = [0, 0, 0]
+    b = [0, 0, 0]
+    a[i1] = s1
+    b[i2] = s2
+    return tuple(a), tuple(b)
+
+
+def _verify_assignment(assignment) -> bool:
+    """Abstract check of the table against all faces and opposite pairs:
+    both tensor legs must satisfy the cross-product brackets."""
+    vec = {vertex: _vertex_vectors(option) for vertex, option in assignment.items()}
+    for p, q, r in FACES:
+        for left, mid, right in ((p, q, r), (q, r, p), (r, p, q)):
+            if _cross(vec[left][0], vec[mid][0]) != vec[right][0]:
+                return False
+            if _cross(vec[left][1], vec[mid][1]) != vec[right][1]:
+                return False
+    for p, q in OPPOSITE_PAIRS:
+        if any(_cross(vec[p][leg], vec[q][leg]) != (0, 0, 0) for leg in (0, 1)):
+            return False
+    return True
+
+
+def _search_vertex_assignment():
+    """Derive the table by finite search: choose A, B, D freely over
+    signed generator pairs; C, E, F are forced by the faces.  The six
+    operators must be linearly independent (the constraints alone admit
+    degenerate solutions whose image is a diagonal so(3))."""
+    options = [
+        (s1, i1, s2, i2)
+        for s1 in (1, -1)
+        for i1 in range(3)
+        for s2 in (1, -1)
+        for i2 in range(3)
+    ]
+
+    def forced(u, v):
+        a = _cross(u[0], v[0])
+        b = _cross(u[1], v[1])
+        nz_a = [i for i, c in enumerate(a) if c]
+        nz_b = [i for i, c in enumerate(b) if c]
+        if len(nz_a) != 1 or len(nz_b) != 1:
+            return None
+        if abs(a[nz_a[0]]) != 1 or abs(b[nz_b[0]]) != 1:
+            return None
+        return (a[nz_a[0]], nz_a[0], b[nz_b[0]], nz_b[0])
+
+    for opt_a, opt_b, opt_d in product(options, repeat=3):
+        va, vb, vd = _vertex_vectors(opt_a), _vertex_vectors(opt_b), _vertex_vectors(opt_d)
+        opt_c = forced(va, vb)  # face (A, B, C)
+        if opt_c is None:
+            continue
+        opt_e = forced(va, vd)  # face (A, D, E)
+        if opt_e is None:
+            continue
+        opt_f = forced(_vertex_vectors(opt_c), vd)  # face (C, D, F)
+        if opt_f is None:
+            continue
+        candidate = {
+            "A": opt_a,
+            "B": opt_b,
+            "C": opt_c,
+            "D": opt_d,
+            "E": opt_e,
+            "F": opt_f,
+        }
+        if not _verify_assignment(candidate):
+            continue
+        rows = [
+            [Fraction(x) for leg in _vertex_vectors(candidate[v]) for x in leg]
+            for v in VERTICES
+        ]
+        if rank(rows) == 6:
+            return candidate
+    raise AssertionError("no sign/index table satisfies the four faces")
 
 
 def test_shipped_vertex_table_is_valid():

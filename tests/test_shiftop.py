@@ -6,17 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from liecomposite.errors import (
-    DomainError,
-    MalformedInputError,
-    NegativeExponentError,
-    PoleError,
-)
+from liecomposite.errors import DomainError, NegativeExponentError, PoleError
 from liecomposite.exact import (
     equals,
     evaluate,
     integer_values,
-    parse,
     qh_const,
     substitute_h,
     var_h,
@@ -135,18 +129,13 @@ def test_weight_ratios():
     assert equals(WEIGHT.ratio(1), N * (2 * H + N - 1))
     assert equals(WEIGHT.ratio(-1), 1 / ((N + 1) * (2 * H + N)))
     assert WEIGHT.ratio(0).is_one()
-    # numeric leg agrees with the symbolic values
-    h0 = Fraction(1, 2)
-    w5 = evaluate(WEIGHT.value(5), h0)
-    w3 = evaluate(WEIGHT.value(3), h0)
-    assert WEIGHT.forward_ratio(3, 2, h0) == w5 / w3
-    assert WEIGHT.forward_ratio(5, -2, h0) == w3 / w5
     # the numeric legs' integer ratio P(n)/Q(n), equal to the direct ratios
     for h0 in (Fraction(1, 2), Fraction(5, 7), Fraction(3)):
+        w = [evaluate(WEIGHT.value(n), h0) for n in range(43)]
         for d in range(-3, 4):
             cols = [n for n in range(max(0, -d), 40) if n % 7 not in (2, 3)]
             pq = list(integer_values(substitute_h(WEIGHT.ratio(d).shift_arg(d), h0), 40))
-            assert [Fraction(*pq[n]) for n in cols] == [WEIGHT.forward_ratio(n, d, h0) for n in cols]
+            assert [Fraction(*pq[n]) for n in cols] == [w[n + d] / w[n] for n in cols]
 
 
 def test_adjoint_frozen_examples():
@@ -202,13 +191,6 @@ def test_classify_worst_component_wins():
     assert op((-1, N)).classify() is OperatorClass.BOUNDED
 
 
-def test_class_labels_round_trip():
-    for k in OperatorClass:
-        assert OperatorClass.from_label(k.label) is k
-    with pytest.raises(ValueError):
-        OperatorClass.from_label("compact")
-
-
 # -- numerics ---------------------------------------------------------
 
 
@@ -220,10 +202,11 @@ def test_truncate_diagonal():
 
 
 def test_truncate_band_entry():
-    mat = RAISE_1.truncate_numeric(3, Fraction(1, 2))
+    h0 = Fraction(1, 2)
+    mat = RAISE_1.truncate_numeric(3, h0)
     # entry (n+1, n) = sqrt(w(n+1)/w(n))
     for n in range(3):
-        want = math.sqrt(float(WEIGHT.forward_ratio(n, 1, Fraction(1, 2))))
+        want = math.sqrt(float(evaluate(WEIGHT.value(n + 1), h0) / evaluate(WEIGHT.value(n), h0)))
         assert mat[n + 1][n] == pytest.approx(want, rel=1e-12)
     assert mat[0][1] == 0.0
 
@@ -355,33 +338,6 @@ def test_adjoint_involution_and_antimultiplicativity():
         assert a.adjoint().adjoint() == a
         assert (a @ b).adjoint() == b.adjoint() @ a.adjoint()
         assert (a + b).adjoint() == a.adjoint() + b.adjoint()
-
-
-# -- serialization ------------------------------------------------------
-
-
-def test_serialization_round_trip():
-    for a in (ShiftOperator.zero(), DIAG_0, LOWER_2 @ RAISE_2, RAISE_2 + LOWER_1):
-        data = a.to_data()
-        assert ShiftOperator.from_data(data) == a
-        for entry in data:
-            assert set(entry) == {"shift", "coeff"}
-            assert parse(entry["coeff"]) is not None
-
-
-def test_from_data_rejects_malformed():
-    bad = [
-        "not a list",
-        [{"shift": 1}],
-        [{"shift": 1, "coeff": "n", "extra": 0}],
-        [{"shift": "1", "coeff": "n"}],
-        [{"shift": 1, "coeff": "n+"}],
-        [{"shift": True, "coeff": "n"}],
-        [{"shift": 1, "coeff": 5}],
-    ]
-    for data in bad:
-        with pytest.raises(MalformedInputError):
-            ShiftOperator.from_data(data)
 
 
 def test_weight_function_is_reusable():

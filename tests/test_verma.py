@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from liecomposite.errors import DomainError, PoleError
 from liecomposite.exact import (
     asymptotic_degree,
+    evaluate,
+    parse,
     parse_rational,
     qh_const,
     qhn_const,
@@ -38,7 +40,6 @@ from liecomposite.verma import (
     op_L,
     represent,
     represent_combo,
-    shapovalov_weight,
     tail_equivalence_report,
     tail_square_equivalence,
     tail_square_probe,
@@ -83,10 +84,10 @@ def test_numeric_weight_substitutes_coefficients():
 
 def test_shapovalov_weights_frozen():
     h = var_h()
-    assert shapovalov_weight(0) == qh_const(1)
-    assert shapovalov_weight(1) == 2 * h
-    assert shapovalov_weight(2) == 4 * h * (2 * h + 1)
-    assert shapovalov_weight(2, Fraction(1, 2)) == Fraction(4)
+    assert WEIGHT.value(0) == qh_const(1)
+    assert WEIGHT.value(1) == 2 * h
+    assert WEIGHT.value(2) == 4 * h * (2 * h + 1)
+    assert evaluate(WEIGHT.value(2), Fraction(1, 2)) == Fraction(4)
 
 
 def test_highest_weight_coercion():
@@ -307,10 +308,11 @@ def test_check_absolutely_closed_modes():
 
 def _closed_classes(report):
     """Per item: (subject, verdict, defect class, plain nested-commutator class)."""
+    by_label = {k.label: k for k in OperatorClass}
     out = []
     for item in report.items:
         defect, plain = (
-            OperatorClass.from_label(part.strip().split(" class ")[1])
+            by_label[part.strip().split(" class ")[1]]
             for part in item.note.split(";")[:2]
         )
         out.append((item.subject, item.verdict, defect, plain))
@@ -581,8 +583,14 @@ def test_tail_equivalence_refuses_lattice_pole():
 
 
 def test_tail_equivalence_rejects_bivariate_difference():
-    with pytest.raises(DomainError):
-        tail_square_equivalence(var_h_in_n() * var_n(), qhn_const(0), Fraction(1, 2))
+    for r1, r2 in ((1, qhn_const(0)), (qhn_const(1), Fraction(0))):
+        with pytest.raises(DomainError, match="^expected rational-function operands$"):
+            tail_square_equivalence(r1, r2, Fraction(1, 2))
+    # the difference h involves no n at all: what is refused is its h
+    for r in (var_h_in_n() * var_n(), parse("h"), parse("1/(n-h)")):
+        with pytest.raises(DomainError) as err:
+            tail_square_equivalence(r, qhn_const(0), Fraction(1, 2))
+        assert str(err.value) == "the difference must be a function of n alone; it depends on h"
 
 
 def test_tail_probe_agrees_on_frozen_trio():
