@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .errors import DomainError, LibError
@@ -301,10 +302,29 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
+# CheckItem.to_dict's keys in sorted order, each with its field position;
+# None fields are left out, as to_dict leaves them out
+_ITEM_KEYS = (("class", 2), ("note", 4), ("residual", 3), ("subject", 0), ("verdict", 1))
+_ITEM_PREFIXES = tuple((f'"{key}": ', i) for key, i in _ITEM_KEYS)
+
+
+def _render_item(item: CheckItem) -> str:
+    fields = [prefix + encode_basestring_ascii(item[i]) for prefix, i in _ITEM_PREFIXES if item[i] is not None]
+    return "    {\n      " + ",\n      ".join(fields) + "\n    }"
+
+
 def _render(config: RunConfig, report: CheckReport, payload: dict) -> str:
-    if config.fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return report.to_text() + "\n"
+    """The report as text, or as JSON with the bytes of
+    json.dumps(payload, indent=2, sort_keys=True); the items are spliced
+    into the envelope's "items": [] (an encoded string holds no bare quote,
+    so that text is unique) through one fixed template per item."""
+    if config.fmt != "json":
+        return report.to_text() + "\n"
+    envelope = json.dumps({**payload, "items": []}, indent=2, sort_keys=True)
+    if report.items:
+        block = ",\n".join(map(_render_item, report.items))
+        envelope = envelope.replace('"items": []', '"items": [\n' + block + "\n  ]", 1)
+    return envelope + "\n"
 
 
 def main(argv=None) -> int:

@@ -129,12 +129,13 @@ def represent(x: GeneratorId, h=None) -> ShiftOperator:
 # -- abstract bracket table ----------------------------------------------
 
 
-Combo = dict  # GeneratorId -> Fraction, zero coefficients never stored
+Combo = dict  # GeneratorId -> int, zero coefficients never stored
 
 
 def bracket(x: GeneratorId, y: GeneratorId) -> Combo:
     """Structure constants: [e_i,e_j] = (i-j)e_{i+j}, [e_i,f_j] = -j*f_{i+j},
-    f-family abelian; antisymmetric by construction."""
+    f-family abelian; antisymmetric by construction.  The constants are
+    integers, and so is every coefficient of a nested table bracket."""
     if x.family == "e" and y.family == "e":
         c, target = x.index - y.index, e(x.index + y.index)
     elif x.family == "e" and y.family == "f":
@@ -143,7 +144,7 @@ def bracket(x: GeneratorId, y: GeneratorId) -> Combo:
         c, target = x.index, f(x.index + y.index)
     else:
         return {}
-    return {target: Fraction(c)} if c else {}
+    return {target: c} if c else {}
 
 
 def bracket_combo(a: Combo, b: Combo) -> Combo:
@@ -151,14 +152,19 @@ def bracket_combo(a: Combo, b: Combo) -> Combo:
     for x, ca in a.items():
         for y, cb in b.items():
             for z, c in bracket(x, y).items():
-                out[z] = out.get(z, Fraction(0)) + ca * cb * c
+                out[z] = out.get(z, 0) + ca * cb * c
     return {z: c for z, c in out.items() if c}
 
 
 def represent_combo(combo: Combo, h=None) -> ShiftOperator:
+    return _represent_terms(tuple(combo.items()), _weight(h))
+
+
+@lru_cache(maxsize=None)
+def _represent_terms(terms: tuple, h0: Fraction | None) -> ShiftOperator:
     total = ShiftOperator.zero()
-    for x, c in combo.items():
-        total = total + represent(x, h).scale(c)
+    for x, c in terms:
+        total = total + represent(x, h0).scale(c)
     return total
 
 
@@ -433,6 +439,7 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
     letters = _letters(index_bound)
     position = {x: i for i, x in enumerate(letters)}
     mirror = {x: GeneratorId(x.family, -x.index) for x in letters}
+    names = {x: str(x) for x in letters}
     items, plain = [], []
     nonzero_phi = 0
     orbits = {}  # first root pair -> [members still to read, {tail: classes}]
@@ -457,7 +464,7 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
                 nonzero_phi += 1
             items.append(
                 CheckItem(
-                    subject="(" + ", ".join(str(x) for x in tail_letters) + ")",
+                    subject="(" + ", ".join(map(names.__getitem__, tail_letters)) + ")",
                     verdict=_gated(bracket_cls),
                     operator_class=bracket_cls.label,
                     note=(
@@ -474,7 +481,7 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
             visit(
                 tail_letters + (letter,),
                 None if acc_op is None else acc_op.commutator(represent(letter)),
-                bracket_combo(acc_combo, {letter: Fraction(1)}),
+                bracket_combo(acc_combo, {letter: 1}),
                 classes,
                 key,
             )
@@ -673,6 +680,11 @@ def tail_square_equivalence(r1: RationalFunc, r2: RationalFunc, h0) -> bool:
     True iff the difference vanishes identically or has growth degree
     <= -1 (so the squared terms decay at least like 1/j^2).  Refuses with
     a pole error if the difference has a pole on the lattice h0 + j.
+
+    The letter h means two things here.  A difference at level "h" (built
+    from var_h and qh_const alone) is read as a function of the lattice
+    variable, so var_h() against 0 diverges.  parse, and so the CLI, reads
+    h as the weight symbol and refuses a difference that depends on it.
     """
     d, polys = _difference_polys(r1, r2, Fraction(h0))
     return polys is None or asymptotic_degree(d) <= -1

@@ -6,11 +6,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from liecomposite import cli
 from liecomposite.cli import RunConfig, _config_from_args, build_parser, main, run
 from liecomposite.errors import DomainError
 from liecomposite.findim import FinDimRep, rep_to_data, save_composite, save_rep
 from liecomposite.octa import VERTICES, build_octahedron, so4_composite_rep
+from liecomposite.report import CheckItem, CheckReport
 
 
 def invoke(capsys, *argv):
@@ -509,6 +513,47 @@ def test_json_output_is_byte_identical(tmp_path, capsys):
         )
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# strings that JSON must escape, or that look like the envelope's items entry
+_TEXT = st.one_of(
+    st.text(),
+    st.sampled_from([
+        '"items": [],', '  "items": []', "\\", '"', '\\"', "h\u00e9 \u4e2d \U0001d11e", "\x00\n\x1f\x7f\u2028",
+    ]),
+)
+_OPTIONAL_TEXT = st.one_of(st.none(), _TEXT)
+_ITEMS = st.builds(CheckItem, _TEXT, _TEXT, _OPTIONAL_TEXT, _OPTIONAL_TEXT, _OPTIONAL_TEXT)
+_PARAMS = st.dictionaries(
+    _TEXT, st.one_of(st.integers(), st.floats(), st.booleans(), _TEXT), max_size=4
+)
+
+
+@settings(max_examples=200)
+@example("c", {"items": '"items": [],'}, [CheckItem("caf\u00e9", "pass", note="\u00e9")], ["\u00e9"])
+@given(_TEXT, _PARAMS, st.lists(_ITEMS, max_size=5), st.lists(_TEXT, max_size=3))
+def test_json_render_matches_json_dumps(command, params, items, notes):
+    # the item template and the envelope splice give the bytes of the
+    # json.dumps oracle, whatever the strings hold, for any item count
+    report = CheckReport.build(command, params, items, notes)
+    payload = {
+        "schema": cli.SCHEMA_VERSION,
+        "command": command,
+        "params": params,
+        "pass": report.passed,
+        "items": [item.to_dict() for item in items],
+        "notes": list(notes),
+    }
+    config = RunConfig(command="witt-verify", fmt="json")
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert cli._render(config, report, payload) == expected
+
+
+def test_item_template_follows_to_dict():
+    # every field set, each to its own value: a CheckItem field that
+    # to_dict writes and the template does not know fails here
+    item = CheckItem(*(f"field {i}" for i in range(len(CheckItem._fields))))
+    assert [(key, item[i]) for key, i in cli._ITEM_KEYS] == sorted(item.to_dict().items())
 
 
 def test_output_file_leaves_stdout_quiet(tmp_path, capsys):

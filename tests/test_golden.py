@@ -9,12 +9,13 @@ change with ``PYTHONPATH=src python3 tests/test_golden.py``.
 import contextlib
 import hashlib
 import io
+import json
 import os
 from pathlib import Path
 
 import pytest
 
-from liecomposite import exact, verma
+from liecomposite import cli, exact, verma
 from liecomposite.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,16 +117,22 @@ EXIT_CODES = {
 REAL_BASIS = [["1", "i", "0", "0"], ["0", "0", "1", "i"], ["0", "0", "-1", "i"], ["1", "-i", "0", "0"]]
 
 
-def _render(argv):
-    """Run one CLI invocation from the repository root; return (exit code, stdout)."""
+@contextlib.contextmanager
+def _at_root():
+    """Work from the repository root, where the composite paths resolve."""
     saved_cwd = os.getcwd()
-    buffer = io.StringIO()
+    os.chdir(ROOT)
     try:
-        os.chdir(ROOT)
-        with contextlib.redirect_stdout(buffer):
-            code = main(argv)
+        yield
     finally:
         os.chdir(saved_cwd)
+
+
+def _render(argv):
+    """Run one CLI invocation from the repository root; return (exit code, stdout)."""
+    buffer = io.StringIO()
+    with _at_root(), contextlib.redirect_stdout(buffer):
+        code = main(argv)
     return code, buffer.getvalue()
 
 
@@ -168,6 +175,17 @@ def test_report_digests(name):
     code, out = _render(argv + ["--format", "json"])
     assert code == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(DIGESTS))
+def test_json_render_matches_json_dumps(name):
+    # the item template against the json.dumps oracle on every pinned command
+    argv = (CASES[name] if name in CASES else DIGESTS[name][0]) + ["--format", "json"]
+    config = cli._config_from_args(cli.build_parser().parse_args(argv))
+    with _at_root():
+        code, report, payload = cli.run(config)
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert cli._render(config, report, payload) == expected
 
 
 KERNELS = ("_bgcd", "_bmul", "_bshift", "_bdivexact", "_linear_factors")

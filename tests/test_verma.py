@@ -141,6 +141,35 @@ def test_represent_combo_linear():
     assert represent_combo(combo) == op_L(1).scale(2) - op_F(-1).scale(3)
 
 
+@given(_gens, _gens, _gens)
+def test_structure_constants_are_ints(x, y, z):
+    # the Witt constants i - j, -j and i, and every nested table bracket
+    # of them, stay Python ints; a Fraction would print the same in a
+    # note, so only the type shows it
+    for combo in (bracket(x, y), bracket_combo(bracket(x, y), {z: 1})):
+        assert all(type(c) is int for c in combo.values())
+
+
+def test_represent_combo_is_cached_by_terms_and_weight():
+    h0 = Fraction(5, 7)
+    formal = op_L(1).scale(2) - op_F(-1).scale(3)
+    numeric = op_L(1, h0).scale(2) - op_F(-1, h0).scale(3)
+    assert formal != numeric
+    verma._represent_terms.cache_clear()
+    combo = {e(1): 2, f(-1): -3}
+    # the numeric entry first: a cache that ignored the weight would
+    # hand it to the formal call
+    assert represent_combo(combo, h0) == numeric
+    assert represent_combo(combo) == formal
+    assert represent_combo(combo, "5/7") == numeric
+    assert verma._represent_terms.cache_info().hits == 1
+    # the key is a snapshot of the terms, not the caller's dict
+    combo[e(1)] = 3
+    assert represent_combo(combo) == op_L(1).scale(3) - op_F(-1).scale(3)
+    del combo[f(-1)]
+    assert represent_combo(combo, h0) == op_L(1, h0).scale(3)
+
+
 # -- deviations ------------------------------------------------------------
 
 
