@@ -262,7 +262,8 @@ _COMMON = [
 
 
 def run(config: RunConfig):
-    """Dispatch one config; returns (exit_code, CheckReport, payload dict)."""
+    """Dispatch one config; returns (exit_code, CheckReport, payload dict),
+    the payload without the items, which _render writes from the report."""
     params, reports, extra_items = COMMANDS[config.command][0](config)
     items = []
     notes = []
@@ -276,7 +277,6 @@ def run(config: RunConfig):
         "command": config.command,
         "params": dict(combined.parameters),
         "pass": combined.passed,
-        "items": [item.to_dict() for item in combined.items],
         "notes": list(combined.notes),
     }
     return (0 if combined.passed else 1), combined, payload
@@ -314,10 +314,10 @@ def _render_item(item: CheckItem) -> str:
 
 
 def _render(config: RunConfig, report: CheckReport, payload: dict) -> str:
-    """The report as text, or as JSON with the bytes of
-    json.dumps(payload, indent=2, sort_keys=True); the items are spliced
-    into the envelope's "items": [] (an encoded string holds no bare quote,
-    so that text is unique) through one fixed template per item."""
+    """The report as text, or as JSON with the bytes of json.dumps of the
+    payload plus the items' to_dict() (indent=2, sort_keys=True); the items
+    are spliced into the envelope's "items": [] (an encoded string holds no
+    bare quote, so that text is unique) through one fixed template each."""
     if config.fmt != "json":
         return report.to_text() + "\n"
     envelope = json.dumps({**payload, "items": []}, indent=2, sort_keys=True)

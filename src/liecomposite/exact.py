@@ -421,31 +421,32 @@ def _reduce(num: tuple, den: tuple) -> tuple[tuple, tuple]:
     return num, den
 
 
-def _sum(a: "RationalFunc", b: "RationalFunc") -> tuple[tuple, tuple]:
-    """a + b for canonical a, b; only the denominators' gcd is cancelled."""
-    an, ad, bn, bd = a.num, a.den, b.num, b.den
+def _unreduced_sum(an: tuple, ad: tuple, bn: tuple, bd: tuple) -> tuple[tuple, tuple, tuple]:
+    """(t, den, g) with an/ad + bn/bd = t/den: the sum over the lcm of the
+    denominators, g = gcd(ad, bd); t is empty exactly when the sum is 0.
+    Nothing else is cancelled: for coprime operands, every common factor
+    of t and den divides g."""
     if not an:
-        return bn, bd
+        return bn, bd, _ONE
     if not bn:
-        return an, ad
+        return an, ad, _ONE
     if ad == bd:
-        num = _badd(an, bn)
-        if not num:
-            return _ZERO
-        g = _bgcd(num, ad)
-        return (num, ad) if g == _ONE else (_bdivexact(num, g), _bdivexact(ad, g))
+        return _badd(an, bn), ad, ad
     g = _bgcd(ad, bd)
     if g == _ONE:
-        num = _badd(_bmul(an, bd), _bmul(bn, ad))
-        return (num, _bmul(ad, bd)) if num else _ZERO
+        return _badd(_bmul(an, bd), _bmul(bn, ad)), _bmul(ad, bd), _ONE
     ag = _bdivexact(ad, g)
-    t = _badd(_bmul(an, _bdivexact(bd, g)), _bmul(bn, ag))
+    return _badd(_bmul(an, _bdivexact(bd, g)), _bmul(bn, ag)), _bmul(ag, bd), g
+
+
+def _sum(a: "RationalFunc", b: "RationalFunc") -> tuple[tuple, tuple]:
+    """a + b for canonical a, b: the unreduced sum, then its common factor."""
+    t, den, g = _unreduced_sum(a.num, a.den, b.num, b.den)
     if not t:
         return _ZERO
-    g2 = _bgcd(t, g)
-    if g2 != _ONE:
-        t, bd = _bdivexact(t, g2), _bdivexact(bd, g2)
-    return t, _bmul(ag, bd)
+    if g != _ONE and (g2 := _bgcd(t, g)) != _ONE:
+        t, den = _bdivexact(t, g2), _bdivexact(den, g2)
+    return t, den
 
 
 def _difference(a: "RationalFunc", b: "RationalFunc") -> tuple[tuple, tuple]:
@@ -793,16 +794,22 @@ def substitute_h(r: RationalFunc, h0: Fraction) -> RationalFunc:
     h0 = Fraction(h0)
     if r.is_zero():
         return r
+    return RationalFunc(*_reduce(*_specialize((r.num, r.den), h0)), "n", _trust=True)
+
+
+def _specialize(pair: tuple, h0: Fraction) -> tuple[tuple, tuple]:
+    """A (num, den) pair over ZZ[h][n] at h = h0, both scaled by one power
+    of h0's denominator; PoleError when den vanishes identically in n."""
     p, q = h0.numerator, h0.denominator
-    d = max(len(c) for c in (*r.num, *r.den)) - 1
+    d = max(len(c) for a in pair for c in a) - 1
 
     def spec(a: tuple) -> tuple:
         return _trim((v,) if v else () for v in (_phomog(c, p, q, d) for c in a))
 
-    den = spec(r.den)
+    num, den = map(spec, pair)
     if not den:
         raise PoleError(h0, f"denominator degenerates at h = {h0}")
-    return RationalFunc(*_reduce(spec(r.num), den), "n", _trust=True)
+    return num, den
 
 
 def fraction_coeff_tuples(r: RationalFunc) -> tuple[tuple, tuple]:

@@ -30,7 +30,9 @@ from typing import Iterable, NamedTuple
 from .errors import DomainError, NegativeExponentError, PoleError
 from .exact import (
     RationalFunc,
-    asymptotic_degree,
+    _bneg,
+    _specialize,
+    _unreduced_sum,
     evaluate,
     integer_values,
     qh_const,
@@ -139,6 +141,16 @@ def _merge(merged: dict, terms, subtract: bool = False) -> dict:
         else:
             merged[d] = -c if subtract else c
     return merged
+
+
+def _class_of(bands) -> OperatorClass:
+    """Least class of (shift, num, den) bands, from the largest growth
+    exponent g = deg num - deg den + shift over the nonzero bands:
+    TRACE_CLASS (1) for g <= -2, one step up per unit, UNBOUNDED (4) from 1."""
+    g = max((len(num) - len(den) + d for d, num, den in bands if num), default=None)
+    if g is None:
+        return OperatorClass.ZERO
+    return OperatorClass(min(max(g, -2), 1) + 3)
 
 
 class ShiftOperator:
@@ -268,6 +280,36 @@ class ShiftOperator:
         both = _merge({}, self._products(other))
         return self._build(_merge(both, other._products(self), subtract=True))
 
+    def commutator_classes(self, other: "ShiftOperator", minus: "ShiftOperator", h0=None):
+        """(class of [self, other] - minus, class of [self, other]) at the
+        weight h0 (formal when None; minus is given at h0), from each band's
+        unreduced sum of canonical terms (exact._unreduced_sum), specialized
+        at a numeric h0 before minus's band is added, again unreduced.
+
+        Exact: a class reads only each band's n-degree difference and zero
+        test, and cancelling a common factor G of numerator and denominator
+        changes neither.  At a numeric h0: every ladder denominator has a
+        positive integer leading coefficient in n, so G has one too and
+        G(h0, n) is not 0; specializing the unreduced pair gives the degree
+        difference and zero test of the specialized canonical pair, and
+        raises PoleError exactly where that would."""
+        bands: dict = {}  # shift -> unreduced (num, den)
+
+        def add(d, pair):
+            bands[d] = _unreduced_sum(*bands[d], *pair)[:2] if d in bands else pair
+
+        for d, c in self._products(other):
+            add(d, (c.num, c.den))
+        for d, c in other._products(self):
+            add(d, (_bneg(c.num), c.den))
+        if h0 is not None:
+            h0 = Fraction(h0)
+            bands = {d: _specialize(pair, h0) for d, pair in bands.items() if pair[0]}
+        literal = _class_of((d, *pair) for d, pair in bands.items())
+        for d, c in minus.components:
+            add(d, (_bneg(c.num), c.den))
+        return _class_of((d, *pair) for d, pair in bands.items()), literal
+
     # -- action on the module ------------------------------------------------
 
     def apply_to_monomial(self, n: int) -> list[tuple[int, RationalFunc]]:
@@ -306,19 +348,7 @@ class ShiftOperator:
 
     def classify(self) -> OperatorClass:
         """Least operator class containing this operator (h generic)."""
-        worst = OperatorClass.ZERO
-        for d, c in self.components:
-            g = asymptotic_degree(c) + d
-            if g <= -2:
-                k = OperatorClass.TRACE_CLASS
-            elif g == -1:
-                k = OperatorClass.HILBERT_SCHMIDT
-            elif g == 0:
-                k = OperatorClass.BOUNDED
-            else:
-                k = OperatorClass.UNBOUNDED
-            worst = max(worst, k)
-        return worst
+        return _class_of((d, c.num, c.den) for d, c in self.components)
 
     # -- numerics ---------------------------------------------------------
 

@@ -183,6 +183,8 @@ def _combo_str(combo: Combo) -> str:
 
 @lru_cache(maxsize=None)
 def _deviation_sym(x: GeneratorId, y: GeneratorId) -> ShiftOperator:
+    if y < x:  # commutator (AB - BA) and bracket are both antisymmetric
+        return -_deviation_sym(y, x)
     lhs = represent(x).commutator(represent(y))
     return lhs - represent_combo(bracket(x, y))
 
@@ -435,7 +437,7 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
     class (README, "Design notes").  So operators are formed only under
     the first-visited root pair of each swap-and-negation orbit; the
     others read its classes by their tails, negated for the mirrored
-    members."""
+    members.  The last level's commutators are classified, not formed."""
     letters = _letters(index_bound)
     position = {x: i for i, x in enumerate(letters)}
     mirror = {x: GeneratorId(x.family, -x.index) for x in letters}
@@ -445,46 +447,47 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
     orbits = {}  # first root pair -> [members still to read, {tail: classes}]
 
     def visit(tail_letters, acc_op, acc_combo: Combo, classes, key):
-        # tuples of length 3 .. depth + 2 (nesting level 1 .. depth); the
-        # length-2 case is the plain pair deviation covered elsewhere.  A
-        # subtree without acc_op reads its classes at key(tail).
+        # the children of tail_letters (nesting level 1 .. depth), each item
+        # before its subtree; the length-2 case is the plain pair deviation
+        # covered elsewhere.  A subtree without acc_op reads its classes at
+        # key(tail).
         nonlocal nonzero_phi
-        if len(tail_letters) >= 3:
-            tail = key(tail_letters[2:])
+        last = len(tail_letters) == depth + 1
+        for letter in letters:
+            child = tail_letters + (letter,)
+            combo = bracket_combo(acc_combo, {letter: 1})
+            tail, op = key(child[2:]), None
             if acc_op is None:
                 bracket_cls, literal_cls = classes[tail]
+            elif last:
+                bracket_cls, literal_cls = classes[tail] = acc_op.commutator_classes(
+                    represent(letter), represent_combo(combo, h0), h0
+                )
             else:
                 # substitute first, so the numeric table bracket is
                 # subtracted from a numeric operator
-                op_at = _at_weight(acc_op, h0)
-                bracket_cls = (op_at - represent_combo(acc_combo, h0)).classify()
+                op = acc_op.commutator(represent(letter))
+                op_at = _at_weight(op, h0)
+                bracket_cls = (op_at - represent_combo(combo, h0)).classify()
                 literal_cls = op_at.classify()
                 classes[tail] = bracket_cls, literal_cls
-            if acc_combo:
+            if combo:
                 nonzero_phi += 1
             items.append(
                 CheckItem(
-                    subject="(" + ", ".join(map(names.__getitem__, tail_letters)) + ")",
+                    subject="(" + ", ".join(map(names.__getitem__, child)) + ")",
                     verdict=_gated(bracket_cls),
                     operator_class=bracket_cls.label,
                     note=(
                         f"defect class {bracket_cls.label};"
                         f" plain nested-commutator class {literal_cls.label};"
-                        f" table bracket {_combo_str(acc_combo)}"
+                        f" table bracket {_combo_str(combo)}"
                     ),
                 )
             )
             plain.append(literal_cls)
-        if len(tail_letters) == depth + 2:
-            return
-        for letter in letters:
-            visit(
-                tail_letters + (letter,),
-                None if acc_op is None else acc_op.commutator(represent(letter)),
-                bracket_combo(acc_combo, {letter: 1}),
-                classes,
-                key,
-            )
+            if not last:
+                visit(child, op, combo, classes, key)
 
     def mirrored(tail):
         return tuple(mirror[z] for z in tail)

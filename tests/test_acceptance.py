@@ -5,11 +5,10 @@ line says otherwise) and prints a single PASS/FAIL line, so a plain
 pytest -v run doubles as the acceptance summary.
 """
 
-import json
 import random
 from fractions import Fraction
 
-from liecomposite.cli import RunConfig, run
+from liecomposite.cli import RunConfig, _render, run
 from liecomposite.exact import equals, qhn_const, var_h_in_n, var_n
 from liecomposite.findim import (
     check_compatibility,
@@ -256,10 +255,10 @@ def test_criterion_8_algebraic_laws_and_determinism():
         RunConfig(command="witt-hs", index_bound=2, truncation=100,
                   weight=Fraction(1, 2), fmt="json"),
     ):
-        _, _, payload1 = run(config)
-        _, _, payload2 = run(config)
-        text1 = json.dumps(payload1, indent=2, sort_keys=True)
-        text2 = json.dumps(payload2, indent=2, sort_keys=True)
+        _, report1, payload1 = run(config)
+        _, report2, payload2 = run(config)
+        text1 = _render(config, report1, payload1)
+        text2 = _render(config, report2, payload2)
         ok = ok and text1 == text2
     verdict(
         8,

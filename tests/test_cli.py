@@ -541,11 +541,11 @@ def test_json_render_matches_json_dumps(command, params, items, notes):
         "command": command,
         "params": params,
         "pass": report.passed,
-        "items": [item.to_dict() for item in items],
         "notes": list(notes),
     }
     config = RunConfig(command="witt-verify", fmt="json")
-    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    oracle = {**payload, "items": [item.to_dict() for item in report.items]}
+    expected = json.dumps(oracle, indent=2, sort_keys=True) + "\n"
     assert cli._render(config, report, payload) == expected
 
 

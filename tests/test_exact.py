@@ -273,6 +273,18 @@ def test_field_axioms(a, b, c):
 
 @settings(max_examples=60, deadline=None)
 @given(qhn_values(), qhn_values())
+def test_unreduced_sum_is_the_sum_before_its_last_cancellation(a, b):
+    # the same value as the canonical sum, the same degree difference, and
+    # an empty numerator exactly when the sum is zero
+    num, den, _ = exact._unreduced_sum(a.num, a.den, b.num, b.den)
+    assert RationalFunc.make(num, den, "n") == a + b
+    assert (not num) == (a + b).is_zero()
+    if num:
+        assert len(num) - len(den) == asymptotic_degree(a + b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qhn_values(), qhn_values())
 def test_asymptotic_degree_laws(a, b):
     da, db = asymptotic_degree(a), asymptotic_degree(b)
     if not (a.is_zero() or b.is_zero()):

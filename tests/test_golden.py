@@ -184,7 +184,8 @@ def test_json_render_matches_json_dumps(name):
     config = cli._config_from_args(cli.build_parser().parse_args(argv))
     with _at_root():
         code, report, payload = cli.run(config)
-    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    oracle = {**payload, "items": [item.to_dict() for item in report.items]}
+    expected = json.dumps(oracle, indent=2, sort_keys=True) + "\n"
     assert cli._render(config, report, payload) == expected
 
 

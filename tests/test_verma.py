@@ -550,21 +550,86 @@ def test_closed_items_match_the_reference_traversal(depth, index_bound, h0):
     assert len(got[0]) == sum((4 * index_bound + 2) ** (m + 2) for m in range(1, depth + 1))
 
 
+def _count_closed_routes(monkeypatch, depth, index_bound):
+    """The operator commutators and last-level classifications of one
+    cold _closed_items traversal at the formal weight."""
+    calls = {"commutator": 0, "commutator_classes": 0}
+    for name in calls:
+        original = getattr(ShiftOperator, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(ShiftOperator, name, counted)
+    verma._closed_items.cache_clear()
+    verma._closed_items(depth, index_bound, None)
+    return calls
+
+
 def test_closed_items_form_one_subtree_per_orbit(monkeypatch):
     # at index bound 2, 31 of the 100 root pairs are the first of their
-    # swap-and-negation orbit; each forms its root commutator and one
-    # nested commutator per letter, 31 * 11 in all
-    calls = []
-    original = ShiftOperator.commutator
+    # swap-and-negation orbit; each forms its root commutator and
+    # classifies one last-level commutator per letter without forming it
+    calls = _count_closed_routes(monkeypatch, 1, 2)
+    assert calls == {"commutator": 31, "commutator_classes": 31 * 10}
 
-    def counted(self, other):
-        calls.append(other)
-        return original(self, other)
 
-    monkeypatch.setattr(ShiftOperator, "commutator", counted)
-    verma._closed_items.cache_clear()
-    verma._closed_items(1, 2, None)
-    assert len(calls) == 341
+def test_closed_items_form_inner_levels_and_classify_the_last(monkeypatch):
+    # at depth 2 and index bound 1, 13 of the 36 root pairs are the first
+    # of their orbit; each forms its root commutator and one inner-level
+    # commutator per letter, and classifies 6 * 6 last-level ones
+    calls = _count_closed_routes(monkeypatch, 2, 1)
+    assert calls == {"commutator": 13 * (1 + 6), "commutator_classes": 13 * 36}
+
+
+def _growth_class(op):
+    """The class of op read from asymptotic_degree, apart from classify."""
+    g = max((asymptotic_degree(c) + d for d, c in op.components), default=None)
+    if g is None:
+        return OperatorClass.ZERO
+    if g <= -2:
+        return OperatorClass.TRACE_CLASS
+    return (OperatorClass.HILBERT_SCHMIDT, OperatorClass.BOUNDED, OperatorClass.UNBOUNDED)[min(g, 1) + 1]
+
+
+@st.composite
+def _last_levels(draw):
+    """(accumulated operator, table bracket, last letter) of a nested
+    commutator at depth 1 or 2 and index bound at most 3."""
+    letters = verma._letters(draw(st.integers(0, 3)))
+    pick = st.sampled_from(letters)
+    x, y = draw(pick), draw(pick)
+    acc, phi = represent(x).commutator(represent(y)), bracket(x, y)
+    if draw(st.booleans()):
+        z = draw(pick)
+        acc, phi = acc.commutator(represent(z)), bracket_combo(phi, {z: 1})
+    return acc, phi, draw(pick)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_last_levels(), st.sampled_from([None, Fraction(1, 2), Fraction(3, 2), Fraction(3), Fraction(5, 7)]))
+def test_commutator_classes_match_the_formed_commutator(level, h0):
+    # the last level's classes from unreduced band sums against the
+    # canonical commutator, substituted at h0 before the table bracket is
+    # subtracted, and against a reading of the classes apart from classify
+    acc, phi, letter = level
+    phi = bracket_combo(phi, {letter: 1})
+    minus = represent_combo(phi, h0)
+    op_at = verma._at_weight(acc.commutator(represent(letter)), h0)
+    expected = ((op_at - minus).classify(), op_at.classify())
+    assert acc.commutator_classes(represent(letter), minus, h0) == expected
+    assert expected == (_growth_class(op_at - minus), _growth_class(op_at))
+
+
+def test_deviation_twins_match_the_formed_deviations():
+    # the cached twin of a reversed pair is the deviation formed directly
+    verma._deviation_sym.cache_clear()
+    letters = verma._letters(3)
+    for x in letters:
+        for y in letters:
+            direct = represent(x).commutator(represent(y)) - represent_combo(bracket(x, y))
+            assert verma._deviation_sym(x, y) == direct, (x, y)
 
 
 def test_check_hs_deviations_smoke():
