@@ -17,7 +17,7 @@ from .errors import (
     PoleError,
     ZeroDenominatorError,
 )
-from .exact import RationalFunc, parse, qh_const, qhn_const, var_h, var_h_in_n, var_n
+from .exact import RationalFunc, parse, qhn_const, var_h, var_n
 from .findim import (
     FinDimComposite,
     FinDimRep,
@@ -102,7 +102,6 @@ __all__ = [
     "op_F",
     "op_L",
     "parse",
-    "qh_const",
     "qhn_const",
     "represent",
     "save_composite",
@@ -113,6 +112,5 @@ __all__ = [
     "tail_square_equivalence",
     "tail_square_probe",
     "var_h",
-    "var_h_in_n",
     "var_n",
 ]

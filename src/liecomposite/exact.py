@@ -1,28 +1,26 @@
 """Exact scalar arithmetic: rationals, polynomials, rational functions.
 
-The package works over the fields QQ(h) and QQ(h)(n), where h is the
-highest-weight parameter and n is the growth variable.  Every
-``RationalFunc`` is stored fraction-free as N/D with N, D in ZZ[h][n]:
+Every ``RationalFunc`` is an element of the one field QQ(h)(n), where h
+is the highest-weight parameter and n is the growth variable; a QQ(h)
+value is one that is free of n.  It is stored fraction-free as N/D with
+N, D in ZZ[h][n]:
 
 - N and D are coprime in ZZ[h, n], integer content included;
 - D has a positive leading coefficient (highest power of n, then of h);
 - zero is 0/1.
 
 This form is unique, so structural equality (and hashing) coincides with
-mathematical equality, which the operator layer relies on.  A QQ(h) value
-(symbol "h") is the case where N and D do not involve n, so both symbols
-share one set of integer kernels and mixing them only relabels the result.
+mathematical equality, which the operator layer relies on.
 
 Polynomials are tuples of coefficients in ascending degree order with no
 trailing zeros; the empty tuple is the zero polynomial.  A ZZ[h] polynomial
 has int coefficients; a ZZ[h][n] polynomial has ZZ[h] coefficients.
-``Fraction`` appears only at the boundary: constants, evaluating a QQ(h)
-value, ``fraction_coeff_tuples`` and printing, which renders a value monic
-in its own symbol with reduced QQ(h) (or QQ) coefficients.
+``Fraction`` appears only at the boundary: constants, ``constant_value``,
+``fraction_coeff_tuples`` and printing, which renders a value monic in n
+with reduced QQ(h) coefficients.
 
-Growth analysis (``asymptotic_degree``) reads off deg(num) - deg(den) in the
-value's own symbol; for symbol "n" this treats h-dependent leading
-coefficients as nonzero, i.e. h is generic.
+Growth analysis (``asymptotic_degree``) reads off deg(num) - deg(den) in n;
+this treats h-dependent leading coefficients as nonzero, i.e. h is generic.
 """
 
 from __future__ import annotations
@@ -481,78 +479,63 @@ def _quotient(a: "RationalFunc", b: "RationalFunc") -> tuple[tuple, tuple]:
 
 
 class RationalFunc:
-    """An element of QQ(h) (symbol "h") or QQ(h)(n) (symbol "n").
+    """An element of QQ(h)(n).
 
     Instances are immutable and always canonical (see the module docstring);
     equality and hash are structural, which by canonicality coincides with
-    mathematical equality at the same symbol.  Arithmetic accepts int,
-    Fraction and RationalFunc operands of either symbol; a result with an
-    "n" operand has symbol "n".
+    mathematical equality.  Arithmetic accepts int, Fraction and
+    RationalFunc operands.
     """
 
-    __slots__ = ("num", "den", "symbol")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: tuple, den: tuple, symbol: str, *, _trust: bool = False):
+    def __init__(self, num: tuple, den: tuple, *, _trust: bool = False):
         if not _trust:
-            built = RationalFunc.make(num, den, symbol)
+            built = RationalFunc.make(num, den)
             num, den = built.num, built.den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "symbol", symbol)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("RationalFunc is immutable")
 
     @classmethod
-    def make(cls, num, den, symbol: str) -> "RationalFunc":
+    def make(cls, num, den) -> "RationalFunc":
         """The canonical value of num/den, given as ZZ[h][n] int tuples."""
-        if symbol not in ("h", "n"):
-            raise ValueError(f"unknown symbol {symbol!r}")
         num = _trim(_trim(c) for c in num)
         den = _trim(_trim(c) for c in den)
         if not den:
             raise ZeroDenominatorError("zero denominator")
-        if symbol == "h" and max(len(num), len(den)) > 1:
-            raise ValueError('a level-"h" value cannot depend on n')
-        return cls(*_reduce(num, den), symbol, _trust=True)
+        return cls(*_reduce(num, den), _trust=True)
 
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return self.num == _ONE and self.den == _ONE
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
     def is_constant(self) -> bool:
-        """True when the value does not involve its own symbol."""
-        if self.symbol == "n":
-            return len(self.num) <= 1 and len(self.den) == 1
-        return all(len(c) <= 1 for c in self.num) and len(self.den[0]) == 1
+        """True when the value is free of n, i.e. lies in QQ(h)."""
+        return len(self.num) <= 1 and len(self.den) == 1
 
-    def constant_value(self):
-        """A constant's value one level down (a level-"h" value for symbol
-        "n", a Fraction for symbol "h"); raises otherwise."""
-        if not self.is_constant():
+    def constant_value(self) -> Fraction:
+        """The Fraction of a value free of both n and h; raises ValueError
+        otherwise."""
+        if not (self.is_constant() and len(self.den[0]) == 1 and all(len(c) == 1 for c in self.num)):
             raise ValueError(f"not a constant: {self}")
-        if self.symbol == "n":
-            return RationalFunc(self.num, self.den, "h", _trust=True)
         return Fraction(self.num[0][0], self.den[0][0]) if self.num else Fraction(0)
 
     # -- arithmetic ---------------------------------------------------------
 
     def _apply(self, kernel, other, reflected: bool = False):
-        if isinstance(other, RationalFunc):
-            symbol = "n" if "n" in (self.symbol, other.symbol) else "h"
-        elif isinstance(other, (int, Fraction)):
-            other, symbol = _const(other, self.symbol), self.symbol
-        else:
+        if isinstance(other, (int, Fraction)):
+            other = _const(other)
+        elif not isinstance(other, RationalFunc):
             return NotImplemented
         a, b = (other, self) if reflected else (self, other)
-        return RationalFunc(*kernel(a, b), symbol, _trust=True)
+        return RationalFunc(*kernel(a, b), _trust=True)
 
     def __add__(self, other):
         return self._apply(_sum, other)
@@ -560,7 +543,7 @@ class RationalFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunc(_bneg(self.num), self.den, self.symbol, _trust=True)
+        return RationalFunc(_bneg(self.num), self.den, _trust=True)
 
     def __sub__(self, other):
         return self._apply(_difference, other)
@@ -580,7 +563,7 @@ class RationalFunc:
         num, den = self.den, self.num
         if den[-1][-1] < 0:
             num, den = _bneg(num), _bneg(den)
-        return RationalFunc(num, den, self.symbol, _trust=True)
+        return RationalFunc(num, den, _trust=True)
 
     def __truediv__(self, other):
         return self._apply(_quotient, other)
@@ -593,58 +576,45 @@ class RationalFunc:
         repeated squaring."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer exponents")
-        return RationalFunc(_bpow(self.num, exponent), _bpow(self.den, exponent), self.symbol, _trust=True)
+        return RationalFunc(_bpow(self.num, exponent), _bpow(self.den, exponent), _trust=True)
 
     # -- structure ----------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, RationalFunc) or other.symbol != self.symbol:
+        if not isinstance(other, RationalFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.symbol, self.num, self.den))
+        return hash((self.num, self.den))
 
     def shift_arg(self, k: int) -> "RationalFunc":
-        """Substitute symbol -> symbol + k.  This automorphism of ZZ[h, n]
-        fixes leading coefficients, so the canonical form is preserved."""
+        """Substitute n -> n + k.  This automorphism of ZZ[h, n] fixes
+        leading coefficients, so the canonical form is preserved."""
         if k == 0:
             return self
-        if self.symbol == "n":
-            num, den = _bshift(self.num, k), _bshift(self.den, k)
-        else:
-            num, den = (tuple(_pshift_arg(c, k) for c in p) for p in (self.num, self.den))
-        return RationalFunc(num, den, self.symbol, _trust=True)
+        return RationalFunc(_bshift(self.num, k), _bshift(self.den, k), _trust=True)
 
     def evaluate(self, point):
-        """Value at symbol = point (an int or Fraction): a Fraction for symbol
-        "h", a level-"h" value for symbol "n".  Raises PoleError where the
-        denominator vanishes (identically in h, for symbol "n")."""
+        """Value at n = point (an int or Fraction), a value free of n.
+        Raises PoleError where the denominator vanishes identically in h."""
         x = Fraction(point)
-        if self.symbol == "h":
-            den = _peval(self.den[0], x)
-            if not den:
-                raise PoleError(point)
-            return Fraction(_peval(self.num[0], x)) / den if self.num else Fraction(0)
         d = max(len(self.num), len(self.den)) - 1
         num, den = (_trim(_phomog(col, x.numerator, x.denominator, d) for col in _columns(a))
                     for a in (self.num, self.den))
         if not den:
             raise PoleError(point)
-        return RationalFunc.make((num,), (den,), "h")
+        return RationalFunc.make((num,), (den,))
 
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.symbol == "h":
-            num, den = fraction_coeff_tuples(self)
-        else:
-            lead = self.den[-1]
-            num, den = (tuple(_qh_coeff(c, lead) for c in a) for a in (self.num, self.den))
-        return _ratio_str(num, den, self.symbol)
+        lead = self.den[-1]
+        num, den = (tuple(_qh_coeff(c, lead) for c in a) for a in (self.num, self.den))
+        return _ratio_str(num, den, "n")
 
     def __repr__(self) -> str:
-        return f"<{self.symbol}-rational {self}>"
+        return f"<RationalFunc {self}>"
 
 
 def _monic(num: tuple, den: tuple) -> tuple[tuple, tuple]:
@@ -659,12 +629,12 @@ def _qh_coeff(c: tuple, lead: tuple) -> tuple[tuple, tuple]:
     return _monic(_pdivexact(c, g), _pdivexact(lead, g))
 
 
-def _ratio_str(num: tuple, den: tuple, symbol: str) -> str:
-    text = _poly_str(num, symbol)
-    return text if len(den) == 1 else f"({text})/({_poly_str(den, symbol)})"
+def _ratio_str(num: tuple, den: tuple, var: str) -> str:
+    text = _poly_str(num, var)
+    return text if len(den) == 1 else f"({text})/({_poly_str(den, var)})"
 
 
-def _poly_str(coeffs: tuple, symbol: str) -> str:
+def _poly_str(coeffs: tuple, var: str) -> str:
     """Coefficients are Fractions, or (num, den) Fraction tuples in h."""
     parts: list[tuple[bool, str]] = []  # (negative, text without sign)
     for k in range(len(coeffs) - 1, -1, -1):
@@ -684,7 +654,7 @@ def _poly_str(coeffs: tuple, symbol: str) -> str:
         if k == 0:
             text = cs
         else:
-            sym = symbol if k == 1 else f"{symbol}^{k}"
+            sym = var if k == 1 else f"{var}^{k}"
             text = sym if cs == "1" else f"{cs}*{sym}"
         parts.append((negative, text))
     if not parts:
@@ -726,60 +696,39 @@ def _wrap_qh(num: tuple, den: tuple) -> str:
 # Constructors and the public exact-arithmetic operations.
 
 
-def _const(value, symbol: str) -> RationalFunc:
+def _const(value) -> RationalFunc:
     v = Fraction(value)
-    return RationalFunc(((v.numerator,),) if v else (), ((v.denominator,),), symbol, _trust=True)
-
-
-def qh_const(value=0) -> RationalFunc:
-    """Constant element of QQ(h)."""
-    return _const(value, "h")
-
-
-def var_h() -> RationalFunc:
-    return RationalFunc(((0, 1),), _ONE, "h", _trust=True)
+    return RationalFunc(((v.numerator,),) if v else (), ((v.denominator,),), _trust=True)
 
 
 def qhn_const(value=0) -> RationalFunc:
-    """Element of QQ(h)(n) from an int, a Fraction or a value of either symbol.
-
-    A level-"h" value is relabelled; a level-"n" value is returned as is.
-    """
+    """Element of QQ(h)(n) from an int or a Fraction; a RationalFunc is
+    returned as is."""
     if isinstance(value, RationalFunc):
-        return value if value.symbol == "n" else RationalFunc(value.num, value.den, "n", _trust=True)
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"cannot use {type(value).__name__} as a rational-function constant")
-    return _const(value, "n")
+    return _const(value)
+
+
+def var_h() -> RationalFunc:
+    return RationalFunc(((0, 1),), _ONE, _trust=True)
 
 
 def var_n() -> RationalFunc:
-    return RationalFunc(((), (1,)), _ONE, "n", _trust=True)
-
-
-def var_h_in_n() -> RationalFunc:
-    return qhn_const(var_h())
-
-
-def equals(r1, r2) -> bool:
-    """Mathematical equality; accepts int/Fraction and values of either symbol."""
-    a, b = (_const(r, "h") if isinstance(r, (int, Fraction)) else r for r in (r1, r2))
-    if not (isinstance(a, RationalFunc) and isinstance(b, RationalFunc)):
-        return False
-    return a.num == b.num and a.den == b.den
+    return RationalFunc(((), (1,)), _ONE, _trust=True)
 
 
 def evaluate(r: RationalFunc, point):
-    """Evaluate at the value's own symbol; PoleError at a vanishing denominator."""
+    """Evaluate at n = point; PoleError at a vanishing denominator."""
     return r.evaluate(point)
 
 
 def asymptotic_degree(r: RationalFunc):
-    """deg(num) - deg(den) in the value's own symbol; -inf for the zero function."""
+    """deg(num) - deg(den) in n; -inf for the zero function."""
     if r.is_zero():
         return NEG_INF
-    if r.symbol == "n":
-        return len(r.num) - len(r.den)
-    return len(r.num[0]) - len(r.den[0])
+    return len(r.num) - len(r.den)
 
 
 def substitute_h(r: RationalFunc, h0: Fraction) -> RationalFunc:
@@ -789,12 +738,10 @@ def substitute_h(r: RationalFunc, h0: Fraction) -> RationalFunc:
     identically in n at h0 raises PoleError; removable poles of the printed
     (monic) coefficients do not.
     """
-    if r.symbol != "n":
-        raise ValueError("substitute_h expects a level-\"n\" value")
     h0 = Fraction(h0)
     if r.is_zero():
         return r
-    return RationalFunc(*_reduce(*_specialize((r.num, r.den), h0)), "n", _trust=True)
+    return RationalFunc(*_reduce(*_specialize((r.num, r.den), h0)), _trust=True)
 
 
 def _specialize(pair: tuple, h0: Fraction) -> tuple[tuple, tuple]:
@@ -813,20 +760,16 @@ def _specialize(pair: tuple, h0: Fraction) -> tuple[tuple, tuple]:
 
 
 def fraction_coeff_tuples(r: RationalFunc) -> tuple[tuple, tuple]:
-    """(num, den) as Fraction tuples in the value's own symbol, den monic.
+    """(num, den) as Fraction tuples in n, den monic.
 
-    Raises ValueError when a level-"n" value still depends on h.
+    Raises ValueError when the value depends on h.
     """
-    if r.symbol == "h":
-        num, den = (r.num[0] if r.num else ()), r.den[0]
-    else:
-        num, den = _int_coeff_tuples(r)
-    return _monic(num, den)
+    return _monic(*_int_coeff_tuples(r))
 
 
 def _int_coeff_tuples(r: RationalFunc) -> tuple[tuple, tuple]:
-    """(N, D) of a level-"n" value as int tuples in n, or ValueError when
-    the value still depends on h."""
+    """(N, D) of a value as int tuples in n, or ValueError when the value
+    depends on h."""
     if any(len(c) > 1 for c in (*r.num, *r.den)):
         raise ValueError("value depends on h")
     return tuple(c[0] if c else 0 for c in r.num), tuple(c[0] if c else 0 for c in r.den)
@@ -834,8 +777,8 @@ def _int_coeff_tuples(r: RationalFunc) -> tuple[tuple, tuple]:
 
 def integer_values(r: RationalFunc, stop: int):
     """(N(n), D(n)) for n = 0, ..., stop - 1, by integer Horner, where N/D
-    is the stored form of an h-free level-"n" value (as substitute_h
-    returns); D(n) = 0 marks a pole at n."""
+    is the stored form of an h-free value (as substitute_h returns);
+    D(n) = 0 marks a pole at n."""
     num, den = _int_coeff_tuples(r)
     for n in range(stop):
         yield _peval(num, n), _peval(den, n)
@@ -923,7 +866,7 @@ def _tokenize(text: str) -> list:
 
 
 def parse(text: str) -> RationalFunc:
-    """Parse an expression in n and h into a level-"n" rational function.
+    """Parse an expression in n and h into a rational function.
 
     Grammar: integer literals, symbols n and h, + - * / ^ and parentheses;
     ^ takes a nonnegative integer exponent, exponent x base degree is at
@@ -1007,7 +950,7 @@ def parse(text: str) -> RationalFunc:
         if kind == "int":
             return qhn_const(val)
         if kind == "sym":
-            return var_n() if val == "n" else var_h_in_n()
+            return var_n() if val == "n" else var_h()
         if kind == "op" and val == "(":
             node = deeper(expr)
             kind, val = take()

@@ -35,10 +35,8 @@ from .exact import (
     _unreduced_sum,
     evaluate,
     integer_values,
-    qh_const,
     qhn_const,
     var_h,
-    var_h_in_n,
     var_n,
     substitute_h,
 )
@@ -83,7 +81,7 @@ class ShiftComponent(NamedTuple):
 def _as_scalar(value) -> RationalFunc:
     # scalars live in Q(h): n-dependent scaling would be a composition,
     # not a scalar multiple
-    if isinstance(value, RationalFunc) and value.symbol == "n" and not value.is_constant():
+    if isinstance(value, RationalFunc) and not value.is_constant():
         raise TypeError("operator scalars must not depend on n")
     return qhn_const(value)
 
@@ -98,11 +96,11 @@ class WeightFunction:
     """
 
     def __init__(self):
-        self._values = [qh_const(1)]
+        self._values = [qhn_const(1)]
         self._ratios: dict[int, RationalFunc] = {0: qhn_const(1)}
 
     def value(self, n: int) -> RationalFunc:
-        """value(n) as an element of Q(h)."""
+        """value(n) as an element of Q(h), free of n."""
         if n < 0:
             raise DomainError("weights are indexed by n >= 0")
         vals = self._values
@@ -117,7 +115,7 @@ class WeightFunction:
         cached = self._ratios.get(d)
         if cached is not None:
             return cached
-        n, h = var_n(), var_h_in_n()
+        n, h = var_n(), var_h()
         r = qhn_const(1)
         if d > 0:
             for t in range(d):

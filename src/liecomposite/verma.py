@@ -32,11 +32,10 @@ from .exact import (
     _pshift_arg,
     _sturm_chain,
     asymptotic_degree,
-    evaluate,
     fraction_coeff_tuples,
     qhn_const,
     substitute_h,
-    var_h_in_n,
+    var_h,
     var_n,
 )
 from .report import FAIL, INFO, PASS, CheckItem, CheckReport
@@ -82,7 +81,7 @@ def _at_weight(op: ShiftOperator, h0: Fraction | None) -> ShiftOperator:
 
 @lru_cache(maxsize=None)
 def _op_e(k: int) -> ShiftOperator:
-    n, h = var_n(), var_h_in_n()
+    n, h = var_n(), var_h()
     if k >= 0:
         coeff = n - k + (k + 1) * h
         for t in range(k):
@@ -97,7 +96,7 @@ def _op_e(k: int) -> ShiftOperator:
 
 @lru_cache(maxsize=None)
 def _op_f(k: int) -> ShiftOperator:
-    n, h = var_n(), var_h_in_n()
+    n, h = var_n(), var_h()
     coeff = qhn_const(1)
     if k >= 0:
         for t in range(k):
@@ -296,13 +295,13 @@ def check_extended_composite(K: int, h=None) -> CheckReport:
 def _inner_product_probe(h0: Fraction, K: int, size: int = 12) -> bool:
     # independent numeric leg: <A z^m, z^n> = <z^m, A* z^n> with exact
     # rational arithmetic at a fixed weight
-    wvals = [evaluate(WEIGHT.value(n), h0) for n in range(size + 2 * K + 1)]
+    wvals = [substitute_h(WEIGHT.value(n), h0).constant_value() for n in range(size + 2 * K + 1)]
 
     def pairing(terms, n):
         acc = Fraction(0)
         for expo, v in terms:
             if expo == n:
-                acc += evaluate(v, h0) * wvals[n]
+                acc += substitute_h(v, h0).constant_value() * wvals[n]
         return acc
 
     for mk in (op_L, op_F):
@@ -682,12 +681,8 @@ def tail_square_equivalence(r1: RationalFunc, r2: RationalFunc, h0) -> bool:
 
     True iff the difference vanishes identically or has growth degree
     <= -1 (so the squared terms decay at least like 1/j^2).  Refuses with
-    a pole error if the difference has a pole on the lattice h0 + j.
-
-    The letter h means two things here.  A difference at level "h" (built
-    from var_h and qh_const alone) is read as a function of the lattice
-    variable, so var_h() against 0 diverges.  parse, and so the CLI, reads
-    h as the weight symbol and refuses a difference that depends on it.
+    a pole error if the difference has a pole on the lattice h0 + j, and
+    with a domain error if it depends on the weight symbol h.
     """
     d, polys = _difference_polys(r1, r2, Fraction(h0))
     return polys is None or asymptotic_degree(d) <= -1

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from liecomposite.cli import RunConfig, _render, run
-from liecomposite.exact import equals, qhn_const, var_h_in_n, var_n
+from liecomposite.exact import qhn_const, var_h, var_n
 from liecomposite.findim import (
     check_compatibility,
     check_connected,
@@ -40,7 +40,7 @@ from liecomposite.verma import (
 )
 
 N = var_n()
-H = var_h_in_n()
+H = var_h()
 ONE = qhn_const(1)
 
 GOOD_CLASSES = {"zero", "trace-class", "hilbert-schmidt"}
@@ -239,7 +239,7 @@ def test_criterion_8_algebraic_laws_and_determinism():
             chained = _apply_twice(a, b, n)
             direct = dict(ab.apply_to_monomial(n))
             ok = ok and set(chained) == set(direct)
-            ok = ok and all(equals(direct[k], chained[k]) for k in direct)
+            ok = ok and all(direct[k] == chained[k] for k in direct)
         if not ok:
             break
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: canonical forms, tower coercion, parsing, growth."""
+"""Exact arithmetic layer: canonical forms in the one field Q(h)(n), parsing, growth."""
 
 import random
 import re
@@ -12,16 +12,13 @@ from liecomposite.exact import (
     NEG_INF,
     RationalFunc,
     asymptotic_degree,
-    equals,
     evaluate,
     fraction_coeff_tuples,
     parse,
     parse_rational,
-    qh_const,
     qhn_const,
     substitute_h,
     var_h,
-    var_h_in_n,
     var_n,
 )
 from liecomposite import exact, verma
@@ -29,15 +26,16 @@ from liecomposite.cli import main
 from liecomposite.exact import _bgcd  # canonical-form white-box checks
 
 N = var_n()
-H = var_h_in_n()
+H = var_h()
+ONE = qhn_const(1)
 
 
 # -- frozen examples ---------------------------------------------------------
 
 
 def test_normalize_cancels_common_factor():
-    assert equals((2 * N + 2 * H) / 2, N + H)
-    assert equals(parse("(n^2-1)/(n-1)"), N + 1)
+    assert (2 * N + 2 * H) / 2 == N + H
+    assert parse("(n^2-1)/(n-1)") == N + 1
 
 
 def test_normalize_zero_is_canonical():
@@ -49,14 +47,14 @@ def test_normalize_zero_is_canonical():
 
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDenominatorError):
-        RationalFunc.make(((1,),), (), "n")
+        RationalFunc.make(((1,),), ())
     with pytest.raises(ZeroDenominatorError):
         parse("1/(n-n)")
 
 
 def test_equals_expanded_square():
-    assert equals((N + H) ** 2, N**2 + 2 * N * H + H**2)
-    assert not equals(1 / (N + 2 * H), 1 / (N + 2 * H + 1))
+    assert (N + H) ** 2 == N**2 + 2 * N * H + H**2
+    assert 1 / (N + 2 * H) != 1 / (N + 2 * H + 1)
 
 
 def test_evaluate_after_weight_substitution():
@@ -99,10 +97,10 @@ def test_parse_rational_literals():
 
 
 def test_parse_precedence_and_power():
-    assert equals(parse("1/(n+2*h)^2"), 1 / (N + 2 * H) ** 2)
-    assert equals(parse("3/2*h"), Fraction(3, 2) * H)
-    assert equals(parse("-n^2+1"), 1 - N**2)
-    assert equals(parse("2*-3"), qhn_const(-6))
+    assert parse("1/(n+2*h)^2") == 1 / (N + 2 * H) ** 2
+    assert parse("3/2*h") == Fraction(3, 2) * H
+    assert parse("-n^2+1") == 1 - N**2
+    assert parse("2*-3") == qhn_const(-6)
     for bad in ("n^(2)", "(n+", "n+", "n n", "x+1", "n^-1"):
         with pytest.raises(ParseError):
             parse(bad)
@@ -129,7 +127,7 @@ def test_parse_bounds_each_sum_and_product():
     # the power bounds: degree 1000, and 10000 terms n^a h^b
     assert len(parse("(n+1)^500*(n+1)^500").num) == 1001
     assert len(parse("n + (n+1)^1000").num) == 1001
-    assert parse("(n+1)^1000/(n+1)^1000").is_one()
+    assert parse("(n+1)^1000/(n+1)^1000") == ONE
     assert len(parse("(n+h)^49*(n+h)^50").num) == 100
     # a sum over one denominator multiplies nothing out, so it is not refused
     assert parse("(n+h)^99/(n+1) - 1/(n+1)").den == ((1,), (1,))
@@ -146,8 +144,8 @@ def test_parse_bounds_each_sum_and_product():
 
 
 def test_parse_nesting_bound():
-    assert equals(parse("(" * 100 + "n" + ")" * 100), N)
-    assert equals(parse("-" * 101 + "n"), -N)
+    assert parse("(" * 100 + "n" + ")" * 100) == N
+    assert parse("-" * 101 + "n") == -N
     for bad in ("(" * 101 + "n" + ")" * 101, "-" * 102 + "n", "(--" * 51 + "n" + ")" * 51):
         with pytest.raises(ParseError, match="nest deeper than 100"):
             parse(bad)
@@ -157,7 +155,7 @@ def test_substitute_h_clears_removable_coefficient_poles():
     # canonical (monic) form stores 1/(2h-1) coefficients; the value at
     # h = 1/2 is still regular
     r = 1 / (N * (2 * H - 1) + 1)
-    assert substitute_h(r, Fraction(1, 2)).is_one()
+    assert substitute_h(r, Fraction(1, 2)) == ONE
     with pytest.raises(PoleError):
         substitute_h(1 / ((2 * H - 1) * N), Fraction(1, 2))
 
@@ -169,11 +167,37 @@ def test_fraction_coeff_tuples_requires_h_free():
         fraction_coeff_tuples(N + H)
 
 
+def test_h_is_one_value_however_it_is_built():
+    # Q(h) is the n-free part of the one field: h built directly, parsed or
+    # made from a constant is the same value with the same hash
+    for r in (parse("h"), qhn_const(0) + H, RationalFunc.make(((0, 1),), ((1,),))):
+        assert r == H and hash(r) == hash(H)
+    assert qhn_const(1) == parse("n/n") and hash(qhn_const(1)) == hash(parse("n/n"))
+    assert H.is_constant() and not (N + H).is_constant()
+
+
+def test_evaluate_and_shift_act_on_n_only():
+    r = (N + H) / (N + 2 * H + 1)
+    assert evaluate(r, 2) == (2 + H) / (2 * H + 3)
+    assert r.shift_arg(1) == (N + 1 + H) / (N + 2 * H + 2)
+    assert (H**2 + 1).shift_arg(3) == H**2 + 1
+    assert evaluate(H / (H + 1), 5) == H / (H + 1)
+
+
+def test_constant_value_needs_a_value_free_of_n_and_h():
+    assert qhn_const(Fraction(-3, 4)).constant_value() == Fraction(-3, 4)
+    assert qhn_const(0).constant_value() == Fraction(0)
+    assert substitute_h(H / (H + 1), Fraction(1, 2)).constant_value() == Fraction(1, 3)
+    for r in (H, 1 / (H + 1), N, H * N):
+        with pytest.raises(ValueError, match="not a constant"):
+            r.constant_value()
+
+
 # -- canonical-form invariants on random values ------------------------------
 
 
 def _poly(coeffs, x: RationalFunc) -> RationalFunc:
-    return sum((c * x**k for k, c in enumerate(coeffs)), qh_const(0))
+    return sum((c * x**k for k, c in enumerate(coeffs)), qhn_const(0))
 
 
 def _random_qh(rng: random.Random) -> RationalFunc:
@@ -206,7 +230,7 @@ def test_canonical_invariants_hold_on_random_values():
             assert _bgcd(r.num, r.den) == ((1,),), "num and den coprime in Z[h][n]"
         else:
             assert r.den == ((1,),), "zero is 0/1"
-        assert RationalFunc.make(r.num, r.den, r.symbol) == r
+        assert RationalFunc.make(r.num, r.den) == r
 
 
 def test_equality_consistent_with_evaluation_on_random_points():
@@ -229,11 +253,11 @@ def test_equality_consistent_with_evaluation_on_random_points():
             if v1 != v2:
                 agree = False
                 break
-        # equals() implies agreement everywhere; disagreement implies not-equals
-        if equals(r1, r2):
+        # equality implies agreement everywhere; disagreement implies inequality
+        if r1 == r2:
             assert agree
         elif not agree:
-            assert not equals(r1, r2)
+            assert r1 != r2
 
 
 # -- hypothesis property tests ------------------------------------------------
@@ -254,7 +278,7 @@ def qhn_values(draw):
     def poly(nonzero: bool):
         p = draw(st.lists(qh_values(), min_size=1, max_size=3).map(tuple))
         if nonzero and not any(p):
-            p = (qh_const(1),) + p[1:]
+            p = (ONE,) + p[1:]
         return p
 
     return _poly(poly(False), N) / _poly(poly(True), N)
@@ -268,7 +292,7 @@ def test_field_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a - a).is_zero()
     if not a.is_zero():
-        assert (a * (1 / a)).is_one()
+        assert a * (1 / a) == ONE
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,7 +301,7 @@ def test_unreduced_sum_is_the_sum_before_its_last_cancellation(a, b):
     # the same value as the canonical sum, the same degree difference, and
     # an empty numerator exactly when the sum is zero
     num, den, _ = exact._unreduced_sum(a.num, a.den, b.num, b.den)
-    assert RationalFunc.make(num, den, "n") == a + b
+    assert RationalFunc.make(num, den) == a + b
     assert (not num) == (a + b).is_zero()
     if num:
         assert len(num) - len(den) == asymptotic_degree(a + b)
@@ -296,7 +320,7 @@ def test_asymptotic_degree_laws(a, b):
 
 
 @settings(max_examples=80, deadline=None)
-@given(qhn_values())
+@given(st.one_of(qh_values(), qhn_values()))
 def test_parse_round_trip(r):
     assert parse(str(r)) == r
 
@@ -308,18 +332,11 @@ def test_argument_shift_invertible(r, k):
 
 
 @settings(max_examples=40, deadline=None)
-@given(qh_values())
-def test_level_h_round_trip_and_lift(c):
-    assert parse(str(qhn_const(c))) == qhn_const(c)
-    assert equals(qhn_const(c) * (N - N + 1), c)
-
-
-@settings(max_examples=40, deadline=None)
 @given(st.one_of(qh_values(), qhn_values()))
 def test_unit_factor_returns_the_other_operand(r):
-    units = [1, Fraction(1), qh_const(1) if r.symbol == "h" else qhn_const(1)]
+    units = [1, Fraction(1), ONE]
     for product in [r * one for one in units] + [one * r for one in units]:
-        assert (product.num, product.den, product.symbol) == (r.num, r.den, r.symbol)
+        assert (product.num, product.den) == (r.num, r.den)
 
 
 # -- the memoized Z[h][n] kernels ----------------------------------------------

@@ -1,4 +1,5 @@
-"""Checks on the package source itself: no unused imports, a lean start-up."""
+"""Checks on the package source itself: no unused imports, an export list
+that matches the package's imports, a lean start-up."""
 
 import ast
 import subprocess
@@ -20,17 +21,22 @@ ALLOWED_UNUSED = {
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names a module imports but never reads (``from __future__`` aside)."""
-    tree = ast.parse(source)
+def imported_names(tree: ast.AST) -> set[str]:
+    """Names a module binds by import (``from __future__`` aside)."""
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
+    return imported
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads (``from __future__`` aside)."""
+    tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(imported - used)
+    return sorted(imported_names(tree) - used)
 
 
 def test_no_unused_imports_in_src():
@@ -41,6 +47,16 @@ def test_no_unused_imports_in_src():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     }
     assert found == ALLOWED_UNUSED
+
+
+def test_public_names_are_the_package_imports():
+    # __init__ only re-exports, so its unused-import check is this one:
+    # every exported name resolves, and nothing is imported but not exported
+    exported = liecomposite.__all__
+    assert len(set(exported)) == len(exported)
+    assert all(hasattr(liecomposite, name) for name in exported)
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert set(exported) == imported_names(tree)
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():

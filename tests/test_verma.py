@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from liecomposite.errors import DomainError, PoleError
 from liecomposite.exact import (
     asymptotic_degree,
-    evaluate,
     parse,
     parse_rational,
-    qh_const,
     qhn_const,
     substitute_h,
     var_h,
-    var_h_in_n,
     var_n,
 )
 from liecomposite import verma
@@ -46,8 +43,9 @@ from liecomposite.verma import (
 )
 
 N = var_n()
-H = var_h_in_n()
+H = var_h()
 ONE = qhn_const(1)
+ZERO = qhn_const(0)
 
 
 def single(shift, coeff):
@@ -84,10 +82,10 @@ def test_numeric_weight_substitutes_coefficients():
 
 def test_shapovalov_weights_frozen():
     h = var_h()
-    assert WEIGHT.value(0) == qh_const(1)
+    assert WEIGHT.value(0) == ONE
     assert WEIGHT.value(1) == 2 * h
     assert WEIGHT.value(2) == 4 * h * (2 * h + 1)
-    assert evaluate(WEIGHT.value(2), Fraction(1, 2)) == Fraction(4)
+    assert substitute_h(WEIGHT.value(2), Fraction(1, 2)).constant_value() == Fraction(4)
 
 
 def test_highest_weight_coercion():
@@ -651,49 +649,47 @@ def test_check_hs_deviations_smoke():
 
 
 def test_tail_equivalence_frozen_trio():
-    h = var_h()
-    one = qh_const(1)
-    assert tail_square_equivalence(h / (h + 1), h / (h + 1), Fraction(1, 2))
-    assert not tail_square_equivalence(h + one, h, Fraction(1, 2))
-    assert tail_square_equivalence(one / (h + 1), qh_const(0), Fraction(1, 2))
-    assert tail_square_equivalence(1 / h, 1 / (h + 1), Fraction(1, 2))
+    n = var_n()
+    assert tail_square_equivalence(n / (n + 1), n / (n + 1), Fraction(1, 2))
+    assert not tail_square_equivalence(n + ONE, n, Fraction(1, 2))
+    assert tail_square_equivalence(ONE / (n + 1), ZERO, Fraction(1, 2))
+    assert tail_square_equivalence(1 / n, 1 / (n + 1), Fraction(1, 2))
 
 
 def test_tail_equivalence_mixed_levels():
     h = var_h()
     r = (2 * h + 1) / (h + 3)
     assert tail_square_equivalence(r, qhn_const(r), Fraction(1, 2))
-    assert not tail_square_equivalence(r + qh_const(1), qhn_const(r), Fraction(1, 2))
+    assert not tail_square_equivalence(r + ONE, qhn_const(r), Fraction(1, 2))
 
 
 def test_tail_equivalence_refuses_lattice_pole():
-    h = var_h()
-    bad = 1 / (h - Fraction(3, 2))
+    bad = 1 / (var_n() - Fraction(3, 2))
     with pytest.raises(PoleError) as err:
-        tail_square_equivalence(bad, qh_const(0), Fraction(1, 2))
+        tail_square_equivalence(bad, ZERO, Fraction(1, 2))
     assert err.value.point == Fraction(3, 2)
     # same denominator is harmless one step off the lattice
-    assert tail_square_equivalence(bad, qh_const(0), Fraction(7, 4))
+    assert tail_square_equivalence(bad, ZERO, Fraction(7, 4))
 
 
 def test_tail_equivalence_rejects_bivariate_difference():
     for r1, r2 in ((1, qhn_const(0)), (qhn_const(1), Fraction(0))):
         with pytest.raises(DomainError, match="^expected rational-function operands$"):
             tail_square_equivalence(r1, r2, Fraction(1, 2))
-    # the difference h involves no n at all: what is refused is its h
-    for r in (var_h_in_n() * var_n(), parse("h"), parse("1/(n-h)")):
+    # the difference h involves no n at all: what is refused is its h,
+    # however h was built
+    for r in (var_h(), var_h() * var_n(), parse("h"), parse("1/(n-h)")):
         with pytest.raises(DomainError) as err:
             tail_square_equivalence(r, qhn_const(0), Fraction(1, 2))
         assert str(err.value) == "the difference must be a function of n alone; it depends on h"
 
 
 def test_tail_probe_agrees_on_frozen_trio():
-    h = var_h()
-    one = qh_const(1)
+    n = var_n()
     cases = [
-        (h / (h + 1), h / (h + 1)),
-        (h + one, h),
-        (one / (h + 1), qh_const(0)),
+        (n / (n + 1), n / (n + 1)),
+        (n + ONE, n),
+        (ONE / (n + 1), ZERO),
     ]
     for r1, r2 in cases:
         assert tail_square_probe(r1, r2, Fraction(1, 2), 2000) == tail_square_equivalence(
@@ -704,17 +700,17 @@ def test_tail_probe_agrees_on_frozen_trio():
 def test_tail_probe_agreement_randomized():
     import random
 
-    h = var_h()
+    n = var_n()
     rng = random.Random(20240817)
     degrees = [0, 1, 2]
     for _ in range(12):
         num1 = sum(
-            qh_const(rng.randint(-3, 3)) * h ** k for k in range(rng.choice(degrees) + 1)
+            qhn_const(rng.randint(-3, 3)) * n ** k for k in range(rng.choice(degrees) + 1)
         )
         num2 = sum(
-            qh_const(rng.randint(-3, 3)) * h ** k for k in range(rng.choice(degrees) + 1)
+            qhn_const(rng.randint(-3, 3)) * n ** k for k in range(rng.choice(degrees) + 1)
         )
-        den = (h + rng.randint(1, 4)) * (h + rng.randint(1, 4))
+        den = (n + rng.randint(1, 4)) * (n + rng.randint(1, 4))
         r1, r2 = num1 / den, num2 / den
         sym = tail_square_equivalence(r1, r2, Fraction(1, 2))
         num = tail_square_probe(r1, r2, Fraction(1, 2), 4000)
@@ -731,27 +727,25 @@ def test_tail_probe_agreement_randomized():
 def test_tail_probe_agrees_when_roots_or_weight_lie_far_out(num_coeffs, den_low, h0, count):
     # a monic integer denominator has only integer rational roots, and no
     # lattice h0 + j here meets an integer, so there is no pole to refuse
-    h = var_h()
-    num = sum((qh_const(c) * h ** k for k, c in enumerate(num_coeffs)), qh_const(0))
-    den = sum((qh_const(c) * h ** k for k, c in enumerate(den_low)), h ** len(den_low))
+    n = var_n()
+    num = sum((qhn_const(c) * n ** k for k, c in enumerate(num_coeffs)), ZERO)
+    den = sum((qhn_const(c) * n ** k for k, c in enumerate(den_low)), n ** len(den_low))
     r = num / den
-    assert tail_square_probe(r, qh_const(0), h0, count) == tail_square_equivalence(
-        r, qh_const(0), h0
-    )
+    assert tail_square_probe(r, ZERO, h0, count) == tail_square_equivalence(r, ZERO, h0)
 
 
 def test_tail_probe_refuses_terms_beyond_float_range():
     with pytest.raises(DomainError, match="float64"):
-        tail_square_probe(var_h() ** 80, qh_const(0), Fraction(1, 2))
+        tail_square_probe(var_n() ** 80, ZERO, Fraction(1, 2))
 
 
 def test_tail_probe_streams_its_sums():
     import tracemalloc
 
-    h = var_h()
+    n = var_n()
     tracemalloc.start()
     try:
-        assert tail_square_probe(1 / h, 1 / (h + 1), Fraction(1, 2), 10**6)
+        assert tail_square_probe(1 / n, 1 / (n + 1), Fraction(1, 2), 10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -759,8 +753,8 @@ def test_tail_probe_streams_its_sums():
 
 
 def test_tail_equivalence_report_structure():
-    h = var_h()
-    report = tail_equivalence_report(1 / h, 1 / (h + 1), Fraction(1, 2), probe_terms=2000)
+    n = var_n()
+    report = tail_equivalence_report(1 / n, 1 / (n + 1), Fraction(1, 2), probe_terms=2000)
     assert report.passed
     assert report.items[0].verdict == INFO
     assert "converges" in report.items[0].note or "convergent" in report.items[0].note
