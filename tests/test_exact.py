@@ -332,6 +332,18 @@ def test_argument_shift_invertible(r, k):
 
 
 @settings(max_examples=40, deadline=None)
+@given(qh_values(), st.integers(min_value=-5, max_value=5))
+def test_level_h_round_trip_and_lift(c, k):
+    # a value free of n round-trips through the parser, and lifting it to
+    # Q(h)(n) is the identity: the lift is constant in n
+    assert parse(str(c)) == c
+    assert qhn_const(c) is c
+    assert qhn_const(c) * (N - N + 1) == c
+    assert c.shift_arg(k) == c
+    assert evaluate(c, k) == c
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.one_of(qh_values(), qhn_values()))
 def test_unit_factor_returns_the_other_operand(r):
     units = [1, Fraction(1), ONE]
