@@ -582,6 +582,8 @@ class RationalFunc:
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunc):
+            if isinstance(other, (int, Fraction)):  # no coercion: hash(qhn_const(1)) != hash(1)
+                raise TypeError(f"compare with qhn_const({other!r}), not a bare {type(other).__name__}")
             return NotImplemented
         return self.num == other.num and self.den == other.den
 

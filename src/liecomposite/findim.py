@@ -10,19 +10,17 @@ on each subspace; pairs straddling two subspaces are deliberately not
 constrained.
 
 All axiom checks are exact.  Representation matrices may be Fraction,
-Gaussian-rational, or float entries; a tolerance enters only when floats
-are present or is asked for.  Every exact computation runs on ZMatrix
-integers: subspace bases and structure constants, brackets, spans and
-coordinates, and representation matrices, also under a tolerance, where
-each residual entry is read as the rational it stands for.  Only float
-representations use the entry lists.
+Gaussian-rational, or float entries; a float is read as the binary
+rational it stands for, and a tolerance enters only when floats are
+present or is asked for, applied to the exact residual.  Every
+computation runs on ZMatrix integers: subspace bases and structure
+constants, brackets, spans and coordinates, and representation matrices.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -39,10 +37,7 @@ from .linalg import (
     _transposes,
     column_space_intersection,
     coordinates,
-    kron,
-    mat_add,
     mat_commutator,
-    mat_identity,
     mat_sub,
     nullspace,  # unused here; findim.nullspace stays a public name
     rank,
@@ -231,35 +226,38 @@ class FinDimRep:
     """A matrix for every ambient basis vector, all of one square size.
 
     A matrix is given as rows of scalars or as a ZMatrix; matrices holds
-    the rows."""
+    it as a ZMatrix over its least denominator, a float entry read as the
+    binary rational it stands for.  is_exact says that no entry was a
+    float."""
 
     def __init__(self, space_dim: int, matrices):
         self.space_dim = _integer(space_dim, "space_dim")
         if self.space_dim < 1:
             raise MalformedInputError("representation space must be nonzero")
-        out = {}
+        out, floated = {}, []
         for name, matrix in dict(matrices).items():
             name = str(name)
             if isinstance(matrix, ZMatrix):
-                rows = matrix.to_rows()
+                shape, matrix = [matrix.ncols] * len(matrix.rows), matrix.reduced()
             else:
                 rows = [
-                    list(_coerce_vector(row, f"matrix row of {name}"))
+                    _coerce_vector(row, f"matrix row of {name}")
                     for row in _sequence(matrix, f"matrix for {name}")
                 ]
-            if len(rows) != self.space_dim or any(
-                len(row) != self.space_dim for row in rows
-            ):
+                shape = [len(row) for row in rows]
+                if any(isinstance(x, float) for row in rows for x in row):
+                    floated.append(name)
+                matrix = ZMatrix.from_rows(
+                    [[Fraction(x) if isinstance(x, float) else x for x in row] for row in rows]
+                )
+            if shape != [self.space_dim] * self.space_dim:
                 raise MalformedInputError(
                     f"matrix for {name} is not {self.space_dim}x{self.space_dim}"
                 )
-            out[name] = rows
+            out[name] = matrix
         if not out:
             raise MalformedInputError("representation has no matrices")
-        floated = [n for n, m in out.items() if any(isinstance(x, float) for r in m for x in r)]
-        if floated and any(
-            isinstance(x, GaussianRational) for m in out.values() for r in m for x in r
-        ):
+        if floated and any(i for m in out.values() for row in m.rows for _, i in row.values()):
             raise MalformedInputError(
                 f"matrix for {floated[0]} has float entries, which do not mix with"
                 " Gaussian-rational entries (write them as strings)"
@@ -267,41 +265,27 @@ class FinDimRep:
         self.matrices = out
         self.is_exact = not floated
 
-    @cached_property
-    def exact_matrices(self) -> dict:
-        """The matrices of an exact representation as ZMatrix, by name."""
-        return {name: ZMatrix.from_rows(m) for name, m in self.matrices.items()}
-
-    def matrix(self, name: str):
+    def matrix(self, name: str) -> ZMatrix:
         try:
             return self.matrices[name]
         except KeyError:
             raise DimensionMismatchError(f"no matrix for basis vector {name!r}") from None
 
-    def ambient_matrix(self, vector, basis_names):
-        """Matrix of T applied to an ambient coordinate vector: for an exact
-        representation a ZMatrix summed over the nonzero coefficients,
-        else a list of rows."""
+    def ambient_matrix(self, vector, basis_names) -> ZMatrix:
+        """Matrix of T applied to an ambient coordinate vector, summed over
+        the nonzero coefficients."""
         if len(vector) != len(basis_names):
             raise DimensionMismatchError("coordinate vector has the wrong length")
         matrices = [self.matrix(name) for name in basis_names]
-        if self.is_exact:
-            total = ZMatrix(1, [{} for _ in range(self.space_dim)], self.space_dim)
-            for coeff, name in zip(vector, basis_names):
-                if coeff:
-                    total = total.add(self.exact_matrices[name].scale(coeff))
-            return total
-        if any(isinstance(coeff, GaussianRational) for coeff in vector):
+        if not self.is_exact and any(isinstance(coeff, GaussianRational) for coeff in vector):
             raise MalformedInputError(
                 "a representation with float entries does not mix with"
                 " Gaussian-rational basis vectors or structure constants"
             )
-        total = None
+        total = ZMatrix(1, [{} for _ in range(self.space_dim)], self.space_dim)
         for coeff, matrix in zip(vector, matrices):
-            term = [[coeff * x for x in row] for row in matrix]
-            total = term if total is None else [
-                [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(total, term)
-            ]
+            if coeff:
+                total = total.add(matrix.scale(coeff))
         return total
 
 
@@ -316,16 +300,17 @@ def intersect_subspaces(composite: FinDimComposite, i: int, j: int):
 
 def _abs(re: int, im: int, den: int) -> float:
     """|(re + im i) / den|, rounded as the Fraction or Gaussian rational
-    that _scalar makes of it."""
-    return abs(re / den) if not im else ((re * re + im * im) / (den * den)) ** 0.5
+    that _scalar makes of it, or inf where it (or the square of a complex
+    modulus) is beyond the float range."""
+    try:
+        return abs(re / den) if not im else ((re * re + im * im) / (den * den)) ** 0.5
+    except OverflowError:
+        return math.inf
 
 
-def _max_abs(matrix) -> float:
-    """Largest entry modulus of a ZMatrix, or of rows of floats and Fractions."""
-    if isinstance(matrix, ZMatrix):
-        entries = (_abs(r, i, matrix.den) for row in matrix.rows for r, i in row.values())
-    else:
-        entries = (abs(float(x)) for row in matrix for x in row)
+def _max_abs(matrix: ZMatrix) -> float:
+    """Largest entry modulus of a ZMatrix."""
+    entries = (_abs(r, i, matrix.den) for row in matrix.rows for r, i in row.values())
     return max(entries, default=0.0)
 
 
@@ -467,21 +452,16 @@ def check_representation(
 
 def tensor_product(rep1: FinDimRep, rep2: FinDimRep) -> FinDimRep:
     """Tensor of two representations of the same composite:
-    x maps to T1(x) (x) 1 + 1 (x) T2(x), in ZMatrix integers when both
-    are exact."""
+    x maps to T1(x) (x) 1 + 1 (x) T2(x).  It is exact when both are."""
     if set(rep1.matrices) != set(rep2.matrices):
         raise DomainError("representations are keyed by different basis names")
-    n1, n2 = rep1.space_dim, rep2.space_dim
-    if rep1.is_exact and rep2.is_exact:
-        eye1, eye2 = ZMatrix.identity(n1), ZMatrix.identity(n2)
-        mats1, mats2 = rep1.exact_matrices, rep2.exact_matrices
-    else:
-        eye1, eye2 = mat_identity(n1), mat_identity(n2)
-        mats1, mats2 = rep1.matrices, rep2.matrices
+    eye1, eye2 = ZMatrix.identity(rep1.space_dim), ZMatrix.identity(rep2.space_dim)
     matrices = {
-        name: mat_add(kron(m1, eye2), kron(eye1, mats2[name])) for name, m1 in mats1.items()
+        name: m.kron(eye2).add(eye1.kron(rep2.matrices[name])) for name, m in rep1.matrices.items()
     }
-    return FinDimRep(rep1.space_dim * rep2.space_dim, matrices)
+    product = FinDimRep(rep1.space_dim * rep2.space_dim, matrices)
+    product.is_exact = rep1.is_exact and rep2.is_exact
+    return product
 
 
 # The modulus of the commutant certificate: p = 1 (mod 4), so F_p holds
@@ -580,7 +560,7 @@ def commutant_dimension(rep: FinDimRep) -> int:
     scalars."""
     if not rep.is_exact:
         raise DomainError("the commutant dimension needs an exact representation")
-    matrices = rep.exact_matrices.values()
+    matrices = rep.matrices.values()
     if _cyclic_nullity(matrices, rep.space_dim) == 1:
         return 1
     return rep.space_dim**2 - rank(_commutant_rows(matrices))
@@ -631,10 +611,12 @@ def composite_from_data(data) -> FinDimComposite:
 
 
 def rep_to_data(rep: FinDimRep) -> dict:
+    if not rep.is_exact:
+        raise MalformedInputError("refusing to serialize float entries exactly")
     return {
         "space_dim": rep.space_dim,
         "matrices": {
-            name: [[format_scalar(x) for x in row] for row in matrix]
+            name: [[format_scalar(x) for x in row] for row in matrix.to_rows()]
             for name, matrix in rep.matrices.items()
         },
     }

@@ -6,11 +6,11 @@ products and the congruence signature.
 Every exact computation runs on sparse Gaussian-integer rows: a ZMatrix
 keeps one positive denominator and rows {column: (re, im)} of Python
 ints.  GaussianRational only parses, prints and compares scalars at the
-boundary; it does no arithmetic.  The list-of-lists routines (rref,
-nullspace, solve_columns, ...) take and return exact scalars (Fraction or
-GaussianRational) and convert at entry and exit.  The mat_* helpers
-accept a ZMatrix, or lists of Fraction and float entries for the
-tolerance path of float representations.
+boundary; it does no arithmetic.  ZMatrix is the one matrix type: the
+mat_* helpers and kron are its operations under the names callers look up.
+The span routines on lists of rows (rref, nullspace, solve_columns, ...)
+take and return exact scalars (Fraction or GaussianRational) and convert
+to ZMatrix at entry and back at exit.
 """
 
 from __future__ import annotations
@@ -139,6 +139,12 @@ class ZMatrix:
     def __bool__(self):
         return any(self.rows)
 
+    def reduced(self):
+        """The same matrix over the least denominator, the lcm of its entries'."""
+        g = gcd(self.den, *(x for row in self.rows for entry in row.values() for x in entry))
+        rows = [{j: (r // g, i // g) for j, (r, i) in row.items()} for row in self.rows]
+        return ZMatrix(self.den // g, rows, self.ncols)
+
     def add(self, other, sign: int = 1):
         """self + sign * other."""
         if (len(self.rows), self.ncols) != (len(other.rows), other.ncols):
@@ -201,7 +207,7 @@ class ZMatrix:
         return {k * self.ncols + j: e for k, row in enumerate(self.rows) for j, e in row.items()}
 
 
-# -- matrix helpers: lists of rows, or ZMatrix --------------------------------
+# -- matrix helpers ------------------------------------------------------------
 
 
 def mat_shape(a):
@@ -212,72 +218,28 @@ def mat_shape(a):
     return rows, cols
 
 
-def mat_identity(n):
-    one, zero = Fraction(1), Fraction(0)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def mat_add(a: ZMatrix, b: ZMatrix) -> ZMatrix:
+    return a.add(b)
 
 
-def mat_add(a, b):
-    if isinstance(a, ZMatrix):
-        return a.add(b)
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    if (ra, ca) != (rb, cb):
-        raise DimensionMismatchError(f"add {ra}x{ca} with {rb}x{cb}")
-    return [[a[i][j] + b[i][j] for j in range(ca)] for i in range(ra)]
+def mat_sub(a: ZMatrix, b: ZMatrix) -> ZMatrix:
+    return a.add(b, -1)
 
 
-def mat_sub(a, b):
-    if isinstance(a, ZMatrix):
-        return a.add(b, -1)
-    return mat_add(a, [[-x for x in row] for row in b])
+def mat_mul(a: ZMatrix, b: ZMatrix) -> ZMatrix:
+    return a @ b
 
 
-def mat_mul(a, b):
-    if isinstance(a, ZMatrix):
-        return a @ b
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    if ca != rb:
-        raise DimensionMismatchError(f"multiply {ra}x{ca} by {rb}x{cb}")
-    out = []
-    for i in range(ra):
-        row = []
-        for j in range(cb):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, ca):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_commutator(a, b):
+def mat_commutator(a: ZMatrix, b: ZMatrix) -> ZMatrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def mat_trace(a):
-    if isinstance(a, ZMatrix):
-        return a.trace()
-    rows, cols = mat_shape(a)
-    if rows != cols:
-        raise DimensionMismatchError("trace of non-square matrix")
-    acc = a[0][0] if rows else Fraction(0)
-    for i in range(1, rows):
-        acc = acc + a[i][i]
-    return acc
+def mat_trace(a: ZMatrix):
+    return a.trace()
 
 
-def kron(a, b):
-    if isinstance(a, ZMatrix):
-        return a.kron(b)
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    return [
-        [a[i][j] * b[k][l] for j in range(ca) for l in range(cb)]
-        for i in range(ra)
-        for k in range(rb)
-    ]
+def kron(a: ZMatrix, b: ZMatrix) -> ZMatrix:
+    return a.kron(b)
 
 
 def _pivot_mod_p(v: dict, pivots: dict, p: int, width=inf) -> bool:

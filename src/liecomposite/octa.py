@@ -36,7 +36,6 @@ from .linalg import (
     ZMatrix,
     _transposes,
     mat_commutator,
-    mat_identity,
     mat_sub,
     rank,
     symmetric_signature,
@@ -183,7 +182,7 @@ def extract_so4(rep: FinDimRep) -> So4Extraction:
         return So4Extraction({}, rep, {}, verdict, pre)
 
     dim = rep.space_dim
-    mats = rep.exact_matrices
+    mats = rep.matrices
     shifts = {v: _trace_shift(mats[v]) for v in VERTICES}
     lambdas = {v: lam for v, (lam, _) in shifts.items()}
     shifted_mats = {v: m for v, (_, m) in shifts.items()}
@@ -297,7 +296,7 @@ def killing_certificate() -> CheckReport:
     """
     c = _abstract_constants()
     # constructing the subspace validates antisymmetry and Jacobi exactly
-    so4 = SubspaceAlgebra("so4", mat_identity(6), c)
+    so4 = SubspaceAlgebra("so4", ZMatrix.identity(6).to_rows(), c)
     items = [CheckItem(subject="bracket table satisfies Jacobi", verdict=PASS)]
 
     # K[i][j] = tr(ad_i ad_j) = tr(ad_i^T ad_j^T); rows 6i..6i+5 of the

@@ -301,12 +301,12 @@ def _inner_product_probe(h0: Fraction, K: int, size: int = 12) -> bool:
         acc = Fraction(0)
         for expo, v in terms:
             if expo == n:
-                acc += substitute_h(v, h0).constant_value() * wvals[n]
+                acc += v.constant_value() * wvals[n]
         return acc
 
     for mk in (op_L, op_F):
         for k in range(-K, K + 1):
-            a, astar = mk(k), mk(-k)
+            a, astar = mk(k, h0), mk(-k, h0)
             applied = [a.apply_to_monomial(m) for m in range(size + 1)]
             applied_star = [astar.apply_to_monomial(n) for n in range(size + 1)]
             for m in range(size + 1):

@@ -77,7 +77,7 @@ def test_broken_rep_exits_one(tmp_path, capsys):
     rpath = tmp_path / "broken.json"
     save_composite(build_octahedron(), cpath)
     rep = so4_composite_rep(1, 1)
-    mats = {v: rep.matrix(v) for v in VERTICES}
+    mats = {v: rep.matrix(v).to_rows() for v in VERTICES}
     mats["A"] = [[2 * x for x in row] for row in mats["A"]]
     save_rep(FinDimRep(4, mats), rpath)
     code, out, err = invoke(

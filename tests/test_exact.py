@@ -176,6 +176,17 @@ def test_h_is_one_value_however_it_is_built():
     assert H.is_constant() and not (N + H).is_constant()
 
 
+def test_equality_with_a_bare_number_points_to_qhn_const():
+    # coercing would need hash(qhn_const(1)) == hash(1) as well; a silent
+    # False would hide the mistake, so both orders raise
+    rf = qhn_const(1)
+    with pytest.raises(TypeError, match=r"qhn_const\(1\)"):
+        rf == 1
+    with pytest.raises(TypeError, match="qhn_const"):
+        Fraction(1) == rf
+    assert rf == parse("n/n") and rf != "1" and rf != 1.0
+
+
 def test_evaluate_and_shift_act_on_n_only():
     r = (N + H) / (N + 2 * H + 1)
     assert evaluate(r, 2) == (2 + H) / (2 * H + 3)

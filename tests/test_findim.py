@@ -309,6 +309,44 @@ def test_float_matrices_use_tolerance():
     assert check_representation(comp, exact_rep, tolerance=0).passed
 
 
+def abelian_plane():
+    sub = SubspaceAlgebra("ab", eye_rows(2, [0, 1]), abelian_constants(2))
+    return FinDimComposite(2, ["x", "y"], [sub])
+
+
+def test_float_residual_is_the_exact_distance_of_the_given_floats():
+    # in decimal T(y) = 0.3 T(x), so the two commute; the binary floats
+    # written for them do not, by 3.331e-18, which float arithmetic rounds
+    # to a zero commutator
+    mats = {"x": [[-0.5, -0.5], [-0.6, -0.1]], "y": [[-0.15, -0.15], [-0.18, -0.03]]}
+    x, y = ([[Fraction(v) for v in row] for row in mats[n]] for n in "xy")
+    comm = [
+        [sum(x[i][k] * y[k][j] - y[i][k] * x[k][j] for k in range(2)) for j in range(2)]
+        for i in range(2)
+    ]
+    assert f"{float(max(abs(v) for row in comm for v in row)):.3e}" == "3.331e-18"
+    rep = FinDimRep(2, mats)
+    (item,) = check_representation(abelian_plane(), rep).items
+    assert (item.verdict, item.residual) == (PASS, "3.331e-18")
+    assert not check_representation(abelian_plane(), rep, tolerance=0).passed
+
+
+def test_float_residual_beyond_the_float_range_is_inf():
+    mats = {"x": [[1e200, 2e200], [3e200, 1e200]], "y": [[1e200, 0.0], [1e200, 5e199]]}
+    (item,) = check_representation(abelian_plane(), FinDimRep(2, mats)).items
+    assert (item.verdict, item.residual) == (FAIL, "inf")
+
+
+def test_float_reps_stay_float_through_tensor_products_and_are_not_saved():
+    floats = FinDimRep(2, {n: [[0.5, 0.0], [0.0, 0.5]] for n in "xy"})
+    exact = FinDimRep(2, {n: [[F1, F0], [F0, F1]] for n in "xy"})
+    assert tensor_product(exact, exact).is_exact
+    for rep in (floats, tensor_product(floats, exact), tensor_product(exact, floats)):
+        assert not rep.is_exact
+        with pytest.raises(MalformedInputError, match="refusing to serialize float entries"):
+            rep_to_data(rep)
+
+
 @pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf")])
 def test_check_representation_refuses_a_tolerance_that_decides_nothing(tolerance):
     rep = FinDimRep(3, {k: [[0.0] * 3 for _ in range(3)] for k in "xyz"})
@@ -337,7 +375,7 @@ def test_tensor_product_dimensions_and_rep_property():
     zz = tensor_product(zero, zero)
     assert zz.space_dim == 4
     assert all(
-        all(not x for row in m for x in row) for m in zz.matrices.values()
+        all(not x for row in m.to_rows() for x in row) for m in zz.matrices.values()
     )
     other = FinDimRep(2, {"a": [[F0, F0], [F0, F0]]})
     with pytest.raises(DomainError):
@@ -362,8 +400,9 @@ def direct_sums():
     """spin-1/2 + spin-1/2 (commutant dimension 4) and spin-1/2 + zero (5)."""
     rep = FinDimRep(2, spin_half_matrices())
     zero = FinDimRep(2, {n: [[F0, F0], [F0, F0]] for n in "xyz"})
-    double = FinDimRep(4, {n: dsum(rep.matrices[n], rep.matrices[n]) for n in "xyz"})
-    mixed = FinDimRep(4, {n: dsum(rep.matrices[n], zero.matrices[n]) for n in "xyz"})
+    rows, zero_rows = ({n: r.matrices[n].to_rows() for n in "xyz"} for r in (rep, zero))
+    double = FinDimRep(4, {n: dsum(rows[n], rows[n]) for n in "xyz"})
+    mixed = FinDimRep(4, {n: dsum(rows[n], zero_rows[n]) for n in "xyz"})
     return double, mixed
 
 
@@ -403,7 +442,7 @@ def commutant_system(rep):
     in real and imaginary Fraction parts."""
     m = rep.space_dim
     rows = []
-    for t in rep.matrices.values():
+    for t in (t.to_rows() for t in rep.matrices.values()):
         for i in range(m):
             for j in range(m):
                 row = [[F0, F0] for _ in range(m * m)]
@@ -480,7 +519,7 @@ def test_irreducible_so4_reps_are_decided_mod_p(exact_fallbacks, two_j1, two_j2)
 @given(exact_reps())
 def test_cyclic_nullity_is_the_mod_p_nullity_of_the_system(rep):
     p, root = findim._COMMUTANT_PRIME, findim._COMMUTANT_ROOT
-    m, matrices = rep.space_dim, rep.exact_matrices.values()
+    m, matrices = rep.space_dim, rep.matrices.values()
     nullity = findim._cyclic_nullity(matrices, m)
     if nullity is not None:
         assert nullity == m * m - rank_mod_p(findim._commutant_rows(matrices), p, root)
@@ -509,7 +548,7 @@ def test_reps_without_a_cyclic_vector_take_the_system_route(system_routes, exact
     )
     line = FinDimRep(2, {"x": [[F0, F1], [F0, F0]], "y": [[F1, F0], [F0, F0]]})
     for rep, dimension in ((zero, 4), (twice, 4), (line, 1)):
-        assert findim._cyclic_nullity(rep.exact_matrices.values(), 2) is None
+        assert findim._cyclic_nullity(rep.matrices.values(), 2) is None
         assert commutant_dimension(rep) == dimension
     assert len(system_routes) == 3
     assert exact_fallbacks == system_routes
@@ -530,7 +569,7 @@ def test_so4_direct_sums_take_one_exact_rank(exact_fallbacks, first, dimension):
     a, b = so4_composite_rep(*first), so4_composite_rep(2, 2)
     rep = FinDimRep(
         a.space_dim + b.space_dim,
-        {v: block_diagonal(a.exact_matrices[v], b.exact_matrices[v]) for v in VERTICES},
+        {v: block_diagonal(a.matrices[v], b.matrices[v]) for v in VERTICES},
     )
     assert commutant_dimension(rep) == dimension
     assert len(exact_fallbacks) == 1
@@ -559,8 +598,8 @@ def test_commutant_is_exact_where_the_prime_divides_a_denominator(exact_fallback
     # x and y alone still act irreducibly, but their numerators reduce to
     # strictly lower triangular matrices mod p, whose commutant is 2-dim
     rep = FinDimRep(2, {n: conjugated[n] for n in "xy"})
-    assert rep.matrices["x"][1][0] == G(0, Fraction(-1, 2 * p))
-    rows = findim._commutant_rows(rep.exact_matrices.values())
+    assert rep.matrices["x"].to_rows()[1][0] == G(0, Fraction(-1, 2 * p))
+    rows = findim._commutant_rows(rep.matrices.values())
     assert 4 - rank_mod_p(rows, p, root) == 2
     assert commutant_dimension(rep) == 1
     assert exact_fallbacks == [len(rows)]
@@ -576,7 +615,7 @@ def test_float_reps_are_refused():
     noisy = FinDimRep(
         6,
         {
-            v: [[float(x) + rng.uniform(-1e-12, 1e-12) for x in row] for row in t]
+            v: [[float(x) + rng.uniform(-1e-12, 1e-12) for x in row] for row in t.to_rows()]
             for v, t in adjoint_so4_rep().matrices.items()
         },
     )

@@ -44,7 +44,7 @@ def sympy_commutant_dimension(rep):
     s = sp.Matrix(m, m, sp.symbols(f"s0:{m * m}"))
     equations = []
     for t in rep.matrices.values():
-        t = sp.Matrix([[to_sympy(x) for x in row] for row in t])
+        t = sp.Matrix([[to_sympy(x) for x in row] for row in t.to_rows()])
         equations.extend(sp.expand(x) for x in s * t - t * s)
     system, _ = sp.linear_eq_to_matrix(equations, list(s))
     return m * m - system.rank(simplify=True)

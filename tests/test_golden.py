@@ -227,7 +227,7 @@ def _derived_reps(rep):
     s, s_inv = ZMatrix.from_rows(s), ZMatrix.from_rows(s_inv)
     rng = random.Random(6)
     floats = {"space_dim": 4, "matrices": {}}
-    for name, t in rep.exact_matrices.items():
+    for name, t in rep.matrices.items():
         real = (s_inv @ t @ s).to_rows()
         assert not any(isinstance(x, G) for row in real for x in row)
         floats["matrices"][name] = [

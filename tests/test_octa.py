@@ -25,7 +25,6 @@ from liecomposite.linalg import (
     GaussianRational,
     ZMatrix,
     mat_commutator,
-    mat_identity,
     mat_sub,
     mat_trace,
     rank,
@@ -237,7 +236,7 @@ def test_composite_rep_is_exact_representation(two_j1, two_j2):
 
 def test_trivial_composite_rep_is_zero():
     rep = so4_composite_rep(0, 0)
-    assert all(rep.matrix(v) == [[G(0)]] for v in VERTICES)
+    assert all(rep.matrix(v).to_rows() == [[G(0)]] for v in VERTICES)
 
 
 @given(two_j1=st.integers(0, 2), two_j2=st.integers(0, 2))
@@ -245,7 +244,7 @@ def test_trivial_composite_rep_is_zero():
 def test_composite_rep_opposite_pairs_commute(two_j1, two_j2):
     rep = so4_composite_rep(two_j1, two_j2)
     for p, q in OPPOSITE_PAIRS:
-        assert not mat_commutator(rep.exact_matrices[p], rep.exact_matrices[q])
+        assert not mat_commutator(rep.matrices[p], rep.matrices[q])
 
 
 # -- extraction -------------------------------------------------------------
@@ -262,8 +261,9 @@ def test_extraction_round_trip(two_j1, two_j2):
     assert any("face (ABC)" in s for s in subjects)
     assert any("shifted opposite pair" in s for s in subjects)
     # with all shifts zero the shifted family is the original one
+    rep = so4_composite_rep(two_j1, two_j2)
     for v in VERTICES:
-        assert ext.shifted.matrix(v) == so4_composite_rep(two_j1, two_j2).matrix(v)
+        assert ext.shifted.matrix(v).to_rows() == rep.matrix(v).to_rows()
 
 
 def test_extraction_reports_vanishing_shifts():
@@ -282,7 +282,7 @@ def test_extraction_zero_rep_degenerate_pass():
 
 def test_extraction_refuses_broken_precondition():
     rep = so4_composite_rep(1, 1)
-    mats = dict(rep.exact_matrices)
+    mats = dict(rep.matrices)
     mats["A"] = mats["A"].add(ZMatrix.identity(4).scale(2))
     ext = extract_so4(FinDimRep(4, mats))
     assert not ext.passed
@@ -374,7 +374,7 @@ def random_conjugator(rng, size, gaussian):
 
     while True:
         s = [[entry() for _ in range(size)] for _ in range(size)]
-        eye = mat_identity(size)
+        eye = ZMatrix.identity(size).to_rows()
         reduced, pivots = rref([row + eye_row for row, eye_row in zip(s, eye)])
         if pivots == list(range(size)):
             return s, [row[size:] for row in reduced]
@@ -383,7 +383,7 @@ def random_conjugator(rng, size, gaussian):
 def conjugated(rep, rng, gaussian=False):
     s, s_inv = (ZMatrix.from_rows(m) for m in random_conjugator(rng, rep.space_dim, gaussian))
     return FinDimRep(
-        rep.space_dim, {v: s_inv @ t @ s for v, t in rep.exact_matrices.items()}
+        rep.space_dim, {v: s_inv @ t @ s for v, t in rep.matrices.items()}
     )
 
 

@@ -1,5 +1,5 @@
 """Checks on the package source itself: no unused imports, an export list
-that matches the package's imports, a lean start-up."""
+that matches the package's imports, a lean start-up, one matrix type."""
 
 import ast
 import subprocess
@@ -20,6 +20,9 @@ ALLOWED_UNUSED = {
 # set-up time and peak memory when a command imports it
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
+# the one place a ZMatrix and rows of scalars meet: a representation's input
+MATRIX_TYPE_BRANCHES = {("findim", "FinDimRep.__init__")}
+
 
 def imported_names(tree: ast.AST) -> set[str]:
     """Names a module binds by import (``from __future__`` aside)."""
@@ -37,6 +40,25 @@ def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported_names(tree) - used)
+
+
+def zmatrix_branches(tree: ast.AST, scope: str = "") -> set[str]:
+    """Qualified names of the functions that call isinstance(..., ZMatrix)."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found |= zmatrix_branches(node, f"{scope}{node.name}.")
+            continue
+        for call in ast.walk(node):
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "isinstance"
+                and len(call.args) == 2
+                and any(getattr(n, "id", None) == "ZMatrix" for n in ast.walk(call.args[1]))
+            ):
+                found.add(scope.rstrip(".") or "<module>")
+    return found
 
 
 def test_no_unused_imports_in_src():
@@ -72,3 +94,13 @@ def test_cli_import_leaves_heavy_modules_unloaded():
         cwd=PACKAGE.parent,
     )
     assert result.stdout.split() == []
+
+
+def test_zmatrix_is_the_one_matrix_type():
+    # a second, list-of-lists matrix path would show as a type test
+    found = {
+        (module, name)
+        for module in ("linalg", "findim")
+        for name in zmatrix_branches(ast.parse((PACKAGE / f"{module}.py").read_text("utf-8")))
+    }
+    assert found == MATRIX_TYPE_BRANCHES
