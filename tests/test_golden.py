@@ -91,6 +91,9 @@ CASES = {
     "octa-demo-3-3": ["octa-demo", "--two-j1", "3", "--two-j2", "3"],
     # T(A) = -T(F) here, so the shifted span is 3-dimensional
     "octa-demo-1-0": ["octa-demo", "--two-j1", "1", "--two-j2", "0"],
+    # m = 81: the largest irreducible the corpus pins; its report has the
+    # same 44 items as every other point
+    "octa-demo-8-8": ["octa-demo", "--two-j1", "8", "--two-j2", "8"],
     "tail-equivalence-readme": [
         "tail-equivalence", "(n+1)/(n+2)", "(n+1)/(n+2) + 1/n",
         "--weight", "1/2", "--truncation", "1000",
