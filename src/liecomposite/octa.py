@@ -20,7 +20,9 @@ structure constants themselves stay rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -45,10 +47,18 @@ from .report import FAIL, INFO, PASS, CheckItem, CheckReport
 VERTICES = ("A", "B", "C", "D", "E", "F")
 FACES = (("A", "B", "C"), ("A", "D", "E"), ("C", "D", "F"), ("E", "B", "F"))
 OPPOSITE_PAIRS = (("A", "F"), ("B", "D"), ("C", "E"))
+# the two commuting so(3) ideals, spanned by A - F, B + D, C + E and by
+# A + F, B - D, C - E (coordinates over VERTICES)
+IDEALS = (
+    [[1, 0, 0, 0, 0, -1], [0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 1, 0]],
+    [[1, 0, 0, 0, 0, 1], [0, 1, 0, -1, 0, 0], [0, 0, 1, 0, -1, 0]],
+)
 
 
+@cache
 def build_octahedron() -> FinDimComposite:
-    """The 6-dimensional composite with one so(3) per chosen face."""
+    """The 6-dimensional composite with one so(3) per chosen face, built
+    and validated once per process: callers share it and must not mutate it."""
     so3 = _abstract_constants([(0, 1, 2)], range(3))
     subspaces = [
         SubspaceAlgebra("".join(face), [[Fraction(v == w) for w in VERTICES] for v in face], so3)
@@ -145,6 +155,49 @@ def _vanishing_item(subject, matrices) -> CheckItem:
     return CheckItem(subject=subject, verdict=FAIL if any(matrices) else PASS)
 
 
+def _joint_kernels(casimirs, keys, m: int):
+    """{key: dimension} of the joint kernels of C + t(t + 2), over C, t in
+    zip(casimirs, key), for the keys with a nonzero one, read until the
+    dimensions reach m; None if they never do."""
+    dims, total, eye = {}, 0, ZMatrix.identity(m)
+    for key in keys:
+        rows = [row for c, t in zip(casimirs, key) for row in c.add(eye.scale(t * (t + 2))).rows]
+        if dim := m - rank(rows):
+            dims[key], total = dim, total + dim
+            if total == m:
+                return dims
+    return None
+
+
+def so4_decomposition(shifted: FinDimRep):
+    """{(t1, t2): multiplicity} of the irreducibles of dimension
+    (t1 + 1)(t2 + 1) in the trace-shifted vertex matrices of an so(4)
+    representation, or None unless the Casimirs prove it.
+
+    C_i sums u^2 over the basis u of IDEALS[i]; A - F = 2 T1[0] (x) 1 in
+    VERTEX_TABLE, so C_i is -t_i(t_i + 2) on the (t1, t2) part (t = 2j).
+    A scalar C_i gives its t from its trace.  Otherwise the kernels for t =
+    0, 1, ..., and then the joint kernels of the pairs found, are read
+    until their dimensions reach m, which proves diagonalizability.  Each
+    dimension must divide by (t1 + 1)(t2 + 1)."""
+    m, casimirs, found = shifted.space_dim, [], []
+    for ideal in IDEALS:
+        us = [shifted.ambient_matrix(coords, VERTICES) for coords in ideal]
+        c = (us[0] @ us[0]).add(us[1] @ us[1]).add(us[2] @ us[2])
+        value = c.trace(m)  # -t(t + 2) = 1 - (t + 1)^2 if c is scalar
+        t = isqrt(max(1 - int(value), 0)) - 1 if isinstance(value, Fraction) else -1
+        scalar = t >= 0 and not c.add(ZMatrix.identity(m).scale(t * (t + 2)))
+        dims = {(t,): m} if scalar else _joint_kernels([c], ((t,) for t in range(m)), m)
+        if dims is None:
+            return None
+        casimirs.append(c)
+        found.append(dims)
+    joint = _joint_kernels(casimirs, ((t1, t2) for (t1,) in found[0] for (t2,) in found[1]), m)
+    if joint is None or any(dim % ((t1 + 1) * (t2 + 1)) for (t1, t2), dim in joint.items()):
+        return None
+    return {(t1, t2): dim // ((t1 + 1) * (t2 + 1)) for (t1, t2), dim in joint.items()}
+
+
 def extract_so4(rep: FinDimRep) -> So4Extraction:
     """Recover an so(4) representation from an exact composite
     representation.
@@ -152,7 +205,11 @@ def extract_so4(rep: FinDimRep) -> So4Extraction:
     Steps, each contributing report items: (1) precondition: the input
     restricts to a representation on every face; (2) opposite-pair
     commutators are central; (3) when the commutant dimension is 1 they
-    are scalar, and being traceless, zero; (4) scalar shifts by
+    are scalar, and being traceless, zero: if the shifted family of (4)
+    satisfies the so(4) table, that dimension is the sum of the squared
+    multiplicities of so4_decomposition (Schur, as the rep is completely
+    reducible), and otherwise, or if the Casimirs prove no decomposition,
+    commutant_dimension computes it; (4) scalar shifts by
     lambda_V = trace/dim make every operator traceless and the shifted
     family satisfies the full so(4) table; (5) semisimplicity evidence:
     the span of the shifted operators is bracket-closed (the abstract
@@ -201,7 +258,25 @@ def extract_so4(rep: FinDimRep) -> So4Extraction:
         comms = [mat_commutator(k, mats[v]) for v in VERTICES]
         items.append(_vanishing_item(f"[T({p}), T({q})] is central", comms))
 
-    irreducible = commutant_dimension(rep) == 1
+    table = [
+        _vanishing_item(
+            f"face ({p}{q}{r}) so(3) relations on shifted operators",
+            [
+                mat_sub(brackets[x, y], shifted_mats[z])
+                for x, y, z in ((p, q, r), (q, r, p), (r, p, q))
+            ],
+        )
+        for p, q, r in FACES
+    ] + [
+        _vanishing_item(f"shifted opposite pair ({p}, {q}) commutes", [brackets[p, q]])
+        for p, q in OPPOSITE_PAIRS
+    ]
+    # on an so(4) rep the multiplicities give the commutant dimension
+    decomposition = so4_decomposition(shifted) if all(i.verdict == PASS for i in table) else None
+    if decomposition is None:
+        irreducible = commutant_dimension(rep) == 1
+    else:
+        irreducible = sum(k * k for k in decomposition.values()) == 1
     how = "commutant dimension 1" if irreducible else "commutant dimension > 1"
     items.append(CheckItem(subject="irreducibility", verdict=INFO, note=how))
 
@@ -209,22 +284,19 @@ def extract_so4(rep: FinDimRep) -> So4Extraction:
     for pair, k in centrals.items():
         scalar, residue = _trace_shift(k)
         central_values[pair] = scalar
-        if irreducible:
-            items.append(
-                CheckItem(
-                    subject=f"central commutator ({pair}) is the scalar {format_scalar(scalar)}",
-                    verdict=FAIL if residue or scalar else PASS,
-                    note="traceless and central, hence zero",
-                )
+        items.append(
+            CheckItem(
+                subject=f"central commutator ({pair}) is the scalar {format_scalar(scalar)}",
+                verdict=FAIL if residue or scalar else PASS,
+                note="traceless and central, hence zero",
             )
-        else:
-            items.append(
-                CheckItem(
-                    subject=f"central commutator ({pair}) scalar check",
-                    verdict=INFO,
-                    note="skipped: irreducibility not established",
-                )
+            if irreducible
+            else CheckItem(
+                subject=f"central commutator ({pair}) scalar check",
+                verdict=INFO,
+                note="skipped: irreducibility not established",
             )
+        )
 
     items.append(
         CheckItem(
@@ -237,18 +309,7 @@ def extract_so4(rep: FinDimRep) -> So4Extraction:
         )
     )
 
-    for p, q, r in FACES:
-        diffs = [
-            mat_sub(brackets[left, mid], shifted_mats[right])
-            for left, mid, right in ((p, q, r), (q, r, p), (r, p, q))
-        ]
-        items.append(
-            _vanishing_item(f"face ({p}{q}{r}) so(3) relations on shifted operators", diffs)
-        )
-    for p, q in OPPOSITE_PAIRS:
-        items.append(
-            _vanishing_item(f"shifted opposite pair ({p}, {q}) commutes", [brackets[p, q]])
-        )
+    items += table
 
     if not any(shifted_mats.values()):
         evidence = PASS, "degenerate zero representation: empty span is trivially closed"
@@ -320,9 +381,7 @@ def killing_certificate() -> CheckReport:
         )
     )
 
-    # the ideals spanned by A - F, B + D, C + E and by A + F, B - D, C - E
-    ideal1 = [[1, 0, 0, 0, 0, -1], [0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 1, 0]]
-    ideal2 = [[1, 0, 0, 0, 0, 1], [0, 1, 0, -1, 0, 0], [0, 0, 1, 0, -1, 0]]
+    ideal1, ideal2 = IDEALS
     ok_cross = not any(any(so4.bracket_coords(u, v)) for u in ideal1 for v in ideal2)
     items.append(CheckItem(subject="the two ideals commute", verdict=PASS if ok_cross else FAIL))
     for name, ideal in (("first", ideal1), ("second", ideal2)):

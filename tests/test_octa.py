@@ -41,6 +41,7 @@ from liecomposite.octa import (
     killing_certificate,
     so3_irrep,
     so4_composite_rep,
+    so4_decomposition,
 )
 
 G = GaussianRational
@@ -55,6 +56,10 @@ def test_octahedron_axioms():
     assert check_compatibility(octa).passed
     assert check_dense(octa)
     assert check_connected(octa)
+
+
+def test_octahedron_is_built_once():
+    assert build_octahedron() is build_octahedron()
 
 
 def test_faces_cover_the_twelve_edges_once():
@@ -342,6 +347,115 @@ def test_extraction_serialization_shape_and_determinism():
     text1 = json.dumps(data, indent=2, sort_keys=True)
     text2 = json.dumps(extract_so4(so4_composite_rep(1, 1)).to_data(), indent=2, sort_keys=True)
     assert text1 == text2
+
+
+# -- the Casimir decomposition ------------------------------------------------
+
+
+def tensor_of(*factors):
+    """The tensor product of so4_composite_rep(t1, t2) over the (t1, t2) factors."""
+    rep = so4_composite_rep(*factors[0])
+    for factor in factors[1:]:
+        rep = tensor_product(rep, so4_composite_rep(*factor))
+    return rep
+
+
+# name -> (rep, {(t1, t2): multiplicity}), by the Clebsch-Gordan rule on each
+# so(3) factor
+DECOMPOSITIONS = {
+    "(2,1)": (lambda: so4_composite_rep(2, 1), {(2, 1): 1}),
+    "adjoint": (adjoint_rep, {(2, 0): 1, (0, 2): 1}),
+    "zero-2": (lambda: FinDimRep(2, {v: [[0, 0], [0, 0]] for v in VERTICES}), {(0, 0): 2}),
+    "(2,0)x(2,0)": (lambda: tensor_of((2, 0), (2, 0)), {(0, 0): 1, (2, 0): 1, (4, 0): 1}),
+    "(1,0)^3": (lambda: tensor_of((1, 0), (1, 0), (1, 0)), {(1, 0): 2, (3, 0): 1}),
+    "(1,1)x(1,1)": (
+        lambda: tensor_of((1, 1), (1, 1)),
+        {(0, 0): 1, (0, 2): 1, (2, 0): 1, (2, 2): 1},
+    ),
+    "(2,1)x(1,1)": (
+        lambda: tensor_of((2, 1), (1, 1)),
+        {(1, 0): 1, (1, 2): 1, (3, 0): 1, (3, 2): 1},
+    ),
+    "(1,1)^3": (
+        lambda: tensor_of((1, 1), (1, 1), (1, 1)),
+        {(1, 1): 4, (1, 3): 2, (3, 1): 2, (3, 3): 1},
+    ),
+}
+
+
+def _dimension(decomposition):
+    return sum(k * (t1 + 1) * (t2 + 1) for (t1, t2), k in decomposition.items())
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
+def test_so4_decomposition_multiplicities(name):
+    build, expected = DECOMPOSITIONS[name]
+    rep = build()
+    ext = extract_so4(rep)
+    assert ext.passed
+    assert so4_decomposition(ext.shifted) == expected
+    assert rep.space_dim == _dimension(expected)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, (_, expected) in DECOMPOSITIONS.items() if _dimension(expected) <= 27)
+)
+def test_squared_multiplicities_are_the_commutant_dimension(name):
+    # Schur: the commutant of sum k_i V_i, with V_i distinct irreducibles,
+    # is a product of k_i x k_i matrix algebras
+    build, expected = DECOMPOSITIONS[name]
+    assert commutant_dimension(build()) == sum(k * k for k in expected.values())
+
+
+def test_so4_decomposition_of_a_conjugated_rep():
+    rep = recorded_cases()["exact-adjoint"]
+    assert so4_decomposition(extract_so4(rep).shifted) == {(0, 2): 1, (2, 0): 1}
+
+
+def test_so4_decomposition_needs_diagonalizable_casimirs():
+    # S(A) a nilpotent Jordan block of size 3: both Casimirs are J^2 != 0,
+    # whose kernels reach dimension 2 only
+    jordan = [[Fraction(int(j == i + 1)) for j in range(3)] for i in range(3)]
+    zero = [[Fraction(0)] * 3 for _ in range(3)]
+    rep = FinDimRep(3, {v: jordan if v == "A" else zero for v in VERTICES})
+    assert so4_decomposition(rep) is None
+
+
+def test_so4_decomposition_needs_whole_irreducibles():
+    # S(A) = S(B) = S(C) = i on a line: both Casimirs are the scalar -3 of
+    # t = 1, but the 1-dimensional space holds no (1, 1) part of dimension 4
+    i, zero = [[G(0, 1)]], [[G(0)]]
+    rep = FinDimRep(1, {v: i if v in "ABC" else zero for v in VERTICES})
+    assert so4_decomposition(rep) is None
+
+
+def commutant_spy(monkeypatch):
+    """Record every rep extract_so4 passes to commutant_dimension."""
+    calls = []
+
+    def spy(rep):
+        calls.append(rep)
+        return commutant_dimension(rep)
+
+    monkeypatch.setattr("liecomposite.octa.commutant_dimension", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["(2,1)", "adjoint", "(2,1)x(1,1)"])
+def test_extraction_of_so4_reps_takes_the_casimir_route(monkeypatch, name):
+    calls = commutant_spy(monkeypatch)
+    assert extract_so4(DECOMPOSITIONS[name][0]()).passed
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["(2,1)", "adjoint", "(1,1)x(1,1)"])
+def test_extraction_without_a_decomposition_falls_back_to_the_commutant(monkeypatch, name):
+    rep = DECOMPOSITIONS[name][0]()
+    casimir = extract_so4(rep).to_data()
+    calls = commutant_spy(monkeypatch)
+    monkeypatch.setattr("liecomposite.octa.so4_decomposition", lambda shifted: None)
+    assert extract_so4(rep).to_data() == casimir
+    assert calls == [rep]
 
 
 # -- recorded extractions ------------------------------------------------------
