@@ -8,8 +8,9 @@ pair of so(3) irreducibles: each vertex acts as a signed combination
 P (x) 1 +/- 1 (x) Q, with the sign/index table fixed once
 (tests/test_octa.py re-derives it by finite search).  From any exact
 composite representation, extract_so4 verifies the central opposite-pair
-commutators, removes the trace parts, and certifies the full so(4)
-bracket table plus semisimplicity evidence.
+commutators and certifies the full so(4) bracket table plus
+semisimplicity evidence; it needs no trace shift, since so(3) is perfect
+and so each vertex, a commutator on its faces, is traceless.
 
 Scalars: so(3) triples in the compact convention have no real rational
 realization in even dimensions, so matrices take entries in the Gaussian
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from math import isqrt
 from typing import NamedTuple
 
@@ -38,7 +38,6 @@ from .linalg import (
     ZMatrix,
     _transposes,
     mat_commutator,
-    mat_sub,
     rank,
     symmetric_signature,
 )
@@ -121,17 +120,8 @@ def so4_composite_rep(two_j1: int, two_j2: int) -> FinDimRep:
 # -- the extraction ---------------------------------------------------------
 
 
-def _trace_shift(matrix: ZMatrix):
-    """(lambda, matrix - lambda * identity) for lambda = trace / size, in
-    integers: lambda is the trace numerator over den * size."""
-    n = len(matrix.rows)
-    scalar = matrix.trace(n)
-    return scalar, matrix.add(ZMatrix.identity(n).scale(scalar), -1) if scalar else matrix
-
-
 class So4Extraction(NamedTuple):
     lambdas: dict
-    shifted: FinDimRep
     central_values: dict
     verdict: CheckReport
     precondition: CheckReport  # check_representation on the octahedron
@@ -169,10 +159,11 @@ def _joint_kernels(casimirs, keys, m: int):
     return None
 
 
-def so4_decomposition(shifted: FinDimRep):
+def so4_decomposition(rep: FinDimRep):
     """{(t1, t2): multiplicity} of the irreducibles of dimension
-    (t1 + 1)(t2 + 1) in the trace-shifted vertex matrices of an so(4)
-    representation, or None unless the Casimirs prove it.
+    (t1 + 1)(t2 + 1) in the vertex matrices of an so(4) representation,
+    or None unless the Casimirs prove it.  They need no trace shift:
+    each vertex is a face commutator, so it is traceless.
 
     C_i sums u^2 over the basis u of IDEALS[i]; A - F = 2 T1[0] (x) 1 in
     VERTEX_TABLE, so C_i is -t_i(t_i + 2) on the (t1, t2) part (t = 2j).
@@ -180,9 +171,9 @@ def so4_decomposition(shifted: FinDimRep):
     0, 1, ..., and then the joint kernels of the pairs found, are read
     until their dimensions reach m, which proves diagonalizability.  Each
     dimension must divide by (t1 + 1)(t2 + 1)."""
-    m, casimirs, found = shifted.space_dim, [], []
+    m, casimirs, found = rep.space_dim, [], []
     for ideal in IDEALS:
-        us = [shifted.ambient_matrix(coords, VERTICES) for coords in ideal]
+        us = [rep.ambient_matrix(coords, VERTICES) for coords in ideal]
         c = (us[0] @ us[0]).add(us[1] @ us[1]).add(us[2] @ us[2])
         value = c.trace(m)  # -t(t + 2) = 1 - (t + 1)^2 if c is scalar
         t = isqrt(max(1 - int(value), 0)) - 1 if isinstance(value, Fraction) else -1
@@ -205,17 +196,18 @@ def extract_so4(rep: FinDimRep) -> So4Extraction:
     Steps, each contributing report items: (1) precondition: the input
     restricts to a representation on every face; (2) opposite-pair
     commutators are central; (3) when the commutant dimension is 1 they
-    are scalar, and being traceless, zero: if the shifted family of (4)
-    satisfies the so(4) table, that dimension is the sum of the squared
-    multiplicities of so4_decomposition (Schur, as the rep is completely
-    reducible), and otherwise, or if the Casimirs prove no decomposition,
-    commutant_dimension computes it; (4) scalar shifts by
-    lambda_V = trace/dim make every operator traceless and the shifted
-    family satisfies the full so(4) table; (5) semisimplicity evidence:
-    the span of the shifted operators is bracket-closed (the abstract
-    6-dimensional table is certified separately by killing_certificate).
-    A float representation raises DomainError, as commutant_dimension
-    does: every step is an exact identity.
+    are scalar, and being traceless, zero: if the opposite pairs commute,
+    that dimension is the sum of the squared multiplicities of
+    so4_decomposition (Schur, as the rep is completely reducible), and
+    otherwise, or if the Casimirs prove no decomposition,
+    commutant_dimension computes it; (4) no scalar shift is needed: so(3)
+    is perfect, so by (1) each vertex is a commutator, traceless, and
+    lambda_V = trace/dim is 0, and the input itself satisfies the full
+    so(4) table once its opposite pairs commute; (5) semisimplicity
+    evidence: the span of the vertex operators is bracket-closed (the
+    abstract 6-dimensional table is certified separately by
+    killing_certificate).  A float representation raises DomainError, as
+    commutant_dimension does: every step is an exact identity.
     """
     if not rep.is_exact:
         raise DomainError("the so(4) extraction needs an exact representation")
@@ -236,43 +228,19 @@ def extract_so4(rep: FinDimRep) -> So4Extraction:
             items,
             notes=("input rejected before extraction",),
         )
-        return So4Extraction({}, rep, {}, verdict, pre)
+        return So4Extraction({}, {}, verdict, pre)
 
     dim = rep.space_dim
-    mats = rep.matrices
-    shifts = {v: _trace_shift(mats[v]) for v in VERTICES}
-    lambdas = {v: lam for v, (lam, _) in shifts.items()}
-    shifted_mats = {v: m for v, (_, m) in shifts.items()}
-    shifted = FinDimRep(dim, shifted_mats)
+    mats = {v: rep.matrices[v] for v in VERTICES}  # a rep may carry more names
+    lambdas = {v: m.trace(dim) for v, m in mats.items()}
 
-    # each commutator of the shifted family once; a reversed pair negates
-    pairs = list(combinations(VERTICES, 2))
-    brackets = {(p, q): mat_commutator(shifted_mats[p], shifted_mats[q]) for p, q in pairs}
-    for p, q in pairs:
-        brackets[q, p] = brackets[p, q].scale(-1)
-
-    centrals = {}
-    for p, q in OPPOSITE_PAIRS:
-        # scalar shifts leave a commutator unchanged
-        k = centrals[f"{p},{q}"] = brackets[p, q]
-        comms = [mat_commutator(k, mats[v]) for v in VERTICES]
+    centrals = {pair: mat_commutator(mats[pair[0]], mats[pair[1]]) for pair in OPPOSITE_PAIRS}
+    for (p, q), k in centrals.items():
+        comms = [mat_commutator(k, m) for m in mats.values()]
         items.append(_vanishing_item(f"[T({p}), T({q})] is central", comms))
 
-    table = [
-        _vanishing_item(
-            f"face ({p}{q}{r}) so(3) relations on shifted operators",
-            [
-                mat_sub(brackets[x, y], shifted_mats[z])
-                for x, y, z in ((p, q, r), (q, r, p), (r, p, q))
-            ],
-        )
-        for p, q, r in FACES
-    ] + [
-        _vanishing_item(f"shifted opposite pair ({p}, {q}) commutes", [brackets[p, q]])
-        for p, q in OPPOSITE_PAIRS
-    ]
     # on an so(4) rep the multiplicities give the commutant dimension
-    decomposition = so4_decomposition(shifted) if all(i.verdict == PASS for i in table) else None
+    decomposition = None if any(centrals.values()) else so4_decomposition(rep)
     if decomposition is None:
         irreducible = commutant_dimension(rep) == 1
     else:
@@ -281,42 +249,39 @@ def extract_so4(rep: FinDimRep) -> So4Extraction:
     items.append(CheckItem(subject="irreducibility", verdict=INFO, note=how))
 
     central_values = {}
-    for pair, k in centrals.items():
-        scalar, residue = _trace_shift(k)
-        central_values[pair] = scalar
+    for (p, q), k in centrals.items():
+        scalar = central_values[f"{p},{q}"] = k.trace(dim)
         items.append(
             CheckItem(
-                subject=f"central commutator ({pair}) is the scalar {format_scalar(scalar)}",
-                verdict=FAIL if residue or scalar else PASS,
+                subject=f"central commutator ({p},{q}) is the scalar {format_scalar(scalar)}",
+                verdict=FAIL if k else PASS,
                 note="traceless and central, hence zero",
             )
             if irreducible
             else CheckItem(
-                subject=f"central commutator ({pair}) scalar check",
+                subject=f"central commutator ({p},{q}) scalar check",
                 verdict=INFO,
                 note="skipped: irreducibility not established",
             )
         )
 
-    items.append(
-        CheckItem(
-            subject="scalar shifts lambda_V = trace/dim",
-            verdict=INFO,
-            note="all shifts vanish"
-            if not any(lambdas.values())
-            else "nonzero shifts: "
-            + ", ".join(f"{v}={format_scalar(x)}" for v, x in lambdas.items() if x),
-        )
-    )
+    shifts = "scalar shifts lambda_V = trace/dim"
+    items.append(CheckItem(subject=shifts, verdict=INFO, note="all shifts vanish"))
+    # check_representation has just verified each face's three relations
+    # on these same matrices, and every shift is 0
+    for face in FACES:
+        subject = f"face ({''.join(face)}) so(3) relations on shifted operators"
+        items.append(CheckItem(subject=subject, verdict=PASS))
+    for (p, q), k in centrals.items():
+        items.append(_vanishing_item(f"shifted opposite pair ({p}, {q}) commutes", [k]))
 
-    items += table
-
-    if not any(shifted_mats.values()):
+    if not any(mats.values()):
         evidence = PASS, "degenerate zero representation: empty span is trivially closed"
     else:
-        vectors = [shifted_mats[v].flat() for v in VERTICES]
+        # the face relations put the other twelve brackets in the span
+        vectors = [m.flat() for m in mats.values()]
         span_dim = rank(vectors)
-        closed = rank(vectors + [brackets[pair].flat() for pair in pairs]) == span_dim
+        closed = rank(vectors + [k.flat() for k in centrals.values()]) == span_dim
         evidence = PASS if closed else FAIL, (
             f"span dimension {span_dim}, bracket-closed: {closed};"
             " abstract so(3)+so(3) certificate: see killing_certificate"
@@ -328,7 +293,7 @@ def extract_so4(rep: FinDimRep) -> So4Extraction:
     verdict = CheckReport.build(
         "so4-extraction", {"space_dim": dim, "arithmetic": "exact", "irreducible": how}, items
     )
-    return So4Extraction(lambdas, shifted, central_values, verdict, pre)
+    return So4Extraction(lambdas, central_values, verdict, pre)
 
 
 # -- static certificate for the abstract 6-dimensional algebra ---------------

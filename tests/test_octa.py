@@ -255,22 +255,6 @@ def test_composite_rep_opposite_pairs_commute(two_j1, two_j2):
 # -- extraction -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("two_j1,two_j2", ACCEPTANCE_PAIRS)
-def test_extraction_round_trip(two_j1, two_j2):
-    ext = extract_so4(so4_composite_rep(two_j1, two_j2))
-    assert ext.passed
-    assert all(not x for x in ext.lambdas.values())
-    assert all(not x for x in ext.central_values.values())
-    subjects = [item.subject for item in ext.verdict.items]
-    assert any("is central" in s for s in subjects)
-    assert any("face (ABC)" in s for s in subjects)
-    assert any("shifted opposite pair" in s for s in subjects)
-    # with all shifts zero the shifted family is the original one
-    rep = so4_composite_rep(two_j1, two_j2)
-    for v in VERTICES:
-        assert ext.shifted.matrix(v).to_rows() == rep.matrix(v).to_rows()
-
-
 def test_extraction_reports_vanishing_shifts():
     ext = extract_so4(so4_composite_rep(1, 1))
     notes = [item.note for item in ext.verdict.items if item.note]
@@ -278,11 +262,32 @@ def test_extraction_reports_vanishing_shifts():
 
 
 def test_extraction_zero_rep_degenerate_pass():
-    rep = FinDimRep(1, {v: [[Fraction(0)]] for v in VERTICES})
-    ext = extract_so4(rep)
-    assert ext.passed
-    notes = [item.note for item in ext.verdict.items if item.note]
-    assert any("degenerate zero representation" in n for n in notes)
+    zero = {v: [[Fraction(0)]] for v in VERTICES}
+    # a matrix under a name beyond the six vertices takes no part
+    for mats in (zero, {**zero, "G": [[Fraction(1)]]}):
+        ext = extract_so4(FinDimRep(1, mats))
+        assert ext.passed
+        notes = [item.note for item in ext.verdict.items if item.note]
+        assert any("degenerate zero representation" in n for n in notes)
+
+
+def test_extraction_forms_each_commutator_once(monkeypatch):
+    # the precondition forms the twelve face commutators inside findim; the
+    # extraction forms the three opposite-pair commutators K and the 18
+    # [K, T(V)], and no difference
+    calls = []
+    for name, real in (
+        ("mat_commutator", mat_commutator),
+        ("mat_sub", mat_sub),
+        ("check_representation", check_representation),
+    ):
+        def spy(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(f"liecomposite.octa.{name}", spy, raising=False)
+    assert extract_so4(so4_composite_rep(2, 1)).passed
+    assert sorted(calls) == ["check_representation"] + ["mat_commutator"] * 21
 
 
 def test_extraction_refuses_broken_precondition():
@@ -393,7 +398,7 @@ def test_so4_decomposition_multiplicities(name):
     rep = build()
     ext = extract_so4(rep)
     assert ext.passed
-    assert so4_decomposition(ext.shifted) == expected
+    assert so4_decomposition(rep) == expected
     assert rep.space_dim == _dimension(expected)
 
 
@@ -409,7 +414,7 @@ def test_squared_multiplicities_are_the_commutant_dimension(name):
 
 def test_so4_decomposition_of_a_conjugated_rep():
     rep = recorded_cases()["exact-adjoint"]
-    assert so4_decomposition(extract_so4(rep).shifted) == {(0, 2): 1, (2, 0): 1}
+    assert so4_decomposition(rep) == {(0, 2): 1, (2, 0): 1}
 
 
 def test_so4_decomposition_needs_diagonalizable_casimirs():
@@ -453,7 +458,7 @@ def test_extraction_without_a_decomposition_falls_back_to_the_commutant(monkeypa
     rep = DECOMPOSITIONS[name][0]()
     casimir = extract_so4(rep).to_data()
     calls = commutant_spy(monkeypatch)
-    monkeypatch.setattr("liecomposite.octa.so4_decomposition", lambda shifted: None)
+    monkeypatch.setattr("liecomposite.octa.so4_decomposition", lambda rep: None)
     assert extract_so4(rep).to_data() == casimir
     assert calls == [rep]
 
@@ -527,6 +532,48 @@ def test_recorded_extractions_cover_every_case():
 def test_extraction_matches_recorded_data(name):
     expected = json.loads(EXTRACTIONS.read_text(encoding="utf-8"))[name]
     assert extract_so4(recorded_cases()[name]).to_data() == expected
+
+
+# the decompositions of the recorded reps, those of their unconjugated bases
+RECORDED_DECOMPOSITIONS = {
+    "exact-so4-1-0": {(1, 0): 1},
+    "exact-so4-0-1": {(0, 1): 1},
+    "exact-so4-1-1": {(1, 1): 1},
+    "exact-so4-2-0": {(2, 0): 1},
+    "exact-vector": {(1, 1): 1},
+    "exact-adjoint": {(0, 2): 1, (2, 0): 1},
+}
+
+# name -> (rep, {(t1, t2): multiplicity}) of every exact so(4) rep above
+ROUND_TRIPS = {
+    **{
+        f"{j1}-{j2}": (lambda j1=j1, j2=j2: so4_composite_rep(j1, j2), {(j1, j2): 1})
+        for j1, j2 in ACCEPTANCE_PAIRS
+    },
+    **DECOMPOSITIONS,
+    **{
+        name: (lambda name=name: recorded_cases()[name], expected)
+        for name, expected in RECORDED_DECOMPOSITIONS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIPS))
+def test_extraction_round_trip(name):
+    # so(3) is perfect, so each vertex of a rep that passes the face
+    # relations is a commutator: every shift and central value is 0
+    build, expected = ROUND_TRIPS[name]
+    rep = build()
+    ext = extract_so4(rep)
+    assert ext.passed
+    assert all(not x for x in ext.lambdas.values())
+    assert all(not x for x in ext.central_values.values())
+    subjects = [item.subject for item in ext.verdict.items]
+    assert any("is central" in s for s in subjects)
+    assert any("face (ABC)" in s for s in subjects)
+    assert any("shifted opposite pair" in s for s in subjects)
+    # with all shifts zero the unshifted family is the so(4) rep
+    assert so4_decomposition(rep) == expected
 
 
 # -- static certificate -----------------------------------------------------
