@@ -46,7 +46,8 @@ class GaussianRational:
             body = s[:-1]
             split = None
             for pos in range(len(body) - 1, 0, -1):
-                if body[pos] in "+-" and body[pos - 1] not in "+-/":
+                # a sign after e or E belongs to an exponent
+                if body[pos] in "+-" and body[pos - 1] not in "+-/eE":
                     split = pos
                     break
             if split is None:

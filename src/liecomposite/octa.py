@@ -32,7 +32,6 @@ from .findim import (
     SubspaceAlgebra,
     check_representation,
     commutant_dimension,
-    format_scalar,
 )
 from .linalg import (
     ZMatrix,
@@ -121,24 +120,12 @@ def so4_composite_rep(two_j1: int, two_j2: int) -> FinDimRep:
 
 
 class So4Extraction(NamedTuple):
-    lambdas: dict
-    central_values: dict
     verdict: CheckReport
     precondition: CheckReport  # check_representation on the octahedron
 
     @property
     def passed(self) -> bool:
         return self.verdict.passed
-
-    def to_data(self) -> dict:
-        return {
-            "lambdas": {v: format_scalar(x) for v, x in self.lambdas.items()},
-            "central_values": {
-                pair: format_scalar(x) for pair, x in self.central_values.items()
-            },
-            "pass": self.verdict.passed,
-            "details": self.verdict.to_dict(),
-        }
 
 
 def _vanishing_item(subject, matrices) -> CheckItem:
@@ -228,11 +215,9 @@ def extract_so4(rep: FinDimRep) -> So4Extraction:
             items,
             notes=("input rejected before extraction",),
         )
-        return So4Extraction({}, {}, verdict, pre)
+        return So4Extraction(verdict, pre)
 
-    dim = rep.space_dim
     mats = {v: rep.matrices[v] for v in VERTICES}  # a rep may carry more names
-    lambdas = {v: m.trace(dim) for v, m in mats.items()}
 
     centrals = {pair: mat_commutator(mats[pair[0]], mats[pair[1]]) for pair in OPPOSITE_PAIRS}
     for (p, q), k in centrals.items():
@@ -248,12 +233,11 @@ def extract_so4(rep: FinDimRep) -> So4Extraction:
     how = "commutant dimension 1" if irreducible else "commutant dimension > 1"
     items.append(CheckItem(subject="irreducibility", verdict=INFO, note=how))
 
-    central_values = {}
+    # a commutator is traceless, so the only scalar it can be is 0
     for (p, q), k in centrals.items():
-        scalar = central_values[f"{p},{q}"] = k.trace(dim)
         items.append(
             CheckItem(
-                subject=f"central commutator ({p},{q}) is the scalar {format_scalar(scalar)}",
+                subject=f"central commutator ({p},{q}) is the scalar 0",
                 verdict=FAIL if k else PASS,
                 note="traceless and central, hence zero",
             )
@@ -291,9 +275,11 @@ def extract_so4(rep: FinDimRep) -> So4Extraction:
     )
 
     verdict = CheckReport.build(
-        "so4-extraction", {"space_dim": dim, "arithmetic": "exact", "irreducible": how}, items
+        "so4-extraction",
+        {"space_dim": rep.space_dim, "arithmetic": "exact", "irreducible": how},
+        items,
     )
-    return So4Extraction(lambdas, central_values, verdict, pre)
+    return So4Extraction(verdict, pre)
 
 
 # -- static certificate for the abstract 6-dimensional algebra ---------------

@@ -25,7 +25,7 @@ import math
 from enum import IntEnum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import DomainError, NegativeExponentError, PoleError
 from .exact import (
@@ -71,11 +71,6 @@ _CLASS_LABELS = {
     OperatorClass.BOUNDED: "bounded",
     OperatorClass.UNBOUNDED: "unbounded",
 }
-
-
-class ShiftComponent(NamedTuple):
-    shift: int
-    coeff: RationalFunc  # nonzero, rational in n over Q(h)
 
 
 def _as_scalar(value) -> RationalFunc:
@@ -161,7 +156,7 @@ class ShiftOperator:
 
     __slots__ = ("components",)
 
-    components: tuple[ShiftComponent, ...]
+    components: tuple[tuple[int, RationalFunc], ...]  # (shift, nonzero coeff)
 
     def __init__(self, components: Iterable = ()):
         checked = []
@@ -175,7 +170,7 @@ class ShiftOperator:
     def _build(cls, merged: dict, op=None) -> "ShiftOperator":
         """op (a new instance by default) set to merged {shift: coeff}."""
         op = object.__new__(cls) if op is None else op
-        components = tuple(ShiftComponent(d, merged[d]) for d in sorted(merged) if merged[d])
+        components = tuple((d, merged[d]) for d in sorted(merged) if merged[d])
         object.__setattr__(op, "components", components)
         return op
 

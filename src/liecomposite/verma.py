@@ -420,16 +420,10 @@ def check_absolutely_symmetric(max_len: int, index_bound: int) -> CheckReport:
     )
 
 
-def _gated(gate: OperatorClass) -> str:
-    return PASS if gate <= _HS else FAIL
-
-
-@lru_cache(maxsize=1)
-def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
-    """The bracket-mode report items of every nested tuple in traversal
-    order, their plain nested-commutator classes, and the count of nonzero
-    table brackets.  Literal mode re-gates the same items, so the last
-    traversal is kept for it; it holds report items, no operators.
+def _closed_items(depth: int, index_bound: int, h0: Fraction | None, literal: bool) -> tuple:
+    """The report items of every nested tuple in traversal order, each
+    gated on its plain nested-commutator class if literal and on its
+    defect class otherwise, and the count of nonzero table brackets.
 
     Swapping the root pair negates a whole subtree, and negating every
     index takes each operator to its adjoint up to sign, which keeps its
@@ -441,7 +435,7 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
     position = {x: i for i, x in enumerate(letters)}
     mirror = {x: GeneratorId(x.family, -x.index) for x in letters}
     names = {x: str(x) for x in letters}
-    items, plain = [], []
+    items = []
     nonzero_phi = 0
     orbits = {}  # first root pair -> [members still to read, {tail: classes}]
 
@@ -472,11 +466,12 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
                 classes[tail] = bracket_cls, literal_cls
             if combo:
                 nonzero_phi += 1
+            gate = literal_cls if literal else bracket_cls
             items.append(
                 CheckItem(
                     subject="(" + ", ".join(map(names.__getitem__, child)) + ")",
-                    verdict=_gated(bracket_cls),
-                    operator_class=bracket_cls.label,
+                    verdict=PASS if gate <= _HS else FAIL,
+                    operator_class=gate.label,
                     note=(
                         f"defect class {bracket_cls.label};"
                         f" plain nested-commutator class {literal_cls.label};"
@@ -484,7 +479,6 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
                     ),
                 )
             )
-            plain.append(literal_cls)
             if not last:
                 visit(child, op, combo, classes, key)
 
@@ -506,7 +500,7 @@ def _closed_items(depth: int, index_bound: int, h0: Fraction | None) -> tuple:
             entry[0] -= 1
             if not entry[0]:
                 del orbits[first]
-    return tuple(items), tuple(plain), nonzero_phi
+    return items, nonzero_phi
 
 
 def check_absolutely_closed(
@@ -529,12 +523,7 @@ def check_absolutely_closed(
     if mode not in ("bracket", "literal"):
         raise DomainError("mode must be 'bracket' or 'literal'")
     h0 = _weight(h)
-    items, plain, nonzero_phi = _closed_items(depth, index_bound, h0)
-    if mode == "literal":
-        items = [
-            item._replace(verdict=_gated(cls), operator_class=cls.label)
-            for item, cls in zip(items, plain)
-        ]
+    items, nonzero_phi = _closed_items(depth, index_bound, h0, mode == "literal")
     if h0 is None:
         sub_note = ()
     else:

@@ -632,6 +632,12 @@ def test_float_reps_are_refused():
 def test_scalar_parse_format():
     assert parse_scalar("3/4") == Fraction(3, 4)
     assert parse_scalar("1/2-3/4i") == G(Fraction(1, 2), Fraction(-3, 4))
+    # a sign after e or E is an exponent's, not the split of the parts
+    assert parse_scalar("1e-3") == Fraction(1, 1000)
+    assert parse_scalar("1e-3i") == G(0, Fraction(1, 1000))
+    assert parse_scalar("2E+1i") == G(0, 20)
+    assert parse_scalar("1-1e-3i") == G(1, Fraction(-1, 1000))
+    assert parse_scalar("1.5e+1-2E-1i") == G(15, Fraction(-1, 5))
     assert format_scalar(Fraction(-5, 7)) == "-5/7"
     assert format_scalar(G(0, 1)) == "i"
     assert format_scalar(parse_scalar("1/2-3/4i")) == "1/2-3/4i"

@@ -35,6 +35,7 @@ from liecomposite.octa import (
     OPPOSITE_PAIRS,
     VERTEX_TABLE,
     VERTICES,
+    So4Extraction,
     _abstract_constants,
     build_octahedron,
     extract_so4,
@@ -296,7 +297,6 @@ def test_extraction_refuses_broken_precondition():
     mats["A"] = mats["A"].add(ZMatrix.identity(4).scale(2))
     ext = extract_so4(FinDimRep(4, mats))
     assert not ext.passed
-    assert ext.lambdas == {} and ext.central_values == {}
     assert len(ext.verdict.items) == 1
     assert ext.verdict.items[0].subject.startswith("precondition")
 
@@ -330,8 +330,6 @@ def test_extraction_reducible_rep_skips_scalar_step():
         i for i in ext.verdict.items if "scalar check" in i.subject
     ]
     assert len(skipped) == 3 and all(i.verdict == "info" for i in skipped)
-    # the candidate scalars are still recorded, and vanish
-    assert all(not x for x in ext.central_values.values())
 
 
 def test_extraction_refuses_a_float_rep():
@@ -342,15 +340,23 @@ def test_extraction_refuses_a_float_rep():
         extract_so4(rep)
 
 
+def extraction_data(ext) -> dict:
+    """What tests/golden/extractions.json records of one extraction."""
+    return {"pass": ext.passed, "details": ext.verdict.to_dict()}
+
+
 def test_extraction_serialization_shape_and_determinism():
     ext = extract_so4(so4_composite_rep(1, 1))
-    data = ext.to_data()
-    assert sorted(data) == ["central_values", "details", "lambdas", "pass"]
+    assert So4Extraction._fields == ("verdict", "precondition")
+    data = extraction_data(ext)
     assert data["pass"] is True
-    assert data["lambdas"] == {v: "0" for v in VERTICES}
-    assert data["central_values"] == {f"{p},{q}": "0" for p, q in OPPOSITE_PAIRS}
+    subjects = [item["subject"] for item in data["details"]["items"]]
+    for p, q in OPPOSITE_PAIRS:
+        assert f"central commutator ({p},{q}) is the scalar 0" in subjects
     text1 = json.dumps(data, indent=2, sort_keys=True)
-    text2 = json.dumps(extract_so4(so4_composite_rep(1, 1)).to_data(), indent=2, sort_keys=True)
+    text2 = json.dumps(
+        extraction_data(extract_so4(so4_composite_rep(1, 1))), indent=2, sort_keys=True
+    )
     assert text1 == text2
 
 
@@ -456,16 +462,16 @@ def test_extraction_of_so4_reps_takes_the_casimir_route(monkeypatch, name):
 @pytest.mark.parametrize("name", ["(2,1)", "adjoint", "(1,1)x(1,1)"])
 def test_extraction_without_a_decomposition_falls_back_to_the_commutant(monkeypatch, name):
     rep = DECOMPOSITIONS[name][0]()
-    casimir = extract_so4(rep).to_data()
+    casimir = extraction_data(extract_so4(rep))
     calls = commutant_spy(monkeypatch)
     monkeypatch.setattr("liecomposite.octa.so4_decomposition", lambda rep: None)
-    assert extract_so4(rep).to_data() == casimir
+    assert extraction_data(extract_so4(rep)) == casimir
     assert calls == [rep]
 
 
 # -- recorded extractions ------------------------------------------------------
 #
-# extract_so4(...).to_data() of conjugated reps, recorded in
+# extraction_data(extract_so4(...)) of conjugated reps, recorded in
 # tests/golden/extractions.json; regenerate after an intended report change
 # with ``PYTHONPATH=src python3 tests/test_octa.py``.
 
@@ -531,7 +537,7 @@ def test_recorded_extractions_cover_every_case():
 @pytest.mark.parametrize("name", sorted(recorded_cases()))
 def test_extraction_matches_recorded_data(name):
     expected = json.loads(EXTRACTIONS.read_text(encoding="utf-8"))[name]
-    assert extract_so4(recorded_cases()[name]).to_data() == expected
+    assert extraction_data(extract_so4(recorded_cases()[name])) == expected
 
 
 # the decompositions of the recorded reps, those of their unconjugated bases
@@ -561,13 +567,13 @@ ROUND_TRIPS = {
 @pytest.mark.parametrize("name", list(ROUND_TRIPS))
 def test_extraction_round_trip(name):
     # so(3) is perfect, so each vertex of a rep that passes the face
-    # relations is a commutator: every shift and central value is 0
+    # relations is a commutator: its trace, the shift extract_so4 does
+    # not apply, is 0
     build, expected = ROUND_TRIPS[name]
     rep = build()
     ext = extract_so4(rep)
     assert ext.passed
-    assert all(not x for x in ext.lambdas.values())
-    assert all(not x for x in ext.central_values.values())
+    assert all(not mat_trace(rep.matrices[v]) for v in VERTICES)
     subjects = [item.subject for item in ext.verdict.items]
     assert any("is central" in s for s in subjects)
     assert any("face (ABC)" in s for s in subjects)
@@ -591,7 +597,7 @@ def test_killing_certificate_passes():
 
 
 def _record_extractions():
-    data = {name: extract_so4(rep).to_data() for name, rep in recorded_cases().items()}
+    data = {name: extraction_data(extract_so4(rep)) for name, rep in recorded_cases().items()}
     with open(EXTRACTIONS, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -18,7 +18,6 @@ from liecomposite.exact import (
 from liecomposite.shiftop import (
     WEIGHT,
     OperatorClass,
-    ShiftComponent,
     ShiftOperator,
     WeightFunction,
 )
@@ -51,7 +50,7 @@ def test_constructor_merges_and_drops():
     assert op((0, N), (0, -N)).is_zero()
     assert LOWER_1.scale(0).is_zero()
     a = op((0, N), (1, 1))
-    assert [c.shift for c in a.components] == [0, 1]
+    assert [d for d, _ in a.components] == [0, 1]
     assert a + ShiftOperator.zero() == a
 
 

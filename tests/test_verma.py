@@ -495,11 +495,13 @@ def test_index_negation_is_the_adjoint_up_to_sign(depth, index_bound):
     assert checked == sum((4 * index_bound + 2) ** (m + 2) for m in range(1, depth + 1))
 
 
-def _closed_items_reference(depth, index_bound, h0):
+def _closed_items_reference(depth, index_bound, h0, literal):
     """Every tuple's operators formed from scratch, in the same pre-order:
-    the traversal before the root-pair antisymmetry was used."""
+    the traversal before the root-pair antisymmetry was used.  Each item
+    is built gated on its defect class, then re-gated on its plain
+    nested-commutator class if literal."""
     letters = verma._letters(index_bound)
-    items, plain = [], []
+    items = []
     nonzero_phi = 0
 
     def visit(tail_letters, acc_op, acc_combo, length):
@@ -510,19 +512,22 @@ def _closed_items_reference(depth, index_bound, h0):
             literal_cls = op_at.classify()
             if acc_combo:
                 nonzero_phi += 1
-            items.append(
-                CheckItem(
-                    subject="(" + ", ".join(str(x) for x in tail_letters) + ")",
-                    verdict=PASS if bracket_cls <= OperatorClass.HILBERT_SCHMIDT else FAIL,
-                    operator_class=bracket_cls.label,
-                    note=(
-                        f"defect class {bracket_cls.label};"
-                        f" plain nested-commutator class {literal_cls.label};"
-                        f" table bracket {verma._combo_str(acc_combo)}"
-                    ),
-                )
+            item = CheckItem(
+                subject="(" + ", ".join(str(x) for x in tail_letters) + ")",
+                verdict=PASS if bracket_cls <= OperatorClass.HILBERT_SCHMIDT else FAIL,
+                operator_class=bracket_cls.label,
+                note=(
+                    f"defect class {bracket_cls.label};"
+                    f" plain nested-commutator class {literal_cls.label};"
+                    f" table bracket {verma._combo_str(acc_combo)}"
+                ),
             )
-            plain.append(literal_cls)
+            if literal:
+                item = item._replace(
+                    verdict=PASS if literal_cls <= OperatorClass.HILBERT_SCHMIDT else FAIL,
+                    operator_class=literal_cls.label,
+                )
+            items.append(item)
         if length == depth + 2:
             return
         for letter in letters:
@@ -534,23 +539,23 @@ def _closed_items_reference(depth, index_bound, h0):
             )
 
     visit((), ShiftOperator.zero(), {}, 0)
-    return tuple(items), tuple(plain), nonzero_phi
+    return items, nonzero_phi
 
 
 @pytest.mark.parametrize("h0", [None, Fraction(1, 2), Fraction(5, 7), Fraction(3)])
 @pytest.mark.parametrize("depth, index_bound", [(1, 2), (2, 1), (1, 3)])
 def test_closed_items_match_the_reference_traversal(depth, index_bound, h0):
-    # the items carry the bracket-mode verdicts and both classes, and
-    # literal mode re-gates them on the plain classes: equal triples give
-    # equal reports in both modes
-    got = verma._closed_items(depth, index_bound, h0)
-    assert got == _closed_items_reference(depth, index_bound, h0)
+    # each item carries both classes and is gated, as it is built, on the
+    # class its mode reads: equal pairs give equal reports in both modes
+    for literal in (False, True):
+        got = verma._closed_items(depth, index_bound, h0, literal)
+        assert got == _closed_items_reference(depth, index_bound, h0, literal), literal
     assert len(got[0]) == sum((4 * index_bound + 2) ** (m + 2) for m in range(1, depth + 1))
 
 
 def _count_closed_routes(monkeypatch, depth, index_bound):
     """The operator commutators and last-level classifications of one
-    cold _closed_items traversal at the formal weight."""
+    _closed_items traversal at the formal weight."""
     calls = {"commutator": 0, "commutator_classes": 0}
     for name in calls:
         original = getattr(ShiftOperator, name)
@@ -560,8 +565,7 @@ def _count_closed_routes(monkeypatch, depth, index_bound):
             return original(*args)
 
         monkeypatch.setattr(ShiftOperator, name, counted)
-    verma._closed_items.cache_clear()
-    verma._closed_items(depth, index_bound, None)
+    verma._closed_items(depth, index_bound, None, False)
     return calls
 
 
