@@ -166,12 +166,17 @@ class SubspaceAlgebra:
 
     def _check_jacobi(self):
         """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] = 0:
-        row (i * dim + j) * dim + k of nested holds [[b_i, b_j], b_k]."""
+        row (i * dim + j) * dim + k of nested holds [[b_i, b_j], b_k], and
+        one product sums the three rows of every triple i < j < k."""
         d = self.dim
         nested = self.bracket_matrix.kron(ZMatrix.identity(d)) @ self.bracket_matrix
-        for i, j, k in combinations(range(d), 3):
-            cyclic = {(a * d + b) * d + c: (1, 0) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))}
-            if ZMatrix(1, [cyclic], d**3) @ nested:
+        triples = list(combinations(range(d), 3))
+        cyclic = [
+            {(a * d + b) * d + c: (1, 0) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))}
+            for i, j, k in triples
+        ]
+        for (i, j, k), row in zip(triples, (ZMatrix(1, cyclic, d**3) @ nested).rows):
+            if row:
                 raise MalformedInputError(f"subspace {self.name}: Jacobi fails at ({i},{j},{k})")
 
     @property
@@ -273,7 +278,8 @@ class FinDimRep:
 
     def ambient_matrix(self, vector, basis_names) -> ZMatrix:
         """Matrix of T applied to an ambient coordinate vector, summed over
-        the nonzero coefficients."""
+        the nonzero coefficients; a lone coefficient 1 gives the rep's own
+        matrix, which callers must not mutate."""
         if len(vector) != len(basis_names):
             raise DimensionMismatchError("coordinate vector has the wrong length")
         matrices = [self.matrix(name) for name in basis_names]
@@ -282,10 +288,10 @@ class FinDimRep:
                 "a representation with float entries does not mix with"
                 " Gaussian-rational basis vectors or structure constants"
             )
-        total = ZMatrix(1, [{} for _ in range(self.space_dim)], self.space_dim)
-        for coeff, matrix in zip(vector, matrices):
-            if coeff:
-                total = total.add(matrix.scale(coeff))
+        terms = [m if c == 1 else m.scale(c) for c, m in zip(vector, matrices) if c]
+        total, *rest = terms or [ZMatrix(1, [{} for _ in range(self.space_dim)], self.space_dim)]
+        for term in rest:
+            total = total.add(term)
         return total
 
 

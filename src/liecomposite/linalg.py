@@ -118,12 +118,11 @@ class ZMatrix:
 
     @classmethod
     def from_rows(cls, a):
-        entries = [[_gauss(x) for x in row] for row in a]
-        den = lcm(*(d for row in entries for _, _, d in row))
-        rows = [
-            {j: (r * (den // d), i * (den // d)) for j, (r, i, d) in enumerate(row) if r or i}
-            for row in entries
-        ]
+        """Rows of exact scalars; only the nonzero entries are converted,
+        since a zero's denominator 1 leaves the least denominator as it is."""
+        entries = [{j: _gauss(x) for j, x in enumerate(row) if x} for row in a]
+        den = lcm(*(d for row in entries for _, _, d in row.values()))
+        rows = [{j: (r * (den // d), i * (den // d)) for j, (r, i, d) in row.items()} for row in entries]
         return cls(den, rows, len(a[0]) if a else 0)
 
     @classmethod

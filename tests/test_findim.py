@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +148,41 @@ def test_subspace_rejects_jacobi_violation():
         SubspaceAlgebra("s", eye_rows(3, [0, 1, 2]), c)
 
 
+def jacobi_failures(c):
+    """The triples i < j < k, in combinations order, whose cyclic sum of
+    nested brackets from the constants c[k][i][j] is nonzero."""
+    d = len(c)
+
+    def bracket(x, y):
+        return [sum(c[k][i][j] * x[i] * y[j] for i in range(d) for j in range(d)) for k in range(d)]
+
+    e = [[F1 if a == b else F0 for b in range(d)] for a in range(d)]
+    return [
+        (i, j, k)
+        for i, j, k in combinations(range(d), 3)
+        if any(
+            sum(parts)
+            for parts in zip(
+                bracket(bracket(e[i], e[j]), e[k]),
+                bracket(bracket(e[j], e[k]), e[i]),
+                bracket(bracket(e[k], e[i]), e[j]),
+            )
+        )
+    ]
+
+
+def test_jacobi_error_names_the_first_failing_triple():
+    # [e0,e1] = e0, [e1,e3] = e1, [e3,e2] = e3, [e2,e1] = e2 breaks Jacobi
+    # at (0,1,3) and (1,2,3) only
+    c = abelian_constants(4)
+    for k, i, j in [(0, 0, 1), (1, 1, 3), (3, 3, 2), (2, 2, 1)]:
+        c[k][i][j] = F1
+        c[k][j][i] = -F1
+    assert jacobi_failures(c) == [(0, 1, 3), (1, 2, 3)]
+    with pytest.raises(MalformedInputError, match=r"^subspace s: Jacobi fails at \(0,1,3\)$"):
+        SubspaceAlgebra("s", eye_rows(4, [0, 1, 2, 3]), c)
+
+
 def test_composite_validation():
     sub = SubspaceAlgebra("s", eye_rows(3, [0, 1]), abelian_constants(2))
     with pytest.raises(MalformedInputError):
@@ -178,6 +214,40 @@ def test_rep_refuses_floats_mixed_with_gaussian_entries():
             FinDimRep(2, mats)
     # floats mixed with Fractions stay a float representation
     assert not FinDimRep(2, {"x": [[0.0, half], [-half, 0.0]]}).is_exact
+
+
+def zero_start_ambient_matrix(rep, vector, names):
+    """T(vector) as the sum of every nonzero coefficient's scaled matrix
+    into a zero matrix."""
+    total = ZMatrix(1, [{} for _ in range(rep.space_dim)], rep.space_dim)
+    for coeff, name in zip(vector, names):
+        if coeff:
+            total = total.add(rep.matrices[name].scale(coeff))
+    return total
+
+
+_fraction = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 7]))
+_coefficient = st.one_of(
+    st.sampled_from([0, 1, -1, F0, F1, -F1, G(0), G(1), G(-1)]),
+    _fraction,
+    st.builds(G, _fraction, _fraction),
+)
+_REPS = [so4_composite_rep(0, 0), so4_composite_rep(1, 0), so4_composite_rep(2, 1)]
+
+
+@given(st.sampled_from(_REPS), st.lists(_coefficient, min_size=6, max_size=6))
+def test_ambient_matrix_equals_the_zero_start_sum(rep, vector):
+    got = rep.ambient_matrix(vector, VERTICES)
+    want = zero_start_ambient_matrix(rep, vector, VERTICES)
+    assert (got.den, got.rows, got.ncols) == (want.den, want.rows, want.ncols)
+
+
+def test_float_rep_refuses_a_gaussian_coefficient():
+    rep = FinDimRep(2, {"x": [[0.0, 0.5], [-0.5, 0.0]], "y": [[1.0, 0.0], [0.0, -1.0]]})
+    for vector in ([G(0, 1), F0], [F1, G(1)], [G(0), F1]):
+        with pytest.raises(MalformedInputError, match="float entries does not mix"):
+            rep.ambient_matrix(vector, ["x", "y"])
+    assert rep.ambient_matrix([F1, F0], ["x", "y"]) is rep.matrices["x"]
 
 
 # -- intersections and axioms ------------------------------------------------

@@ -4,12 +4,14 @@ matrix type ZMatrix against naive list arithmetic."""
 
 import random
 from fractions import Fraction as Fr
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
 from liecomposite.linalg import (
     GaussianRational as G,
     ZMatrix,
+    _gauss,
     column_space_intersection,
     column_span_contains,
     independent_columns,
@@ -240,6 +242,31 @@ def test_zmatrix_agrees_with_naive_list_arithmetic(pair_of_matrices):
     assert rank(a) == ref_rank(pa)
     assert rank(za.rows) == ref_rank(pa)
     assert rank([za.flat(), zb.flat()]) == ref_rank([[x for row in m for x in row] for m in (pa, pb)])
+
+
+def every_entry_from_rows(a):
+    """(den, rows) of ZMatrix.from_rows by converting every entry, zeros
+    included: the least denominator over all of them."""
+    entries = [[_gauss(x) for x in row] for row in a]
+    den = lcm(*(d for row in entries for _, _, d in row))
+    return den, [
+        {j: (r * (den // d), i * (den // d)) for j, (r, i, d) in enumerate(row) if r or i}
+        for row in entries
+    ]
+
+
+_zero_or_entry = st.one_of(st.sampled_from([0, Fr(0), G(0)]), st.integers(-3, 3), _entry)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(_zero_or_entry, min_size=n, max_size=n), max_size=4)
+    )
+)
+def test_from_rows_skips_zeros_without_changing_the_matrix(a):
+    z = ZMatrix.from_rows(a)
+    assert (z.den, z.rows) == every_entry_from_rows(a)
+    assert z.ncols == (len(a[0]) if a else 0)
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import json
 import random
+from copy import deepcopy
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -274,8 +275,8 @@ def test_extraction_zero_rep_degenerate_pass():
 
 def test_extraction_forms_each_commutator_once(monkeypatch):
     # the precondition forms the twelve face commutators inside findim; the
-    # extraction forms the three opposite-pair commutators K and the 18
-    # [K, T(V)], and no difference
+    # extraction forms the three opposite-pair commutators K, which are zero
+    # here, so no [K, T(V)], and no difference
     calls = []
     for name, real in (
         ("mat_commutator", mat_commutator),
@@ -287,8 +288,13 @@ def test_extraction_forms_each_commutator_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(f"liecomposite.octa.{name}", spy, raising=False)
-    assert extract_so4(so4_composite_rep(2, 1)).passed
-    assert sorted(calls) == ["check_representation"] + ["mat_commutator"] * 21
+    rep = so4_composite_rep(2, 1)
+    before = {name: (m.den, deepcopy(m.rows)) for name, m in rep.matrices.items()}
+    assert check_representation(build_octahedron(), rep).passed
+    assert extract_so4(rep).passed
+    assert sorted(calls) == ["check_representation"] + ["mat_commutator"] * 3
+    # ambient_matrix hands out the rep's own matrices for unit coefficients
+    assert {name: (m.den, m.rows) for name, m in rep.matrices.items()} == before
 
 
 def test_extraction_refuses_broken_precondition():
