@@ -104,6 +104,10 @@ CASES = {
     "tail-equivalence-cubic": [
         "tail-equivalence", "(n^3+2*n+1)/(n^4+3*n^2+5)", "1/(n+1)",
     ],
+    # a repeated factor: cancelling (n+1)^5 takes the galloping exact division
+    "tail-equivalence-repeated-factor": [
+        "tail-equivalence", "(n+1)^6/(n+1)^5", "n+1",
+    ],
 }
 
 
