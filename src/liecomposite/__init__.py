@@ -28,8 +28,6 @@ from .findim import (
     check_representation,
     load_composite,
     load_rep,
-    save_composite,
-    save_rep,
 )
 from .octa import (
     So4Extraction,
@@ -104,8 +102,6 @@ __all__ = [
     "parse",
     "qhn_const",
     "represent",
-    "save_composite",
-    "save_rep",
     "so3_irrep",
     "so4_composite_rep",
     "tail_equivalence_report",

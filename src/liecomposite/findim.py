@@ -233,9 +233,9 @@ class FinDimRep:
     A matrix is given as rows of scalars or as a ZMatrix; matrices holds
     it as a ZMatrix over its least denominator, a float entry read as the
     binary rational it stands for.  is_exact says that no entry was a
-    float."""
+    float; exact=False marks every ZMatrix given as formed from floats."""
 
-    def __init__(self, space_dim: int, matrices):
+    def __init__(self, space_dim: int, matrices, *, exact: bool = True):
         self.space_dim = _integer(space_dim, "space_dim")
         if self.space_dim < 1:
             raise MalformedInputError("representation space must be nonzero")
@@ -244,6 +244,8 @@ class FinDimRep:
             name = str(name)
             if isinstance(matrix, ZMatrix):
                 shape, matrix = [matrix.ncols] * len(matrix.rows), matrix.reduced()
+                if not exact:
+                    floated.append(name)
             else:
                 rows = [
                     _coerce_vector(row, f"matrix row of {name}")
@@ -458,16 +460,16 @@ def check_representation(
 
 def tensor_product(rep1: FinDimRep, rep2: FinDimRep) -> FinDimRep:
     """Tensor of two representations of the same composite:
-    x maps to T1(x) (x) 1 + 1 (x) T2(x).  It is exact when both are."""
+    x maps to T1(x) (x) 1 + 1 (x) T2(x).  It is exact when both are, and
+    a float factor does not mix with Gaussian-rational entries."""
     if set(rep1.matrices) != set(rep2.matrices):
         raise DomainError("representations are keyed by different basis names")
     eye1, eye2 = ZMatrix.identity(rep1.space_dim), ZMatrix.identity(rep2.space_dim)
     matrices = {
         name: m.kron(eye2).add(eye1.kron(rep2.matrices[name])) for name, m in rep1.matrices.items()
     }
-    product = FinDimRep(rep1.space_dim * rep2.space_dim, matrices)
-    product.is_exact = rep1.is_exact and rep2.is_exact
-    return product
+    exact = rep1.is_exact and rep2.is_exact
+    return FinDimRep(rep1.space_dim * rep2.space_dim, matrices, exact=exact)
 
 
 # The modulus of the commutant certificate: p = 1 (mod 4), so F_p holds
@@ -572,34 +574,7 @@ def commutant_dimension(rep: FinDimRep) -> int:
     return rep.space_dim**2 - rank(_commutant_rows(matrices))
 
 
-def is_irreducible(rep: FinDimRep) -> bool:
-    """Schur test: commutant dimension exactly 1; a float representation
-    raises DomainError.  For an irreducible exact representation whose
-    e_0 is cyclic mod p, commutant_dimension proves this with one rank
-    computation mod p in m unknowns.  Over non-closed scalars this is
-    evidence, not proof."""
-    return commutant_dimension(rep) == 1
-
-
-# -- serialization -----------------------------------------------------
-
-
-def composite_to_data(composite: FinDimComposite) -> dict:
-    return {
-        "dimension": composite.dimension,
-        "basis_names": list(composite.basis_names),
-        "subspaces": [
-            {
-                "name": s.name,
-                "basis": [[format_scalar(x) for x in row] for row in s.basis],
-                "structure_constants": [
-                    [[format_scalar(x) for x in row] for row in plane]
-                    for plane in s.structure_constants
-                ],
-            }
-            for s in composite.subspaces
-        ],
-    }
+# -- reading files -----------------------------------------------------
 
 
 def composite_from_data(data) -> FinDimComposite:
@@ -614,18 +589,6 @@ def composite_from_data(data) -> FinDimComposite:
     except (KeyError, TypeError, IndexError) as exc:
         raise MalformedInputError(f"bad composite data: {exc!r}") from None
     return FinDimComposite(dimension, basis_names, subs)
-
-
-def rep_to_data(rep: FinDimRep) -> dict:
-    if not rep.is_exact:
-        raise MalformedInputError("refusing to serialize float entries exactly")
-    return {
-        "space_dim": rep.space_dim,
-        "matrices": {
-            name: [[format_scalar(x) for x in row] for row in matrix.to_rows()]
-            for name, matrix in rep.matrices.items()
-        },
-    }
 
 
 def rep_from_data(data) -> FinDimRep:
@@ -646,23 +609,9 @@ def _load_json(path: str):
         raise MalformedInputError(f"cannot read {path}: {exc}") from None
 
 
-def _dump_json(data, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_composite(path: str) -> FinDimComposite:
     return composite_from_data(_load_json(path))
 
 
-def save_composite(composite: FinDimComposite, path: str):
-    _dump_json(composite_to_data(composite), path)
-
-
 def load_rep(path: str) -> FinDimRep:
     return rep_from_data(_load_json(path))
-
-
-def save_rep(rep: FinDimRep, path: str):
-    _dump_json(rep_to_data(rep), path)

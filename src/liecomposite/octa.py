@@ -33,6 +33,7 @@ from .findim import (
     SubspaceAlgebra,
     check_representation,
     commutant_dimension,
+    tensor_product,
 )
 from .linalg import (
     ZMatrix,
@@ -107,14 +108,13 @@ VERTEX_TABLE = {
 
 def so4_composite_rep(two_j1: int, two_j2: int) -> FinDimRep:
     """Composite representation on the tensor product of two so(3)
-    irreducibles, using the fixed vertex table."""
+    irreducibles: the tensor product of the composite representations
+    pulled back from so(3) along the two ideals by the fixed vertex table."""
     t1, t2 = so3_irrep(two_j1), so3_irrep(two_j2)
-    eye1, eye2 = ZMatrix.identity(two_j1 + 1), ZMatrix.identity(two_j2 + 1)
-    matrices = {
-        vertex: t1[i1].kron(eye2).add(eye1.kron(t2[i2]), s1 * s2).scale(s1)
-        for vertex, (s1, i1, s2, i2) in VERTEX_TABLE.items()
-    }
-    return FinDimRep((two_j1 + 1) * (two_j2 + 1), matrices)
+    table = VERTEX_TABLE.items()
+    first = FinDimRep(two_j1 + 1, {v: t1[i].scale(s) for v, (s, i, _, _) in table})
+    second = FinDimRep(two_j2 + 1, {v: t2[i].scale(s) for v, (_, _, s, i) in table})
+    return tensor_product(first, second)
 
 
 # -- the extraction ---------------------------------------------------------
@@ -123,10 +123,6 @@ def so4_composite_rep(two_j1: int, two_j2: int) -> FinDimRep:
 class So4Extraction(NamedTuple):
     verdict: CheckReport
     precondition: CheckReport  # check_representation on the octahedron
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict.passed
 
 
 def _vanishing_item(subject, matrices) -> CheckItem:

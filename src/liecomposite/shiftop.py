@@ -184,10 +184,6 @@ class ShiftOperator:
         return cls(())
 
     @classmethod
-    def identity(cls) -> "ShiftOperator":
-        return cls(((0, 1),))
-
-    @classmethod
     def single(cls, shift: int, coeff) -> "ShiftOperator":
         return cls(((shift, coeff),))
 

@@ -144,7 +144,7 @@ def test_criterion_6_octahedron_pipeline():
         ok = ok and rep_report.passed
         ok = ok and dict(rep_report.parameters)["arithmetic"] == "exact"
         ext = extract_so4(rep)
-        ok = ok and ext.passed
+        ok = ok and ext.verdict.passed
         subjects = [item.subject for item in ext.verdict.items if item.verdict == "pass"]
         ok = ok and sum("is central" in s for s in subjects) == 3
         ok = ok and sum("central commutator" in s for s in subjects) == 3
@@ -215,7 +215,7 @@ def _random_op(rng: random.Random) -> ShiftOperator:
                 c = c * (N - t)
         comps.append((d, c))
     a = ShiftOperator(comps)
-    return a if a else ShiftOperator.identity()
+    return a if a else ShiftOperator.single(0, 1)
 
 
 def _apply_twice(outer: ShiftOperator, inner: ShiftOperator, n: int):

@@ -12,9 +12,14 @@ from hypothesis import strategies as st
 from liecomposite import cli
 from liecomposite.cli import RunConfig, _config_from_args, build_parser, main, run
 from liecomposite.errors import DomainError
-from liecomposite.findim import FinDimRep, rep_to_data, save_composite, save_rep
-from liecomposite.octa import VERTICES, build_octahedron, so4_composite_rep
+from liecomposite.findim import format_scalar
+from liecomposite.octa import VERTICES, so4_composite_rep
 from liecomposite.report import CheckItem, CheckReport
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+OCTA = str(GOLDEN / "octa.json")
+ZERO_REP = {"space_dim": 1, "matrices": {v: [["0"]] for v in VERTICES}}
 
 
 def invoke(capsys, *argv):
@@ -58,13 +63,9 @@ def test_witt_verify_zero_index_is_usage_error(capsys):
 
 
 def test_composite_check_with_zero_rep(tmp_path, capsys):
-    cpath = tmp_path / "octa.json"
     rpath = tmp_path / "zero.json"
-    save_composite(build_octahedron(), cpath)
-    save_rep(FinDimRep(1, {v: [[Fraction(0)]] for v in VERTICES}), rpath)
-    code, out, err = invoke(
-        capsys, "composite-check", str(cpath), "--rep", str(rpath)
-    )
+    rpath.write_text(json.dumps(ZERO_REP), encoding="utf-8")
+    code, out, err = invoke(capsys, "composite-check", OCTA, "--rep", str(rpath))
     assert code == 0
     assert "result: PASS" in out
 
@@ -73,16 +74,13 @@ def test_composite_check_with_zero_rep(tmp_path, capsys):
 
 
 def test_broken_rep_exits_one(tmp_path, capsys):
-    cpath = tmp_path / "octa.json"
     rpath = tmp_path / "broken.json"
-    save_composite(build_octahedron(), cpath)
-    rep = so4_composite_rep(1, 1)
-    mats = {v: rep.matrix(v).to_rows() for v in VERTICES}
-    mats["A"] = [[2 * x for x in row] for row in mats["A"]]
-    save_rep(FinDimRep(4, mats), rpath)
+    data = json.loads((GOLDEN / "so4_1_1.json").read_text(encoding="utf-8"))
+    doubled = so4_composite_rep(1, 1).matrix("A").scale(2).to_rows()
+    data["matrices"]["A"] = [[format_scalar(x) for x in row] for row in doubled]
+    rpath.write_text(json.dumps(data), encoding="utf-8")
     code, out, err = invoke(
-        capsys,
-        "composite-check", str(cpath), "--rep", str(rpath), "--format", "json",
+        capsys, "composite-check", OCTA, "--rep", str(rpath), "--format", "json"
     )
     assert code == 1
     payload = json.loads(out)
@@ -126,13 +124,11 @@ def test_missing_file_exits_two(tmp_path, capsys):
 
 
 def test_float_entries_among_gaussian_matrices_exit_two(tmp_path, capsys):
-    cpath = tmp_path / "octa.json"
     rpath = tmp_path / "mixed.json"
-    save_composite(build_octahedron(), cpath)
-    data = rep_to_data(so4_composite_rep(1, 0))
+    data = {"space_dim": 2, "matrices": {v: [["1/2i", "0"], ["0", "-1/2i"]] for v in VERTICES}}
     data["matrices"]["A"] = [[0.0, "1/2"], ["-1/2", "0"]]
     rpath.write_text(json.dumps(data), encoding="utf-8")
-    code, out, err = invoke(capsys, "composite-check", str(cpath), "--rep", str(rpath))
+    code, out, err = invoke(capsys, "composite-check", OCTA, "--rep", str(rpath))
     assert code == 2
     assert err.startswith("error: matrix for A has float entries")
     assert "Traceback" not in err
@@ -218,12 +214,10 @@ def test_non_finite_float_entry_exits_two(tmp_path, capsys, literal):
 
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
 def test_tolerance_that_decides_nothing_exits_two(tmp_path, capsys, tolerance):
-    cpath = tmp_path / "octa.json"
     rpath = tmp_path / "zero.json"
-    save_composite(build_octahedron(), cpath)
-    save_rep(FinDimRep(1, {v: [[Fraction(0)]] for v in VERTICES}), rpath)
+    rpath.write_text(json.dumps(ZERO_REP), encoding="utf-8")
     code, out, err = invoke(
-        capsys, "composite-check", str(cpath), "--rep", str(rpath), "--tolerance", tolerance
+        capsys, "composite-check", OCTA, "--rep", str(rpath), "--tolerance", tolerance
     )
     assert code == 2
     assert err.startswith("error: tolerance must be finite and >= 0")

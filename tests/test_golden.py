@@ -3,7 +3,9 @@
 Each case runs the CLI at a small point from the repository root (so the
 composite-check params carry a fixed relative path) and compares stdout
 with the files under tests/golden/.  Regenerate after an intended report
-change with ``PYTHONPATH=src python3 tests/test_golden.py``.
+change with ``PYTHONPATH=src python3 tests/test_golden.py``; it rewrites the
+reports and the float and broken copies of so4_1_1.json, and leaves the
+committed inputs octa.json and so4_1_1.json as they are.
 """
 
 import contextlib
@@ -221,40 +223,34 @@ def test_cold_and_warm_kernel_caches_give_the_golden_bytes(name):
     assert sum(getattr(exact, k).cache_info().hits for k in KERNELS) > hits
 
 
-def _derived_reps(rep):
-    """The float and the broken copies of so4_1_1, as JSON data."""
+def _derived_reps():
+    """The float and the broken copies of so4_1_1.json, as JSON data."""
     import random
 
-    from liecomposite.findim import rep_to_data
+    from liecomposite.findim import rep_from_data
     from liecomposite.linalg import GaussianRational as G, ZMatrix
 
+    data = json.loads((GOLDEN / "so4_1_1.json").read_text(encoding="utf-8"))
     s = [[G.parse(x) for x in row] for row in REAL_BASIS]
     # the columns of S are orthogonal with squared norm 2: S^-1 = S^H / 2
     s_inv = [[G(s[j][i].re / 2, -s[j][i].im / 2) for j in range(4)] for i in range(4)]
     s, s_inv = ZMatrix.from_rows(s), ZMatrix.from_rows(s_inv)
     rng = random.Random(6)
     floats = {"space_dim": 4, "matrices": {}}
-    for name, t in rep.matrices.items():
+    for name, t in rep_from_data(data).matrices.items():
         real = (s_inv @ t @ s).to_rows()
         assert not any(isinstance(x, G) for row in real for x in row)
         floats["matrices"][name] = [
             [float(x) + rng.uniform(-1e-12, 1e-12) for x in row] for row in real
         ]
-    broken = rep_to_data(rep)
-    broken["matrices"]["A"][0][1] = "1/3"  # 1/2 in the exact rep
-    return floats, broken
+    data["matrices"]["A"][0][1] = "1/3"  # 1/2 in the exact rep
+    return floats, data
 
 
 def _regenerate():
-    import json
-
-    from liecomposite.findim import save_composite, save_rep
-    from liecomposite.octa import build_octahedron, so4_composite_rep
-
-    GOLDEN.mkdir(exist_ok=True)
-    save_composite(build_octahedron(), str(GOLDEN / "octa.json"))
-    save_rep(so4_composite_rep(1, 1), str(GOLDEN / "so4_1_1.json"))
-    for suffix, data in zip(("float", "broken"), _derived_reps(so4_composite_rep(1, 1))):
+    """Write the derived reps and every report; octa.json and so4_1_1.json
+    are committed inputs, which test_octa checks against the library."""
+    for suffix, data in zip(("float", "broken"), _derived_reps()):
         with open(GOLDEN / f"so4_1_1_{suffix}.json", "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")

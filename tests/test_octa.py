@@ -20,6 +20,8 @@ from liecomposite.findim import (
     check_representation,
     commutant_dimension,
     intersect_subspaces,
+    load_composite,
+    load_rep,
     tensor_product,
 )
 from liecomposite.linalg import (
@@ -254,6 +256,44 @@ def test_composite_rep_opposite_pairs_commute(two_j1, two_j2):
         assert not mat_commutator(rep.matrices[p], rep.matrices[q])
 
 
+def _pulled_back(two_j: int, ideal: int) -> FinDimRep:
+    """so(3)'s irreducible of size two_j + 1 as a composite rep, pulled back
+    along the first (0) or second (1) ideal by VERTEX_TABLE."""
+    t = so3_irrep(two_j)
+    return FinDimRep(
+        two_j + 1,
+        {v: t[row[2 * ideal + 1]].scale(row[2 * ideal]) for v, row in VERTEX_TABLE.items()},
+    )
+
+
+@pytest.mark.parametrize("two_j", range(5))
+def test_pulled_back_factors_and_their_product_are_representations(two_j):
+    octa = build_octahedron()
+    first, second = _pulled_back(two_j, 0), _pulled_back(4 - two_j, 1)
+    product = tensor_product(first, second)
+    for rep in (first, _pulled_back(two_j, 1), product):
+        assert check_representation(octa, rep).passed
+    rep = so4_composite_rep(two_j, 4 - two_j)
+    assert {v: (m.den, m.rows) for v, m in product.matrices.items()} == {
+        v: (m.den, m.rows) for v, m in rep.matrices.items()
+    }
+
+
+def test_golden_inputs_are_the_octahedron_and_so4_1_1():
+    # composite-check's golden cases read these two files
+    golden = Path(__file__).resolve().parent / "golden"
+    octa, stored = build_octahedron(), load_composite(str(golden / "octa.json"))
+    assert stored.basis_names == octa.basis_names
+    assert [(s.name, s.basis, s.structure_constants) for s in stored.subspaces] == [
+        (s.name, s.basis, s.structure_constants) for s in octa.subspaces
+    ]
+    rep, stored = so4_composite_rep(1, 1), load_rep(str(golden / "so4_1_1.json"))
+    assert (stored.space_dim, stored.is_exact) == (rep.space_dim, True)
+    assert {v: (m.den, m.rows) for v, m in stored.matrices.items()} == {
+        v: (m.den, m.rows) for v, m in rep.matrices.items()
+    }
+
+
 # -- extraction -------------------------------------------------------------
 
 
@@ -268,7 +308,7 @@ def test_extraction_zero_rep_degenerate_pass():
     # a matrix under a name beyond the six vertices takes no part
     for mats in (zero, {**zero, "G": [[Fraction(1)]]}):
         ext = extract_so4(FinDimRep(1, mats))
-        assert ext.passed
+        assert ext.verdict.passed
         notes = [item.note for item in ext.verdict.items if item.note]
         assert any("degenerate zero representation" in n for n in notes)
 
@@ -291,7 +331,7 @@ def test_extraction_forms_each_commutator_once(monkeypatch):
     rep = so4_composite_rep(2, 1)
     before = {name: (m.den, deepcopy(m.rows)) for name, m in rep.matrices.items()}
     assert check_representation(build_octahedron(), rep).passed
-    assert extract_so4(rep).passed
+    assert extract_so4(rep).verdict.passed
     assert sorted(calls) == ["check_representation"] + ["mat_commutator"] * 3
     # ambient_matrix hands out the rep's own matrices for unit coefficients
     assert {name: (m.den, m.rows) for name, m in rep.matrices.items()} == before
@@ -302,7 +342,7 @@ def test_extraction_refuses_broken_precondition():
     mats = dict(rep.matrices)
     mats["A"] = mats["A"].add(ZMatrix.identity(4).scale(2))
     ext = extract_so4(FinDimRep(4, mats))
-    assert not ext.passed
+    assert not ext.verdict.passed
     assert len(ext.verdict.items) == 1
     assert ext.verdict.items[0].subject.startswith("precondition")
 
@@ -330,7 +370,7 @@ def adjoint_rep(as_float=False):
 
 def test_extraction_reducible_rep_skips_scalar_step():
     ext = extract_so4(adjoint_rep())
-    assert ext.passed
+    assert ext.verdict.passed
     assert commutant_dimension(adjoint_rep()) == 2
     skipped = [
         i for i in ext.verdict.items if "scalar check" in i.subject
@@ -348,7 +388,7 @@ def test_extraction_refuses_a_float_rep():
 
 def extraction_data(ext) -> dict:
     """What tests/golden/extractions.json records of one extraction."""
-    return {"pass": ext.passed, "details": ext.verdict.to_dict()}
+    return {"pass": ext.verdict.passed, "details": ext.verdict.to_dict()}
 
 
 def test_extraction_serialization_shape_and_determinism():
@@ -409,7 +449,7 @@ def test_so4_decomposition_multiplicities(name):
     build, expected = DECOMPOSITIONS[name]
     rep = build()
     ext = extract_so4(rep)
-    assert ext.passed
+    assert ext.verdict.passed
     assert so4_decomposition(rep) == expected
     assert rep.space_dim == _dimension(expected)
 
@@ -461,7 +501,7 @@ def commutant_spy(monkeypatch):
 @pytest.mark.parametrize("name", ["(2,1)", "adjoint", "(2,1)x(1,1)"])
 def test_extraction_of_so4_reps_takes_the_casimir_route(monkeypatch, name):
     calls = commutant_spy(monkeypatch)
-    assert extract_so4(DECOMPOSITIONS[name][0]()).passed
+    assert extract_so4(DECOMPOSITIONS[name][0]()).verdict.passed
     assert calls == []
 
 
@@ -578,7 +618,7 @@ def test_extraction_round_trip(name):
     build, expected = ROUND_TRIPS[name]
     rep = build()
     ext = extract_so4(rep)
-    assert ext.passed
+    assert ext.verdict.passed
     assert all(not mat_trace(rep.matrices[v]) for v in VERTICES)
     subjects = [item.subject for item in ext.verdict.items]
     assert any("is central" in s for s in subjects)

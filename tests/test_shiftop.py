@@ -110,7 +110,7 @@ def test_compose_lower2_raise2_frozen():
 
 
 def test_commutator_basics():
-    assert op((-1, N)).commutator(op((1, 1))) == ShiftOperator.identity()
+    assert op((-1, N)).commutator(op((1, 1))) == ShiftOperator.single(0, 1)
     assert LOWER_1.commutator(RAISE_1) == op((0, 2 * N + 2 * H))
     assert LOWER_1.commutator(RAISE_1) == DIAG_0.scale(2)
     assert DIAG_0.commutator(DIAG_0).is_zero()
@@ -180,7 +180,7 @@ def test_adjoint_respects_inner_product_exactly():
 
 
 def test_classify_examples():
-    assert ShiftOperator.identity().classify() is OperatorClass.BOUNDED
+    assert ShiftOperator.single(0, 1).classify() is OperatorClass.BOUNDED
     assert op((0, 1 / (N + 1) ** 2)).classify() is OperatorClass.TRACE_CLASS
     assert LOWER_1.classify() is OperatorClass.UNBOUNDED
     assert ShiftOperator.zero().classify() is OperatorClass.ZERO
@@ -238,7 +238,7 @@ def test_hs_partial_sums_frozen():
     assert z == [0.0] * 6
     s = op((0, 1 / (N + 1))).hs_partial_sums(3, Fraction(1, 2))
     assert s[3] == pytest.approx(1 + 1 / 4 + 1 / 9 + 1 / 16, rel=1e-12)
-    ident = ShiftOperator.identity().hs_partial_sums(4, Fraction(1, 2))
+    ident = ShiftOperator.single(0, 1).hs_partial_sums(4, Fraction(1, 2))
     assert ident == [1.0, 2.0, 3.0, 4.0, 5.0]
     assert all(b >= a for a, b in zip(s, s[1:]))
 
@@ -251,7 +251,7 @@ def test_classify_matches_partial_sum_behavior():
         (op((1, 1 / (N + 1) ** 3)), OperatorClass.TRACE_CLASS, True),
         (op((1, 1 / (N + 1) ** 2)), OperatorClass.HILBERT_SCHMIDT, True),
         (op((2, 1 / (N + 2 * H) ** 3)), OperatorClass.HILBERT_SCHMIDT, True),
-        (ShiftOperator.identity(), OperatorClass.BOUNDED, False),
+        (ShiftOperator.single(0, 1), OperatorClass.BOUNDED, False),
         (op((1, 1 / (N + 1))), OperatorClass.BOUNDED, False),
         (LOWER_1, OperatorClass.UNBOUNDED, False),
     ]
@@ -297,7 +297,7 @@ def _random_op(rng: random.Random) -> ShiftOperator:
                 c = c * (N - t)
         comps.append((d, c))
     a = ShiftOperator(comps)
-    return a if a else ShiftOperator.identity()
+    return a if a else ShiftOperator.single(0, 1)
 
 
 def _apply_twice(outer: ShiftOperator, inner: ShiftOperator, n: int):

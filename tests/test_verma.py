@@ -64,7 +64,7 @@ def test_e_family_frozen():
 
 
 def test_f_family_frozen():
-    assert op_F(0) == ShiftOperator.identity()
+    assert op_F(0) == ShiftOperator.single(0, 1)
     assert op_F(1) == single(-1, N)
     assert op_F(2) == single(-2, N * (N - 1))
     assert op_F(-1) == single(1, ONE / (N + 2 * H))
@@ -302,7 +302,7 @@ def test_word_coefficients_match_composed_products():
     letters = verma._letters(1)
     walked = []
     for word, total, acc in verma._word_coefficients(3, 1):
-        composed = ShiftOperator.identity()
+        composed = ShiftOperator.single(0, 1)
         for x in word:
             composed = composed @ represent(x)
         assert composed == single(-total, acc.shift_arg(-total))
