@@ -85,7 +85,9 @@ def definitions() -> dict:
             if isinstance(node, ast.ClassDef):
                 scope = [(child, f"{node.name}.") for child in node.body]
             for fn, prefix in scope:
-                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__"):
+                if not isinstance(fn, ast.FunctionDef) or (
+                    fn.name.startswith("__") and fn.name.endswith("__")
+                ):
                     continue
                 first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
                 found[(path.name, first)] = f"{path.stem}.{prefix}{fn.name}"
