@@ -67,6 +67,12 @@ CASES = {
     "witt-closed-1-2-w5_7": [
         "witt-closed", "--depth", "1", "--index-bound", "2", "--weight", "5/7",
     ],
+    # a half-integer weight, where the n + 2h + j denominators meet n + j
+    # numerator factors: a factor left uncancelled in a band could change
+    # a specialized class here
+    "witt-closed-1-2-w3_2": [
+        "witt-closed", "--depth", "1", "--index-bound", "2", "--weight", "3/2",
+    ],
     "composite-check-octa-so4_1_1": [
         "composite-check", "tests/golden/octa.json", "--rep", "tests/golden/so4_1_1.json",
     ],
