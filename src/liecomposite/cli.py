@@ -14,6 +14,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import comb
 from typing import NamedTuple
 
 from .errors import DomainError, LibError
@@ -48,6 +49,9 @@ SCHEMA_VERSION = 1
 
 SYMBOLIC = "symbolic"
 
+# The default --max-work, in each command's own unit of planned work.
+DEFAULT_MAX_WORK = 10**8
+
 
 class _RunFields(NamedTuple):
     command: str
@@ -66,6 +70,7 @@ class _RunFields(NamedTuple):
     two_j1: int = 1
     two_j2: int = 1
     expressions: tuple = ()
+    max_work: int = DEFAULT_MAX_WORK
 
 
 class RunConfig(_RunFields):
@@ -84,6 +89,8 @@ class RunConfig(_RunFields):
             raise DomainError("index bound must be at least 1")
         if self.weight is not None and self.weight <= 0:
             raise DomainError("numeric weight must be positive")
+        if self.max_work < 0:
+            raise DomainError("max work must be nonnegative")
         return self
 
 
@@ -210,9 +217,86 @@ def _cmd_tail_equivalence(config: RunConfig):
     return params, [report], []
 
 
-# The command table: name -> (handler, help, arguments).  Each argument is
+# -- preflight: each command's planned work, from its parameters alone ---------
+#
+# The units differ from command to command, and so does their cost: a
+# nested tuple of witt-closed takes about 0.1 ms, a sampled tail term about
+# 0.1 us.  A count that only grows is summed until it passes the budget.
+
+
+def _work_witt_pairs(config: RunConfig) -> int:
+    """The pairs checked, times the n-degree K + 1 of the index-K letter."""
+    k = max(config.max_index, 0)
+    if config.command == "witt-verify":
+        pairs = 2 * (k + 2) * (k + 1) + 1  # both halves, and the cross-half probe
+    else:
+        pairs = (k + 1) * (3 * k + 4)  # both halves: e-f pairs and f-f pairs
+    return pairs * (k + 1)
+
+
+def _zero_graded_words(length: int, index_bound: int) -> int:
+    """The words of the given length over both families with index sum 0:
+    2^length family choices times the ways to write length * b as a sum of
+    length parts in [0, 2b], by inclusion-exclusion on the parts above 2b."""
+    b, span = index_bound, 2 * index_bound + 1
+    sums = sum(
+        (-1) ** k * comb(length, k) * comb(length * b - k * span + length - 1, length - 1)
+        for k in range(length * b // span + 1)
+    )
+    return 2**length * sums
+
+
+def _work_witt_symmetry(config: RunConfig) -> int:
+    """The adjoint checks times the n-degree K + 1, plus at the formal
+    weight the zero-graded words of length up to the bound."""
+    k = max(config.max_index, 0)
+    work = 2 * (2 * k + 1) * (k + 1)
+    if config.weight is None:
+        for length in range(1, config.word_length + 1):
+            if work > config.max_work:
+                break
+            work += _zero_graded_words(length, config.index_bound)
+    return work
+
+
+def _work_witt_closed(config: RunConfig) -> int:
+    """The nested tuples: L^(m+2) of them at each depth m, L letters."""
+    letters = 2 * (2 * config.index_bound + 1)
+    work = 0
+    for m in range(1, config.depth + 1):
+        if work > config.max_work:
+            break
+        work += letters ** (m + 2)
+    return work
+
+
+def _work_witt_hs(config: RunConfig) -> int:
+    """The deviations times their columns."""
+    return max(config.index_bound - 1, 0) ** 2 * config.truncation
+
+
+def _work_octa_demo(config: RunConfig) -> int:
+    """The dimension m of the so(4) rep."""
+    return (config.two_j1 + 1) * (config.two_j2 + 1)
+
+
+def _work_tail_equivalence(config: RunConfig) -> int:
+    """The probe's sampled terms, the last 3/4 of the truncation."""
+    return config.truncation - config.truncation // 4
+
+
+def planned_work(config: RunConfig) -> int | None:
+    """The command's planned work in its own units, or a partial count
+    already above config.max_work; None for composite-check, whose work is
+    in its input files."""
+    work = COMMANDS[config.command][3]
+    return None if work is None else work(config)
+
+
+# The command table: name -> (handler, help, arguments, work).  Each argument is
 # one (flag, kwargs) pair for add_argument, whose dest is the RunConfig field
-# it fills; build_parser adds the _COMMON arguments to every command.
+# it fills; build_parser adds the _COMMON arguments to every command.  work
+# gives the planned work that run() checks against --max-work.
 
 _MAX_INDEX = ("--max-index", dict(type=int, required=True))
 _WEIGHT_HELP = f'highest weight: a positive rational like "1/2", or "{SYMBOLIC}"'
@@ -220,50 +304,66 @@ _WEIGHT = ("--weight", dict(metavar="H", help=_WEIGHT_HELP))
 _NUMERIC_WEIGHT = ("--weight", dict(metavar="H", default="1/2"))
 
 COMMANDS = {
-    "witt-verify": (_cmd_witt_pairs, "in-half pair deviations vanish", [_MAX_INDEX, _WEIGHT]),
-    "witt-extended": (_cmd_witt_pairs, "both ladder families together", [_MAX_INDEX, _WEIGHT]),
+    "witt-verify": (
+        _cmd_witt_pairs, "in-half pair deviations vanish", [_MAX_INDEX, _WEIGHT], _work_witt_pairs,
+    ),
+    "witt-extended": (
+        _cmd_witt_pairs, "both ladder families together", [_MAX_INDEX, _WEIGHT], _work_witt_pairs,
+    ),
     "witt-symmetry": (_cmd_witt_symmetry, "adjoint symmetry and word identities", [
         _MAX_INDEX,
         ("--word-length", dict(type=int, default=3)),
         ("--index-bound", dict(type=int, default=2)),
         _WEIGHT,
-    ]),
+    ], _work_witt_symmetry),
     "witt-hs": (_cmd_witt_hs, "mixed-pair deviation classes and tail sums", [
         ("--index-bound", dict(type=int, default=6)),
         ("--truncation", dict(type=int, default=500)),
         _NUMERIC_WEIGHT,
-    ]),
+    ], _work_witt_hs),
     "witt-closed": (_cmd_witt_closed, "iterated brackets stay close to the family", [
         ("--depth", dict(type=int, default=1)),
         ("--index-bound", dict(type=int, default=2)),
         ("--mode", dict(choices=("literal", "bracket"), default="bracket")),
         _WEIGHT,
-    ]),
+    ], _work_witt_closed),
     "composite-check": (_cmd_composite_check, "axioms for a composite file", [
         ("composite_path", dict(metavar="COMPOSITE_JSON")),
         ("--rep", dict(dest="rep_path", metavar="REP_JSON")),
         ("--tolerance", dict(type=float)),
-    ]),
+    ], None),
     "octa-demo": (_cmd_octa_demo, "octahedron pipeline end to end", [
         ("--two-j1", dict(type=int, default=1)),
         ("--two-j2", dict(type=int, default=1)),
-    ]),
+    ], _work_octa_demo),
     "tail-equivalence": (_cmd_tail_equivalence, "square-summable tail comparison", [
         ("expressions", dict(metavar="EXPR", nargs=2)),
         _NUMERIC_WEIGHT,
         ("--truncation", dict(type=int, default=10000)),
-    ]),
+    ], _work_tail_equivalence),
 }
 
 _COMMON = [
     ("--format", dict(dest="fmt", choices=("text", "json"), default="text")),
     ("--output", dict(metavar="PATH", help="write the report to a file")),
+    ("--max-work", dict(type=int, metavar="N", default=DEFAULT_MAX_WORK, help=(
+        "refuse with exit 2, before any work, a command whose planned work in"
+        " its own units (tuples, words, pairs times degree, columns, terms or"
+        f" dimension) is above N; default {DEFAULT_MAX_WORK}"
+    ))),
 ]
 
 
 def run(config: RunConfig):
     """Dispatch one config; returns (exit_code, CheckReport, payload dict),
-    the payload without the items, which _render writes from the report."""
+    the payload without the items, which _render writes from the report.
+    Refuses with DomainError, before any work, above config.max_work."""
+    work = planned_work(config)
+    if work is not None and work > config.max_work:
+        raise DomainError(
+            f"{config.command} plans at least {work} units of work,"
+            f" above --max-work {config.max_work}"
+        )
     params, reports, extra_items = COMMANDS[config.command][0](config)
     items = []
     notes = []
@@ -288,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact checks for composite operator families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, arguments) in COMMANDS.items():
+    for name, (_, help_text, arguments, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in arguments + _COMMON:
             p.add_argument(flag, **kwargs)

@@ -57,7 +57,7 @@ def parse_scalar(text: str):
 
 def format_scalar(x) -> str:
     if isinstance(x, float):
-        raise MalformedInputError("refusing to serialize float entries exactly")
+        raise MalformedInputError(f"an exact scalar is required, not the float {x!r}")
     if isinstance(x, GaussianRational):
         return str(x)
     return str(Fraction(x))

@@ -30,7 +30,10 @@ from typing import Iterable
 from .errors import DomainError, NegativeExponentError, PoleError
 from .exact import (
     RationalFunc,
+    _ONE,
+    _bmul,
     _bneg,
+    _bshift,
     _specialize,
     _unreduced_sum,
     evaluate,
@@ -134,6 +137,11 @@ def _merge(merged: dict, terms, subtract: bool = False) -> dict:
         else:
             merged[d] = -c if subtract else c
     return merged
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """a * b in ZZ[h][n]; a factor 1 takes no kernel-cache lookup."""
+    return b if a == _ONE else a if b == _ONE else _bmul(a, b)
 
 
 def _class_of(bands) -> OperatorClass:
@@ -272,8 +280,9 @@ class ShiftOperator:
     def commutator_classes(self, other: "ShiftOperator", minus: "ShiftOperator", h0=None):
         """(class of [self, other] - minus, class of [self, other]) at the
         weight h0 (formal when None; minus is given at h0), from each band's
-        unreduced sum of canonical terms (exact._unreduced_sum), specialized
-        at a numeric h0 before minus's band is added, again unreduced.
+        unreduced sum (exact._unreduced_sum) of unreduced products
+        cA(n+dB)*cB(n), specialized at a numeric h0 before minus's band is
+        added, again unreduced.  No canonical product or sum is formed.
 
         Exact: a class reads only each band's n-degree difference and zero
         test, and cancelling a common factor G of numerator and denominator
@@ -287,10 +296,14 @@ class ShiftOperator:
         def add(d, pair):
             bands[d] = _unreduced_sum(*bands[d], *pair)[:2] if d in bands else pair
 
-        for d, c in self._products(other):
-            add(d, (c.num, c.den))
-        for d, c in other._products(self):
-            add(d, (_bneg(c.num), c.den))
+        for a, b, negate in ((self, other, False), (other, self, True)):
+            for da, ca in a.components:
+                for db, cb in b.components:
+                    num, den = ca.num, ca.den
+                    if db:
+                        num, den = _bshift(num, db), _bshift(den, db)
+                    num, den = _times(num, cb.num), _times(den, cb.den)
+                    add(da + db, (_bneg(num) if negate else num, den))
         if h0 is not None:
             h0 = Fraction(h0)
             bands = {d: _specialize(pair, h0) for d, pair in bands.items() if pair[0]}

@@ -15,6 +15,7 @@ from liecomposite.errors import DomainError
 from liecomposite.findim import format_scalar
 from liecomposite.octa import VERTICES, so4_composite_rep
 from liecomposite.report import CheckItem, CheckReport
+from liecomposite.verma import _word_coefficients
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -400,9 +401,10 @@ def test_tail_probe_terms_inside_float_range_are_decided(capsys, expr):
 
 
 def test_tail_probe_beyond_index_range_is_input_error(capsys):
+    # a budget that admits the terms, so the probe's own range check refuses
     code, out, err = invoke(
         capsys, "tail-equivalence", "1/n", "0", "--weight", "1/2",
-        "--truncation", str(10**20),
+        "--truncation", str(10**20), "--max-work", str(10**20),
     )
     assert code == 2
     assert err.startswith("error:") and "can index" in err
@@ -593,5 +595,91 @@ def test_parser_defaults():
     }
     for argv, fields in expected.items():
         config = _config_from_args(build_parser().parse_args(list(argv)))
-        fields = {"command": argv[0], "fmt": "text", "output": None, **fields}
+        fields = {
+            "command": argv[0], "fmt": "text", "output": None, "max_work": cli.DEFAULT_MAX_WORK,
+            **fields,
+        }
         assert {name: getattr(config, name) for name in fields} == fields, argv
+
+
+# -- preflight work budget ----------------------------------------------------
+
+# one point per command and its planned work, counted by hand
+PLANNED = {
+    # 2 * 4 * 3 in-half pairs and the cross-half probe, times degree 3
+    ("witt-verify", "--max-index", "2"): 25 * 3,
+    # 2 * (4 * 3 e-f pairs + 3 f-f pairs), times degree 3
+    ("witt-extended", "--max-index", "2"): 30 * 3,
+    # 2 * 5 adjoints times degree 3, and the zero-graded words over 6
+    # letters: 2 of length 1, 3 * 4 of length 2, 7 * 8 of length 3
+    ("witt-symmetry", "--max-index", "2", "--word-length", "3", "--index-bound", "1"): 30 + 70,
+    # at a numeric weight the word check is skipped
+    ("witt-symmetry", "--max-index", "2", "--index-bound", "1", "--weight", "1/2"): 30,
+    ("witt-hs", "--index-bound", "6", "--truncation", "500"): 25 * 500,
+    ("witt-closed", "--depth", "2", "--index-bound", "1"): 6**3 + 6**4,
+    ("octa-demo", "--two-j1", "2", "--two-j2", "1"): 3 * 2,
+    ("tail-equivalence", "n", "0", "--truncation", "1000"): 750,
+    ("composite-check", OCTA): None,
+}
+
+
+def _config(*argv):
+    return _config_from_args(build_parser().parse_args(list(argv)))
+
+
+@pytest.mark.parametrize("argv", sorted(PLANNED))
+def test_planned_work_per_command(argv):
+    assert cli.planned_work(_config(*argv)) == PLANNED[argv]
+
+
+@pytest.mark.parametrize("max_len, index_bound", [(3, 0), (4, 2), (5, 1), (3, 3)])
+def test_zero_graded_words_match_the_walk(max_len, index_bound):
+    walked = sum(1 for _, total, _ in _word_coefficients(max_len, index_bound) if total == 0)
+    counted = sum(cli._zero_graded_words(n, index_bound) for n in range(1, max_len + 1))
+    assert counted == walked
+
+
+def test_planned_witt_closed_work_is_its_item_count():
+    config = _config("witt-closed", "--depth", "2", "--index-bound", "1")
+    assert cli.planned_work(config) == len(run(config)[1].items)
+
+
+def test_growing_counts_stop_above_the_budget():
+    # a count stops at the first level or word length that takes it above
+    # the budget: that partial count is enough to refuse
+    deep = _config("witt-closed", "--depth", "1000000000", "--max-work", "1000")
+    assert cli.planned_work(deep) == 10**3 + 10**4
+    long_words = _config("witt-symmetry", "--max-index", "1", "--word-length", "1000000000")
+    words = [cli._zero_graded_words(n, 2) for n in range(1, 10)]  # 12 more: 2 * 3 adjoints * 2
+    assert 12 + sum(words[:-1]) <= cli.DEFAULT_MAX_WORK < 12 + sum(words)
+    assert cli.planned_work(long_words) == 12 + sum(words)
+    exact = _config("witt-closed", "--depth", "3", "--index-bound", "1", "--max-work", str(10**6))
+    assert cli.planned_work(exact) == 6**3 + 6**4 + 6**5
+
+
+# inputs that hung or ran out of memory before the budget refused them
+HANG_LIST = [
+    ("witt-verify", "--max-index", "100000"),
+    ("witt-closed", "--depth", "50", "--index-bound", "1"),
+    ("witt-symmetry", "--max-index", "2", "--word-length", "100", "--index-bound", "1"),
+    ("octa-demo", "--two-j1", "100000", "--two-j2", "100000"),
+    ("witt-hs", "--index-bound", "6", "--weight", "1/2", "--truncation", "100000000"),
+]
+
+
+@pytest.mark.parametrize("argv", HANG_LIST)
+def test_hang_list_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"above --max-work {cli.DEFAULT_MAX_WORK}" in err
+
+
+def test_budget_admits_work_equal_to_it(capsys):
+    argv = ("witt-closed", "--depth", "1", "--index-bound", "1", "--max-work")
+    assert invoke(capsys, *argv, "216")[0] == 0
+    code, out, err = invoke(capsys, *argv, "215")
+    assert code == 2
+    assert err == "error: witt-closed plans at least 216 units of work, above --max-work 215\n"
+    assert invoke(capsys, *argv, "-1")[0] == 2

@@ -712,7 +712,7 @@ def test_scalar_parse_format():
     assert format_scalar(Fraction(-5, 7)) == "-5/7"
     assert format_scalar(G(0, 1)) == "i"
     assert format_scalar(parse_scalar("1/2-3/4i")) == "1/2-3/4i"
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError, match="^an exact scalar is required, not the float 0.5$"):
         format_scalar(0.5)
 
 

@@ -1,5 +1,6 @@
-"""Checks on the package source itself: no unused imports, an export list
-that matches the package's imports, a lean start-up, one matrix type."""
+"""Checks on the package source itself: no unused imports (in the tests
+too), an export list that matches the package's imports, a lean start-up,
+one matrix type."""
 
 import ast
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import liecomposite
 
 PACKAGE = Path(liecomposite.__file__).parent
+TESTS = Path(__file__).resolve().parent
 
 # (module, name) pairs imported but not used in the module, each with its reason
 ALLOWED_UNUSED = {
@@ -69,6 +71,15 @@ def test_no_unused_imports_in_src():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     }
     assert found == ALLOWED_UNUSED
+
+
+def test_no_unused_imports_in_tests():
+    found = {
+        (path.name, name)
+        for path in sorted(TESTS.glob("*.py"))
+        for name in unused_imports(path.read_text(encoding="utf-8"))
+    }
+    assert found == set()
 
 
 def test_public_names_are_the_package_imports():

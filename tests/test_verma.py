@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from liecomposite.errors import DomainError, PoleError
 from liecomposite.exact import (
+    RationalFunc,
     asymptotic_degree,
     parse,
-    parse_rational,
     qhn_const,
     substitute_h,
     var_h,
@@ -585,6 +585,33 @@ def test_closed_items_form_inner_levels_and_classify_the_last(monkeypatch):
     assert calls == {"commutator": 13 * (1 + 6), "commutator_classes": 13 * 36}
 
 
+def test_last_level_forms_no_rational_product(monkeypatch):
+    # the last level's band terms are unreduced ZZ[h][n] products, so no
+    # RationalFunc product (with its gcds) is formed while classifying
+    depth = [0]
+    products = []
+    classes, mul = ShiftOperator.commutator_classes, RationalFunc.__mul__
+
+    def spied_classes(*args):
+        depth[0] += 1
+        try:
+            return classes(*args)
+        finally:
+            depth[0] -= 1
+
+    def spied_mul(a, b):
+        if depth[0]:
+            products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(ShiftOperator, "commutator_classes", spied_classes)
+    monkeypatch.setattr(RationalFunc, "__mul__", spied_mul)
+    monkeypatch.setattr(RationalFunc, "__rmul__", spied_mul)
+    items, _ = verma._closed_items(1, 2, None, False)
+    assert len(items) == 1000
+    assert products == []
+
+
 def _growth_class(op):
     """The class of op read from asymptotic_degree, apart from classify."""
     g = max((asymptotic_degree(c) + d for d, c in op.components), default=None)
@@ -610,7 +637,12 @@ def _last_levels(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_last_levels(), st.sampled_from([None, Fraction(1, 2), Fraction(3, 2), Fraction(3), Fraction(5, 7)]))
+@given(
+    _last_levels(),
+    st.sampled_from(
+        [None, Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3), Fraction(5, 7)]
+    ),
+)
 def test_commutator_classes_match_the_formed_commutator(level, h0):
     # the last level's classes from unreduced band sums against the
     # canonical commutator, substituted at h0 before the table bracket is
